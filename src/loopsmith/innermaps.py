@@ -1,4 +1,4 @@
-"""Translations, inner mappings and permutation-group closure.
+"""Translations and inner mappings.
 
 Permutations are tuples of length n with images[i-1] the image of
 element i.  Composition follows (p o q)(z) = p(q(z)): q acts first.
@@ -6,18 +6,13 @@ element i.  Composition follows (p o q)(z) = p(q(z)): q acts first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from .table import memoized
 
 Perm = tuple
 
 
 def identity_perm(n) -> Perm:
     return tuple(range(1, n + 1))
-
-
-def apply_perm(p, x):
-    return p[x - 1]
 
 
 def compose(p, q) -> Perm:
@@ -121,6 +116,7 @@ def is_automorphism(L, p) -> bool:
     return True
 
 
+@memoized
 def inner_map_witness(L):
     """First inner-mapping generator that is not an automorphism.
 
@@ -147,13 +143,12 @@ def inner_map_witness(L):
     return None
 
 
-@lru_cache(maxsize=None)
 def is_automorphic(L) -> bool:
     """All inner-mapping generators are automorphisms."""
     return inner_map_witness(L) is None
 
 
-@lru_cache(maxsize=None)
+@memoized
 def is_left_automorphic(L) -> bool:
     """All generators of the two-parameter left family are automorphisms."""
     n = L.order
@@ -165,7 +160,11 @@ def is_left_automorphic(L) -> bool:
 
 def moufang_l_iff_r_check(L) -> bool:
     """On a Moufang table, each left inner map is an automorphism exactly
-    when its right counterpart is; verified generator by generator."""
+    when its right counterpart is; verified generator by generator.
+
+    So a left automorphic Moufang loop that is not automorphic, like Q1,
+    fails only in the one-parameter family inner_t.
+    """
     if not L.is_moufang():
         raise ValueError("l-iff-r comparison needs a Moufang table")
     n = L.order
@@ -174,46 +173,3 @@ def moufang_l_iff_r_check(L) -> bool:
             if is_automorphism(L, inner_l(L, x, y)) != is_automorphism(L, inner_r(L, x, y)):
                 return False
     return True
-
-
-# -- permutation group closure ----------------------------------------
-
-
-@dataclass
-class PermGroupHandle:
-    generators: tuple
-    elements: frozenset | None  # None when the cap was hit
-    order: int | None
-    capped: bool
-
-
-def group_closure(generators, cap=1_000_000) -> PermGroupHandle:
-    """Breadth-first closure of permutations under composition.
-
-    For finite degrees this closure is automatically closed under
-    inverse and contains the identity.  Stops once the element count
-    exceeds cap and returns a capped handle with no element set.
-    """
-    gens = tuple(tuple(g) for g in generators)
-    if not gens:
-        raise ValueError("need at least one generator")
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    degree = len(gens[0])
-    if any(len(g) != degree for g in gens):
-        raise ValueError("generators have mixed degrees")
-    ident = identity_perm(degree)
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                c = compose(g, e)
-                if c not in elements:
-                    elements.add(c)
-                    if len(elements) > cap:
-                        return PermGroupHandle(gens, None, None, True)
-                    nxt.append(c)
-        frontier = nxt
-    return PermGroupHandle(gens, frozenset(elements), len(elements), False)

@@ -1,10 +1,11 @@
 """Subloops, derived subloops, quotients and related structure.
 
 All functions take a validated LoopTable and work with plain element
-sets.  Generated subloops are fixed-point closures under product, left
-division and right division; for finite tables product closure alone
-would suffice, but all three are closed over so the re-check helper can
-stay independent of that fact.
+sets.  Generated subloops are fixed-point closures under the product
+alone: in a finite loop, every left and right translation by a member
+maps a product-closed set injectively into itself, so the set is closed
+under both divisions too.  is_closed re-checks all three operations
+independently of that fact.
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ def _close(L, seed):
     while queue:
         a = queue.pop()
         for b in list(members):
-            for c in (rows[a - 1][b - 1], rows[b - 1][a - 1],
-                      L.ldiv(a, b), L.ldiv(b, a), L.rdiv(a, b), L.rdiv(b, a)):
+            for c in (rows[a - 1][b - 1], rows[b - 1][a - 1]):
                 if c not in elems:
                     elems.add(c)
                     queue.append(c)
@@ -95,7 +95,7 @@ def _make_subloop(L, elems, generators):
 
 
 def generate_subloop(L, seed) -> Subloop:
-    """Least subloop containing the seed: closure under *, \\ and /."""
+    """Least subloop containing the seed."""
     for g in seed:
         L._check(g)
     return _make_subloop(L, _close(L, seed), seed)
@@ -395,34 +395,6 @@ def hall_3prime_subgroup(L) -> HallResult:
     if len(H) == target:
         return HallResult(H, target, in_nuc, H.is_group)
     return HallResult(None, target, in_nuc, H.is_group)
-
-
-def is_direct_product(L, A, B) -> bool:
-    """Internal direct product test for two subloops.
-
-    Requires trivial intersection, unique factorization a*b across the
-    loop, componentwise products ((a1*b1)*(a2*b2) = (a1*a2)*(b1*b2),
-    which also forces the two factors to commute elementwise), and
-    normality of both factors.
-    """
-    aset, bset = set(A.elements), set(B.elements)
-    if aset & bset != {1}:
-        return False
-    if len(aset) * len(bset) != L.order:
-        return False
-    rows = L.rows
-    products = {rows[a - 1][b - 1] for a in aset for b in bset}
-    if len(products) != L.order:
-        return False
-    for a1 in aset:
-        for b1 in bset:
-            left = rows[a1 - 1][b1 - 1]
-            for a2 in aset:
-                a12 = rows[a1 - 1][a2 - 1]
-                for b2 in bset:
-                    if rows[left - 1][rows[a2 - 1][b2 - 1] - 1] != rows[a12 - 1][rows[b1 - 1][b2 - 1] - 1]:
-                        return False
-    return is_normal(L, A) and is_normal(L, B)
 
 
 def commutative_nilpotency_class(L, max_rounds=None) -> int | None:

@@ -15,7 +15,10 @@ from . import subloops as sl
 from .halfmorph import (
     HalfKind,
     classify,
+    coset_images,
+    d_set,
     enumerate_half_automorphisms,
+    find_gg_triples,
     half_maps_form_group_check,
     induced_on_quotient,
     is_semi_isomorphism,
@@ -23,6 +26,7 @@ from .halfmorph import (
     verify_main_theorem,
 )
 from .innermaps import is_automorphic, is_left_automorphic
+from .table import memoized
 
 
 @dataclass
@@ -45,19 +49,6 @@ class SuiteResult:
         if self.notes:
             text += "  [%s]" % "; ".join(self.notes)
         return text
-
-
-def _enum(name, table, enums, max_order=None, skipped=None):
-    if enums is not None and name in enums:
-        return enums[name]
-    if max_order is not None and table.order > max_order:
-        if skipped is not None:
-            skipped.append(name)
-        return None
-    result = enumerate_half_automorphisms(table)
-    if enums is not None:
-        enums[name] = result
-    return result
 
 
 # -- structural suites (no enumeration needed) ------------------------
@@ -168,15 +159,16 @@ def suite_sylow_factorization(inputs) -> SuiteResult:
     return res
 
 
-def _distinct_small_generated(t, max_size=3):
-    """Element sets of subloops generated by up to max_size elements."""
+@memoized
+def _distinct_small_generated(t):
+    """Element sets of subloops generated by up to three elements."""
     seen = set()
     elems = [x for x in t.elements if x != 1]
-    for size in range(1, max_size + 1):
+    for size in (1, 2, 3):
         for seed in combinations(elems, size):
             H = sl.generate_subloop(t, seed)
             seen.add(H.elements)
-    return sorted(seen)
+    return tuple(sorted(seen))
 
 
 def suite_bruck(inputs):
@@ -270,16 +262,15 @@ def suite_bruck(inputs):
 # -- enumeration-backed suites ----------------------------------------
 
 
-def suite_main_theorem(inputs, enums=None, max_order=None) -> SuiteResult:
+def suite_main_theorem(inputs, max_order=None) -> SuiteResult:
     """Zero proper half-morphisms on loops that are Moufang with all
     inner maps automorphisms; runs the full driver on every input."""
     res = SuiteResult("main-theorem")
     for name, t in inputs:
-        enum = _enum(name, t, enums, max_order, res.notes)
-        if enum is None:
-            res.notes[-1] = "skipped %s (order %d above threshold)" % (name, t.order)
+        if max_order is not None and t.order > max_order:
+            res.notes.append("skipped %s (order %d above threshold)" % (name, t.order))
             continue
-        report = verify_main_theorem(t, name=name, enumeration=enum)
+        report = verify_main_theorem(t, name=name)
         res.check_count += report.total
         if report.hypotheses_hold:
             res.hypothesis_count += 1
@@ -290,14 +281,14 @@ def suite_main_theorem(inputs, enums=None, max_order=None) -> SuiteResult:
     return res
 
 
-def suite_half_group(inputs, enums=None, max_order=None) -> SuiteResult:
+def suite_half_group(inputs, max_order=None) -> SuiteResult:
     """Complete half-morphism sets are groups under composition."""
     res = SuiteResult("half-maps-form-group")
     for name, t in inputs:
-        enum = _enum(name, t, enums, max_order, res.notes)
-        if enum is None:
-            res.notes[-1] = "skipped %s" % name
+        if max_order is not None and t.order > max_order:
+            res.notes.append("skipped %s" % name)
             continue
+        enum = enumerate_half_automorphisms(t)
         res.hypothesis_count += 1
         res.check_count += 2 * len(enum.maps)
         if not half_maps_form_group_check(t, enum):
@@ -305,17 +296,17 @@ def suite_half_group(inputs, enums=None, max_order=None) -> SuiteResult:
     return res
 
 
-def suite_semi_isomorphism(inputs, enums=None, max_order=None) -> SuiteResult:
+def suite_semi_isomorphism(inputs, max_order=None) -> SuiteResult:
     """Every half-morphism of a Moufang table preserves x*y*x products:
     t((u*v)*u) = (t(u)*t(v))*t(u)."""
     res = SuiteResult("semi-isomorphism")
     for name, t in inputs:
         if not t.is_moufang():
             continue
-        enum = _enum(name, t, enums, max_order, res.notes)
-        if enum is None:
-            res.notes[-1] = "skipped %s" % name
+        if max_order is not None and t.order > max_order:
+            res.notes.append("skipped %s" % name)
             continue
+        enum = enumerate_half_automorphisms(t)
         res.hypothesis_count += 1
         for m in enum.maps:
             res.check_count += 1
@@ -324,20 +315,18 @@ def suite_semi_isomorphism(inputs, enums=None, max_order=None) -> SuiteResult:
     return res
 
 
-def suite_gg_witness(inputs, enums=None, max_order=None) -> SuiteResult:
+def suite_gg_witness(inputs, max_order=None) -> SuiteResult:
     """Every proper half-morphism of a Moufang table has a witness
     triple: an element that fails to commute with a forward-only partner
     and a reversed-only partner."""
-    from .halfmorph import find_gg_triples
-
     res = SuiteResult("proper-half-witness-triples")
     for name, t in inputs:
         if not t.is_moufang():
             continue
-        enum = _enum(name, t, enums, max_order, res.notes)
-        if enum is None:
-            res.notes[-1] = "skipped %s" % name
+        if max_order is not None and t.order > max_order:
+            res.notes.append("skipped %s" % name)
             continue
+        enum = enumerate_half_automorphisms(t)
         for m, cls in zip(enum.maps, enum.classes()):
             if cls.kind is not HalfKind.PROPER_HALF:
                 continue
@@ -348,16 +337,16 @@ def suite_gg_witness(inputs, enums=None, max_order=None) -> SuiteResult:
     return res
 
 
-def suite_odd_order_trivial(inputs, enums=None, max_order=None) -> SuiteResult:
+def suite_odd_order_trivial(inputs, max_order=None) -> SuiteResult:
     """Odd-order Moufang tables carry no proper half-morphisms."""
     res = SuiteResult("odd-order-trivial")
     for name, t in inputs:
         if t.order % 2 == 0 or not t.is_moufang():
             continue
-        enum = _enum(name, t, enums, max_order, res.notes)
-        if enum is None:
-            res.notes[-1] = "skipped %s" % name
+        if max_order is not None and t.order > max_order:
+            res.notes.append("skipped %s" % name)
             continue
+        enum = enumerate_half_automorphisms(t)
         res.hypothesis_count += 1
         for m, cls in zip(enum.maps, enum.classes()):
             res.check_count += 1
@@ -366,21 +355,7 @@ def suite_odd_order_trivial(inputs, enums=None, max_order=None) -> SuiteResult:
     return res
 
 
-def _induced_images(proj, k, m):
-    """Images of the quotient map induced by m, or None if they depend
-    on the coset representative."""
-    images = [0] * k
-    for x in range(1, m.domain.order + 1):
-        c = proj[x - 1]
-        v = proj[m.images[x - 1] - 1]
-        if images[c - 1] == 0:
-            images[c - 1] = v
-        elif images[c - 1] != v:
-            return None
-    return tuple(images)
-
-
-def suite_induced_quotient(inputs, enums=None, max_order=None) -> SuiteResult:
+def suite_induced_quotient(inputs, max_order=None) -> SuiteResult:
     """Pushing any half-morphism down to the associator quotient gives a
     trivial map whenever that quotient is a group and the map fixes the
     associator subloop setwise.
@@ -397,13 +372,12 @@ def suite_induced_quotient(inputs, enums=None, max_order=None) -> SuiteResult:
         q = sl.quotient(t, A)
         if not q.table.is_associative():
             continue
-        enum = _enum(name, t, enums, max_order, res.notes)
-        if enum is None:
-            res.notes[-1] = "skipped %s" % name
+        if max_order is not None and t.order > max_order:
+            res.notes.append("skipped %s" % name)
             continue
+        enum = enumerate_half_automorphisms(t)
         aset = set(A.elements)
         proj = q.projection
-        k = q.table.order
         kinds = {}
         crosschecked = 0
         for m in enum.maps:
@@ -411,8 +385,9 @@ def suite_induced_quotient(inputs, enums=None, max_order=None) -> SuiteResult:
                 continue
             res.hypothesis_count += 1
             res.check_count += 1
-            key = _induced_images(proj, k, m)
-            if key is None:
+            try:
+                key = coset_images(m, proj, proj)
+            except ValueError:
                 res.violations.append("%s: %s has no well-defined quotient image" % (name, m.cycles()))
                 continue
             if key not in kinds:
@@ -426,33 +401,30 @@ def suite_induced_quotient(inputs, enums=None, max_order=None) -> SuiteResult:
     return res
 
 
-def suite_commutator_d_set(inputs, enums=None, max_order=None) -> SuiteResult:
+def suite_commutator_d_set(inputs, max_order=None) -> SuiteResult:
     """Central-commutator facts for half-morphisms of 3-generated
     left-automorphic Moufang subloops whose induced associator-quotient
     map preserves products: commutators of derived-subloop elements
     against reversed-only elements are central, and every pair obeying
     the reversed law has a central commutator on both sides of the map."""
-    from .halfmorph import d_set
-
     res = SuiteResult("commutator-d-set-central")
     for name, t in inputs:
         for elements in _distinct_small_generated(t):
-            sub, _ = sl.restriction(t, elements)
+            # the whole loop is one of the sets; using t itself reuses its memo
+            sub = t if len(elements) == t.order else sl.restriction(t, elements)[0]
             if not (sub.is_moufang() and is_left_automorphic(sub)):
                 continue
             A = sl.associator_subloop(sub)
             if not sl.is_normal(sub, A):
                 continue
             q = sl.quotient(sub, A)
-            enum_key = name if len(elements) == t.order else \
-                "%s!%s" % (name, ",".join(map(str, elements)))
-            enum = _enum(enum_key, sub, enums, max_order, res.notes)
-            if enum is None:
-                res.notes[-1] = "skipped %s" % enum_key
+            if max_order is not None and sub.order > max_order:
+                label = name if sub is t else "%s!%s" % (name, ",".join(map(str, elements)))
+                res.notes.append("skipped %s" % label)
                 continue
+            enum = enumerate_half_automorphisms(sub)
             aset = set(A.elements)
             proj = q.projection
-            k = q.table.order
             derived = set(sl.commutator_subloop(sub).elements)
             central = set(sl.center(sub).elements)
             srows = sub.rows
@@ -463,8 +435,9 @@ def suite_commutator_d_set(inputs, enums=None, max_order=None) -> SuiteResult:
             for m in enum.maps:
                 if {m.images[a - 1] for a in aset} != aset:
                     continue
-                key = _induced_images(proj, k, m)
-                if key is None:
+                try:
+                    key = coset_images(m, proj, proj)
+                except ValueError:
                     continue
                 if key not in kinds:
                     kinds[key] = classify(make_half_map(q.table, q.table, key)).kind
@@ -496,10 +469,8 @@ def suite_commutator_d_set(inputs, enums=None, max_order=None) -> SuiteResult:
     return res
 
 
-def run_theorem_suites(inputs, enums=None, max_order=None):
+def run_theorem_suites(inputs, max_order=None):
     """Run every suite over the given (name, table) list."""
-    if enums is None:
-        enums = {}
     results = [
         suite_moufang_flag_agreement(inputs),
         suite_nuclei_coincide(inputs),
@@ -509,12 +480,12 @@ def run_theorem_suites(inputs, enums=None, max_order=None):
     ]
     results.extend(suite_bruck(inputs))
     results.extend([
-        suite_main_theorem(inputs, enums, max_order),
-        suite_half_group(inputs, enums, max_order),
-        suite_semi_isomorphism(inputs, enums, max_order),
-        suite_gg_witness(inputs, enums, max_order),
-        suite_odd_order_trivial(inputs, enums, max_order),
-        suite_induced_quotient(inputs, enums, max_order),
-        suite_commutator_d_set(inputs, enums, max_order),
+        suite_main_theorem(inputs, max_order),
+        suite_half_group(inputs, max_order),
+        suite_semi_isomorphism(inputs, max_order),
+        suite_gg_witness(inputs, max_order),
+        suite_odd_order_trivial(inputs, max_order),
+        suite_induced_quotient(inputs, max_order),
+        suite_commutator_d_set(inputs, max_order),
     ])
     return results

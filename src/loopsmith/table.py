@@ -8,6 +8,7 @@ time, so all later queries are table lookups.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -110,6 +111,25 @@ def relabel(raw, perm):
         for y in range(1, n + 1):
             out[px - 1][perm[y - 1] - 1] = perm[raw[x - 1][y - 1] - 1]
     return out
+
+
+def memoized(fn):
+    """Store fn(table) in that table's own memo, computing it once.
+
+    This is the package's one cache for per-table results.  The memo
+    lives and dies with its table, so restricted subtables and relabeled
+    copies never share results, and nothing pins a table in memory.
+    """
+    key = "%s.%s" % (fn.__module__, fn.__qualname__)
+
+    @functools.wraps(fn)
+    def cached(table):
+        memo = table._memo
+        if key not in memo:
+            memo[key] = fn(table)
+        return memo[key]
+
+    return cached
 
 
 def _swap_labels(n, a, b):
@@ -256,91 +276,88 @@ class LoopTable:
 
     # -- global properties ---------------------------------------------
 
+    @memoized
     def is_commutative(self) -> bool:
-        if "commutative" not in self._memo:
-            rows = self.rows
-            n = self.order
-            self._memo["commutative"] = all(
-                rows[x][y] == rows[y][x] for x in range(n) for y in range(x + 1, n)
-            )
-        return self._memo["commutative"]
+        rows = self.rows
+        n = self.order
+        return all(rows[x][y] == rows[y][x] for x in range(n) for y in range(x + 1, n))
 
+    @memoized
+    def is_flexible(self) -> bool:
+        """(x*y)*x == x*(y*x) for all x, y."""
+        rows = self.rows
+        n = self.order
+        for x in range(n):
+            rx = rows[x]
+            for y in range(n):
+                if rows[rx[y] - 1][x] != rx[rows[y][x] - 1]:
+                    return False
+        return True
+
+    @memoized
     def is_associative(self) -> bool:
-        if "associative" not in self._memo:
-            rows = self.rows
-            n = self.order
-            result = True
-            for x in range(n):
-                rx = rows[x]
-                for y in range(n):
-                    xy = rx[y] - 1
-                    ry = rows[y]
-                    if any(rows[xy][z] != rx[ry[z] - 1] for z in range(n)):
-                        result = False
-                        break
-                if not result:
-                    break
-            self._memo["associative"] = result
-        return self._memo["associative"]
+        rows = self.rows
+        n = self.order
+        for x in range(n):
+            rx = rows[x]
+            for y in range(n):
+                xy = rx[y] - 1
+                ry = rows[y]
+                if any(rows[xy][z] != rx[ry[z] - 1] for z in range(n)):
+                    return False
+        return True
 
+    @memoized
     def moufang_report(self) -> MoufangFlags:
         """Evaluate the three Moufang identities separately."""
-        if "moufang" not in self._memo:
-            rows = self.rows
-            n = self.order
-            rng = range(n)
+        rows = self.rows
+        n = self.order
+        rng = range(n)
 
-            def left_ok():
-                for x in rng:
-                    rx = rows[x]
-                    for y in rng:
-                        a = rows[rx[y] - 1][x] - 1   # (x*y)*x
-                        ry = rows[y]
-                        for z in rng:
-                            if rows[a][z] != rx[ry[rx[z] - 1] - 1]:
-                                return False
-                return True
+        def left_ok():
+            for x in rng:
+                rx = rows[x]
+                for y in rng:
+                    a = rows[rx[y] - 1][x] - 1   # (x*y)*x
+                    ry = rows[y]
+                    for z in rng:
+                        if rows[a][z] != rx[ry[rx[z] - 1] - 1]:
+                            return False
+            return True
 
-            def right_ok():
-                for x in rng:
-                    rx = rows[x]
-                    for y in rng:
-                        xy = rx[y] - 1
-                        ry = rows[y]
-                        for z in rng:
-                            if rows[rows[xy][z] - 1][y] != rx[ry[rows[z][y] - 1] - 1]:
-                                return False
-                return True
+        def right_ok():
+            for x in rng:
+                rx = rows[x]
+                for y in rng:
+                    xy = rx[y] - 1
+                    ry = rows[y]
+                    for z in rng:
+                        if rows[rows[xy][z] - 1][y] != rx[ry[rows[z][y] - 1] - 1]:
+                            return False
+            return True
 
-            def middle_ok():
-                for x in rng:
-                    rx = rows[x]
-                    for y in rng:
-                        xy = rx[y] - 1
-                        ry = rows[y]
-                        for z in rng:
-                            if rows[xy][rows[z][x] - 1] != rows[rx[ry[z] - 1] - 1][x]:
-                                return False
-                return True
+        def middle_ok():
+            for x in rng:
+                rx = rows[x]
+                for y in rng:
+                    xy = rx[y] - 1
+                    ry = rows[y]
+                    for z in rng:
+                        if rows[xy][rows[z][x] - 1] != rows[rx[ry[z] - 1] - 1][x]:
+                            return False
+            return True
 
-            self._memo["moufang"] = MoufangFlags(left_ok(), right_ok(), middle_ok())
-        return self._memo["moufang"]
+        return MoufangFlags(left_ok(), right_ok(), middle_ok())
 
     def is_moufang(self) -> bool:
         return self.moufang_report().holds
 
+    @memoized
     def is_diassociative(self) -> bool:
         """True when every subloop generated by two elements is a group."""
-        if "diassociative" not in self._memo:
-            from .subloops import generate_subloop
+        from .subloops import generate_subloop
 
-            result = True
-            for x in range(1, self.order + 1):
-                for y in range(x, self.order + 1):
-                    if not generate_subloop(self, (x, y)).is_group:
-                        result = False
-                        break
-                if not result:
-                    break
-            self._memo["diassociative"] = result
-        return self._memo["diassociative"]
+        return all(
+            generate_subloop(self, (x, y)).is_group
+            for x in range(1, self.order + 1) for y in range(x, self.order + 1)
+        )

@@ -3,8 +3,6 @@ the .loop file format."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from loopsmith import catalog
@@ -14,7 +12,6 @@ from loopsmith.catalog import (
     catalog_keys,
     check_expected,
     entries,
-    entry_to_json,
     make_chein,
     make_cyclic,
     make_dihedral,
@@ -142,17 +139,6 @@ def test_make_chein_of_abelian_group_is_a_group():
     assert t.order == 6
     assert t.is_associative()
     assert not t.is_commutative()
-
-
-def test_entry_to_json_is_stable():
-    entry = builtin("Q2")
-    text = entry_to_json(entry)
-    assert text == entry_to_json(builtin("Q2"))
-    payload = json.loads(text)
-    assert payload["name"] == "Q2"
-    assert payload["order"] == 8
-    assert payload["table"][0] == list(range(1, 9))
-    assert payload["expected"]["moufang"] == {"value": False, "provenance": "external"}
 
 
 def test_loop_file_round_trip():

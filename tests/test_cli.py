@@ -1,4 +1,4 @@
-"""Command-line behavior: exit codes, output shapes, environment knobs."""
+"""Command-line behavior: exit codes and output shapes."""
 
 from __future__ import annotations
 
@@ -6,7 +6,11 @@ import json
 
 import pytest
 
-from loopsmith.cli import main, worker_count
+from loopsmith import cli
+from loopsmith.catalog import builtin, write_loop_file
+from loopsmith.cli import main
+from loopsmith.errors import InternalCheckError
+from loopsmith.table import LoopTable
 
 Z5_FILE = """name: Z5-file
 5
@@ -240,30 +244,40 @@ def test_checktheorem_catalog_json(capsys):
     assert all(s["violations"] == [] for s in payload["suites"])
 
 
-def test_worker_count(monkeypatch):
-    monkeypatch.delenv("LOOPSMITH_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("LOOPSMITH_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("LOOPSMITH_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.setenv("LOOPSMITH_THREADS", "-2")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv("LOOPSMITH_THREADS", "abc")
-    with pytest.raises(ValueError):
-        worker_count()
-
-
-def test_bad_thread_env_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("LOOPSMITH_THREADS", "abc")
-    assert main(["checktheorem", "S3"]) == 2
-    assert "LOOPSMITH_THREADS" in capsys.readouterr().err
-
-
-def test_threaded_enumeration_matches(monkeypatch, capsys):
-    monkeypatch.setenv("LOOPSMITH_THREADS", "2")
+def test_checktheorem_keeps_input_order(capsys):
     assert main(["checktheorem", "--json", "S3", "Z6"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert [e["name"] for e in payload["loops"]] == ["S3", "Z6"]
     assert payload["ok"] is True
+
+
+def test_limited_halfautos_does_not_leak_into_checktheorem(capsys):
+    assert main(["halfautos", "--limit", "2", "Q2"]) == 0
+    capsys.readouterr()
+    assert main(["checktheorem", "--json", "Q2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["loops"][0]["proper_half_maps"] == 8
+    by_name = {s["name"]: s for s in payload["suites"]}
+    assert by_name["main-theorem"]["checks"] == 16
+    assert by_name["half-maps-form-group"]["checks"] == 32
+
+
+def test_checktheorem_inputs_with_one_name_keep_their_own_maps(tmp_path, capsys):
+    paths = []
+    for key in ("Z4", "Q2"):
+        path = tmp_path / ("%s.loop" % key)
+        # no name directive, so both inputs are called "loop"
+        path.write_text(write_loop_file(LoopTable(builtin(key).table.rows)), encoding="utf-8")
+        paths.append(str(path))
+    assert main(["checktheorem", "--json"] + paths) == 0
+    loops = json.loads(capsys.readouterr().out)["loops"]
+    assert [(e["name"], e["order"], e["proper_half_maps"]) for e in loops] == [("loop", 4, 0), ("loop", 8, 8)]
+
+
+def test_internal_check_failure_has_its_own_exit_code(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InternalCheckError("self-check tripped")
+
+    monkeypatch.setattr(cli, "analyze_table", broken)
+    assert main(["analyze", "Z4"]) == 3
+    assert "internal error: self-check tripped" in capsys.readouterr().err

@@ -15,19 +15,17 @@ from loopsmith.halfmorph import (
     HalfKind,
     HalfMap,
     classify,
-    compose_with_inversion,
     d_set,
     enumerate_half_automorphisms,
     find_gg_triples,
     half_maps_form_group_check,
     induced_on_quotient,
-    inverse_half_map,
     is_semi_isomorphism,
     make_half_map,
-    semi_isomorphism_variant_holds,
     verify_main_theorem,
 )
-from loopsmith.innermaps import perm_from_cycles
+from loopsmith.innermaps import is_automorphic, is_left_automorphic, perm_from_cycles
+from loopsmith.table import LoopTable, relabel
 
 
 def test_make_half_map_rejects_degree_and_bijection_defects(q2):
@@ -134,6 +132,38 @@ def test_enumeration_limit(q2):
     assert len(enum.maps) == 5
 
 
+def test_limited_enumeration_is_never_memoized():
+    t = catalog.make_symmetric3()
+    partial = enumerate_half_automorphisms(t, limit=3)
+    assert not partial.complete and len(partial.maps) == 3
+    full = enumerate_half_automorphisms(t)
+    assert full.complete and len(full.maps) == 12
+    again = enumerate_half_automorphisms(t, limit=3)
+    assert again is not full and not again.complete
+
+
+def test_complete_enumeration_is_memoized_per_table():
+    t = catalog.make_cyclic(5)
+    assert enumerate_half_automorphisms(t) is enumerate_half_automorphisms(t)
+    twin = catalog.make_cyclic(5)
+    assert twin == t
+    assert enumerate_half_automorphisms(twin) is not enumerate_half_automorphisms(t)
+
+
+def test_relabeled_copy_keeps_flags_and_census(q2):
+    perm = (1, 3, 8, 2, 7, 5, 4, 6)
+    copy = LoopTable(relabel(q2.rows, perm))
+    assert copy.rows != q2.rows
+    assert copy._memo is not q2._memo
+    for flag in (is_automorphic, is_left_automorphic, LoopTable.is_moufang,
+                 LoopTable.is_flexible, LoopTable.is_commutative, LoopTable.is_associative):
+        assert flag(copy) == flag(q2), flag.__name__
+    census = [verify_main_theorem(t).census for t in (q2, copy)]
+    assert census[0] == census[1]
+    assert census[1][HalfKind.PROPER_HALF] == 8
+    assert enumerate_half_automorphisms(copy) is not enumerate_half_automorphisms(q2)
+
+
 def _brute_force_half_maps(t):
     n = t.order
     rows = t.rows
@@ -174,25 +204,10 @@ def test_group_check_negative_controls(q2, q2_enum):
     assert not half_maps_form_group_check(q2, dropped_last)
 
 
-def test_inverse_half_map(phi1, phi2):
-    assert inverse_half_map(phi1).images == phi1.images
-    assert inverse_half_map(phi2).images == phi2.images
-    z5 = catalog.make_cyclic(5)
-    doubling = make_half_map(z5, z5, (1, 3, 5, 2, 4))
-    inv = inverse_half_map(doubling)
-    assert inv.images == (1, 4, 2, 5, 3)
-    assert inverse_half_map(inv).images == doubling.images
-
-
 def test_semi_isomorphism(phi1, phi2, q1):
     assert is_semi_isomorphism(phi1)
     assert is_semi_isomorphism(make_half_map(q1, q1, tuple(range(1, 17))))
     assert not is_semi_isomorphism(phi2)
-
-
-def test_semi_isomorphism_variant_is_a_different_law(phi1, q1):
-    assert not semi_isomorphism_variant_holds(phi1)
-    assert not semi_isomorphism_variant_holds(make_half_map(q1, q1, tuple(range(1, 17))))
 
 
 def test_gg_triples_phi1(phi1, q1):
@@ -228,14 +243,6 @@ def test_d_set(phi1, phi2, q2):
     assert d_set(phi1) == frozenset(range(2, 17)) - {4}
     assert d_set(phi2) == frozenset({3, 4, 5, 6, 7, 8})
     assert d_set(make_half_map(q2, q2, tuple(range(1, 9)))) == frozenset()
-
-
-def test_compose_with_inversion(phi1, q2):
-    assert not compose_with_inversion(phi1).is_homomorphism
-    anti = make_half_map(q2, q2, perm_from_cycles(8, [(7, 8)]))
-    comp = compose_with_inversion(anti)
-    assert comp.is_homomorphism
-    assert comp.images == tuple(range(1, 9))
 
 
 def test_induced_on_quotient(phi1, phi2):

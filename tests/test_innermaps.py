@@ -1,4 +1,4 @@
-"""Permutation helpers, inner mappings, and group closure."""
+"""Permutation helpers and inner mappings."""
 
 from __future__ import annotations
 
@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from loopsmith import catalog
 from loopsmith.innermaps import (
-    apply_perm,
     compose,
     cycles_str,
-    group_closure,
     identity_perm,
     inner_l,
     inner_r,
@@ -28,9 +26,8 @@ from loopsmith.innermaps import (
 )
 
 
-def test_identity_and_apply():
+def test_identity_perm():
     assert identity_perm(4) == (1, 2, 3, 4)
-    assert apply_perm((2, 3, 1), 1) == 2
 
 
 def test_compose_applies_right_factor_first():
@@ -84,17 +81,17 @@ def test_translations(s3):
         assert sorted(lt) == list(s3.elements)
         assert sorted(rt) == list(s3.elements)
         for z in s3.elements:
-            assert apply_perm(lt, z) == s3.mul(a, z)
-            assert apply_perm(rt, z) == s3.mul(z, a)
+            assert lt[z - 1] == s3.mul(a, z)
+            assert rt[z - 1] == s3.mul(z, a)
 
 
 def test_inner_maps_fix_identity(q1, q2):
     for t in (q1, q2):
         for x in t.elements:
-            assert apply_perm(inner_t(t, x), 1) == 1
+            assert inner_t(t, x)[0] == 1
             for y in t.elements:
-                assert apply_perm(inner_l(t, x, y), 1) == 1
-                assert apply_perm(inner_r(t, x, y), 1) == 1
+                assert inner_l(t, x, y)[0] == 1
+                assert inner_r(t, x, y)[0] == 1
 
 
 def test_is_automorphism_basics(q1):
@@ -136,41 +133,3 @@ def test_moufang_l_iff_r(q1, q2, chein12):
     assert moufang_l_iff_r_check(chein12)
     with pytest.raises(ValueError, match="Moufang"):
         moufang_l_iff_r_check(q2)
-
-
-def _inner_generators(t):
-    gens = []
-    for x in t.elements:
-        gens.append(inner_t(t, x))
-        for y in t.elements:
-            gens.append(inner_l(t, x, y))
-            gens.append(inner_r(t, x, y))
-    return gens
-
-
-def test_inner_closure_orders(q1, q2):
-    assert group_closure(_inner_generators(q1)).order == 64
-    assert group_closure(_inner_generators(q2)).order == 4
-
-
-def test_group_closure_small():
-    handle = group_closure([(2, 1, 3)])
-    assert handle.order == 2
-    assert not handle.capped
-    assert identity_perm(3) in handle.elements
-
-
-def test_group_closure_cap():
-    handle = group_closure([(2, 3, 4, 5, 1)], cap=3)
-    assert handle.capped
-    assert handle.elements is None
-    assert handle.order is None
-
-
-def test_group_closure_argument_errors():
-    with pytest.raises(ValueError):
-        group_closure([])
-    with pytest.raises(ValueError):
-        group_closure([(1, 2)], cap=0)
-    with pytest.raises(ValueError):
-        group_closure([(1, 2), (1, 2, 3)])

@@ -15,7 +15,6 @@ from loopsmith.subloops import (
     generate_subloop,
     hall_3prime_subgroup,
     is_closed,
-    is_direct_product,
     is_normal,
     nucleus,
     nucleus_left,
@@ -203,26 +202,6 @@ def test_hall_3prime_on_three_prime_loops(q1):
     assert r.subloop is not None and len(r.subloop) == 16
     assert not r.in_nucleus
     assert not r.is_group
-
-
-def test_direct_product_detection(s3):
-    z6 = catalog.make_cyclic(6)
-    a = generate_subloop(z6, (3,))
-    b = generate_subloop(z6, (4,))
-    assert a.elements == (1, 3, 5)
-    assert b.elements == (1, 4)
-    assert is_direct_product(z6, a, b)
-    rotations = [x for x in s3.elements if s3.element_order(x).order == 3]
-    flips = [x for x in s3.elements if s3.element_order(x).order == 2]
-    a3 = generate_subloop(s3, rotations[:1])
-    h2 = generate_subloop(s3, flips[:1])
-    assert not is_direct_product(s3, a3, h2)
-
-
-def test_direct_product_rejects_wrong_sizes(s3):
-    trivial = generate_subloop(s3, ())
-    assert trivial.elements == (1,)
-    assert not is_direct_product(s3, trivial, trivial)
 
 
 def test_nilpotency_goldens():

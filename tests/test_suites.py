@@ -43,8 +43,8 @@ def mini_battery(q2, s3, chein12):
 
 
 @pytest.fixture(scope="module")
-def q1_battery(q1, q1_enum):
-    results = run_theorem_suites([("Q1", q1)], enums={"Q1": q1_enum})
+def q1_battery(q1):
+    results = run_theorem_suites([("Q1", q1)])
     return {r.name: r for r in results}
 
 

@@ -4,7 +4,8 @@ Commands: validate, analyze, halfautos, checktheorem.  Inputs are .loop
 files; a bare catalog key (like Q1 or Z6) is accepted wherever a path
 does not exist on disk.  Exit codes: 0 success, 1 a property or theorem
 failed, 2 unreadable input or bad usage, 3 an internal self-check failed
-(a bug or corrupted state, not a property of the input).
+or an unexpected ValueError escaped (a bug or corrupted state, not a
+property of the input).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import InternalCheckError, LoopError, LoopFileError
 from .halfmorph import (
     HalfKind,
     enumerate_half_automorphisms,
+    half_census,
     half_maps_form_group_check,
     verify_main_theorem,
 )
@@ -44,7 +46,7 @@ def _load(path, normalize=False):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LoopFileError("cannot read %s: %s" % (path, exc)) from exc
     return cat.parse_loop_file(text, normalize=normalize)
 
@@ -116,11 +118,8 @@ def analyze_table(table, name=None, max_half_order=20) -> AnalysisReport:
     t3 = time.perf_counter()
     report.elapsed["nilpotency"] = t3 - t2
     if table.order <= max_half_order:
-        enum = enumerate_half_automorphisms(table)
-        census = {kind.value: 0 for kind in HalfKind}
-        for cls in enum.classes():
-            census[cls.kind.value] += 1
-        census["total"] = len(enum.maps)
+        census = {kind.value: count for kind, count in half_census(table).counts}
+        census["total"] = sum(census.values())
         report.half_census = census
     else:
         report.half_census_skipped = True
@@ -204,6 +203,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_halfautos(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        print("--limit must be at least 1, got %d" % args.limit, file=sys.stderr)
+        return EXIT_INPUT
     try:
         entry = _load(args.path, normalize=args.normalize)
     except LoopFileError as exc:
@@ -362,15 +364,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InternalCheckError as exc:
+    except (InternalCheckError, ValueError) as exc:
+        # bad input is rejected up front, so a ValueError here is a bug
         print("internal error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
     except LoopError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PROPERTY
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
 
 
 def console_main():

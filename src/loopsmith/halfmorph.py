@@ -5,6 +5,11 @@ For a bijection t between loops of the same order the defining law is
 t(x*y) in {t(x)*t(y), t(y)*t(x)} for every pair.  Maps where one law
 holds globally (isomorphisms, anti-isomorphisms) are called trivial;
 the interesting objects are the proper ones where both laws are needed.
+
+A HalfMap asks the per-pair question once, when it is built, and keeps
+the answers as two int bitmasks: bit (x-1)*n + (y-1) of ``hom`` is set
+when t(x*y) = t(x)*t(y), the same bit of ``anti`` when t(x*y) =
+t(y)*t(x).  Everything downstream reads these masks.
 """
 
 from __future__ import annotations
@@ -21,11 +26,40 @@ from .table import LoopTable, memoized
 
 @dataclass(frozen=True)
 class HalfMap:
-    """A verified half-morphism; construct only through make_half_map."""
+    """A bijection with its law masks; construct through make_half_map.
+
+    hom and anti hold one bit per pair, row x in bits (x-1)*n onwards:
+    the forward and the reversed law.  The map is a half-morphism exactly
+    when hom | anti has all n*n bits set.
+    """
 
     domain: LoopTable
     codomain: LoopTable
     images: tuple
+    hom: int = field(init=False, repr=False, compare=False)
+    anti: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.domain.order
+        images = self.images
+        img = (0, *images)
+        crows = self.codomain.rows
+        ccols = tuple(zip(*crows))
+        hom = []
+        anti = []
+        # digits run from pair (n, n) down to bit 0, pair (1, 1)
+        for x in reversed(range(n)):
+            ix = images[x] - 1
+            fwd = crows[ix]
+            bwd = ccols[ix]
+            row = self.domain.rows[x]
+            for y in reversed(range(n)):
+                iy = images[y] - 1
+                got = img[row[y]]
+                hom.append("1" if got == fwd[iy] else "0")
+                anti.append("1" if got == bwd[iy] else "0")
+        object.__setattr__(self, "hom", int("".join(hom), 2))
+        object.__setattr__(self, "anti", int("".join(anti), 2))
 
     def apply(self, x):
         return self.images[x - 1]
@@ -35,6 +69,20 @@ class HalfMap:
 
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))
+
+    def broken_pair(self):
+        """The least pair obeying neither law, or None."""
+        n = self.domain.order
+        return next(mask_pairs(~(self.hom | self.anti) & ((1 << n * n) - 1), n), None)
+
+
+def mask_pairs(mask, n):
+    """The pairs (x, y) whose bits are set in a pair mask, ascending."""
+    while mask:
+        low = mask & -mask
+        x, y = divmod(low.bit_length() - 1, n)
+        yield x + 1, y + 1
+        mask ^= low
 
 
 def make_half_map(domain, codomain, images) -> HalfMap:
@@ -52,18 +100,14 @@ def make_half_map(domain, codomain, images) -> HalfMap:
         raise ValueError("expected %d images, got %d" % (n, len(images)))
     if sorted(images) != list(range(1, n + 1)):
         raise ValueError("images are not a bijection on 1..%d" % n)
-    drows = domain.rows
-    crows = codomain.rows
-    for x in range(1, n + 1):
-        ix = images[x - 1]
-        for y in range(1, n + 1):
-            iy = images[y - 1]
-            got = images[drows[x - 1][y - 1] - 1]
-            fwd = crows[ix - 1][iy - 1]
-            bwd = crows[iy - 1][ix - 1]
-            if got != fwd and got != bwd:
-                raise HalfMapError(x, y, got, fwd, bwd)
-    return HalfMap(domain, codomain, images)
+    m = HalfMap(domain, codomain, images)
+    broken = m.broken_pair()
+    if broken is not None:
+        x, y = broken
+        ix, iy = images[x - 1], images[y - 1]
+        raise HalfMapError(x, y, images[domain.rows[x - 1][y - 1] - 1],
+                           codomain.rows[ix - 1][iy - 1], codomain.rows[iy - 1][ix - 1])
+    return m
 
 
 class HalfKind(Enum):
@@ -94,39 +138,21 @@ class HalfClass:
 
 
 def classify(m: HalfMap) -> HalfClass:
+    broken = m.broken_pair()
+    if broken is not None:
+        raise InternalCheckError("half map broke its law at (%d, %d)" % broken)
     n = m.domain.order
-    drows = m.domain.rows
-    crows = m.codomain.rows
-    images = m.images
-    hom_pairs = anti_pairs = 0
-    witness_hom = witness_anti = None
-    for x in range(1, n + 1):
-        ix = images[x - 1]
-        for y in range(1, n + 1):
-            iy = images[y - 1]
-            got = images[drows[x - 1][y - 1] - 1]
-            hom = got == crows[ix - 1][iy - 1]
-            anti = got == crows[iy - 1][ix - 1]
-            if not hom and not anti:
-                raise InternalCheckError("half map broke its law at (%d, %d)" % (x, y))
-            if hom:
-                hom_pairs += 1
-                if not anti and witness_hom is None:
-                    witness_hom = (x, y)
-            if anti:
-                anti_pairs += 1
-                if not hom and witness_anti is None:
-                    witness_anti = (x, y)
-    total = n * n
-    if hom_pairs == total and anti_pairs == total:
-        kind = HalfKind.BOTH
-    elif hom_pairs == total:
-        kind = HalfKind.ISOMORPHISM
-    elif anti_pairs == total:
+    full = (1 << n * n) - 1
+    hom, anti = m.hom, m.anti
+    if hom == full:
+        kind = HalfKind.BOTH if anti == full else HalfKind.ISOMORPHISM
+    elif anti == full:
         kind = HalfKind.ANTI_ISOMORPHISM
     else:
         kind = HalfKind.PROPER_HALF
-    return HalfClass(kind, hom_pairs, anti_pairs, witness_hom, witness_anti)
+    return HalfClass(kind, hom.bit_count(), anti.bit_count(),
+                     next(mask_pairs(hom & ~anti, n), None),
+                     next(mask_pairs(anti & ~hom, n), None))
 
 
 # -- exhaustive enumeration -------------------------------------------
@@ -136,13 +162,11 @@ def classify(m: HalfMap) -> HalfClass:
 class HalfEnumeration:
     maps: tuple
     complete: bool
-    _classes: list | None = None
 
     def classes(self):
-        """Per-map classification, computed once and cached."""
-        if self._classes is None:
-            self._classes = [classify(m) for m in self.maps]
-        return self._classes
+        """Per-map classification, in map order; each call reads the
+        maps' law masks afresh."""
+        return [classify(m) for m in self.maps]
 
 
 def enumerate_half_automorphisms(L, limit=None) -> HalfEnumeration:
@@ -368,26 +392,15 @@ def find_gg_triples(m: HalfMap, limit: int | None = None) -> list:
     With a limit, stops once that many triples are collected."""
     L = m.domain
     n = L.order
-    drows = L.rows
-    crows = m.codomain.rows
-    images = m.images
-    hom_only = [[False] * (n + 1) for _ in range(n + 1)]
-    anti_only = [[False] * (n + 1) for _ in range(n + 1)]
-    for x in range(1, n + 1):
-        ix = images[x - 1]
-        for y in range(1, n + 1):
-            iy = images[y - 1]
-            got = images[drows[x - 1][y - 1] - 1]
-            hom = got == crows[ix - 1][iy - 1]
-            anti = got == crows[iy - 1][ix - 1]
-            hom_only[x][y] = hom and not anti
-            anti_only[x][y] = anti and not hom
+    hom_only = m.hom & ~m.anti
+    anti_only = m.anti & ~m.hom
     out = []
     for x in range(1, n + 1):
-        ys = [y for y in range(1, n + 1) if hom_only[x][y] and L.commutator(x, y) != 1]
+        base = (x - 1) * n - 1  # bit of pair (x, y) is base + y
+        ys = [y for y in range(1, n + 1) if hom_only >> (base + y) & 1 and L.commutator(x, y) != 1]
         if not ys:
             continue
-        zs = [z for z in range(1, n + 1) if anti_only[x][z] and L.commutator(x, z) != 1]
+        zs = [z for z in range(1, n + 1) if anti_only >> (base + z) & 1 and L.commutator(x, z) != 1]
         for y in ys:
             for z in zs:
                 out.append(GGTriple(x, y, z))
@@ -398,23 +411,10 @@ def find_gg_triples(m: HalfMap, limit: int | None = None) -> list:
 
 def d_set(m: HalfMap) -> frozenset:
     """Elements g admitting an h with t(g*h) = t(h)*t(g) != t(g)*t(h)."""
-    L = m.domain
-    n = L.order
-    drows = L.rows
-    crows = m.codomain.rows
-    images = m.images
-    members = set()
-    for g in range(1, n + 1):
-        ig = images[g - 1]
-        for h in range(1, n + 1):
-            ih = images[h - 1]
-            got = images[drows[g - 1][h - 1] - 1]
-            fwd = crows[ig - 1][ih - 1]
-            bwd = crows[ih - 1][ig - 1]
-            if got == bwd and bwd != fwd:
-                members.add(g)
-                break
-    return frozenset(members)
+    n = m.domain.order
+    row = (1 << n) - 1
+    anti_only = m.anti & ~m.hom
+    return frozenset(g for g in range(1, n + 1) if anti_only >> ((g - 1) * n) & row)
 
 
 def induced_on_quotient(m: HalfMap) -> HalfMap:
@@ -493,7 +493,26 @@ class TheoremReport:
         return " ".join(parts)
 
 
-def verify_main_theorem(L, name=None, enumeration=None, limit=None) -> TheoremReport:
+class HalfCensus(NamedTuple):
+    counts: tuple          # (HalfKind, count) pairs in HalfKind order
+    proper_cycles: tuple   # cycle strings of the proper maps, in map order
+
+
+@memoized
+def half_census(L) -> HalfCensus:
+    """Kind counts over the complete enumeration of L and the cycles of
+    its proper maps, classified once per table and held immutable."""
+    counts = dict.fromkeys(HalfKind, 0)
+    proper = []
+    for m in enumerate_half_automorphisms(L).maps:
+        kind = classify(m).kind
+        counts[kind] += 1
+        if kind is HalfKind.PROPER_HALF:
+            proper.append(m.cycles())
+    return HalfCensus(tuple(counts.items()), tuple(proper))
+
+
+def verify_main_theorem(L, name=None) -> TheoremReport:
     """Enumerate half-morphisms of one loop and confront the statement
     that automorphic Moufang loops only carry trivial ones.
 
@@ -510,14 +529,8 @@ def verify_main_theorem(L, name=None, enumeration=None, limit=None) -> TheoremRe
         family, x, y, perm = witness
         label = "%s[%d]" % (family, x) if y is None else "%s[%d,%d]" % (family, x, y)
         witness_text = "%s = %s is not an automorphism" % (label, cycles_str(perm))
-    if enumeration is None:
-        enumeration = enumerate_half_automorphisms(L, limit=limit)
-    census = {kind: 0 for kind in HalfKind}
-    proper_cycles = []
-    for m, cls in zip(enumeration.maps, enumeration.classes()):
-        census[cls.kind] += 1
-        if cls.kind is HalfKind.PROPER_HALF:
-            proper_cycles.append(m.cycles())
+    enumeration = enumerate_half_automorphisms(L)
+    counts, proper_cycles = half_census(L)
     hypotheses = moufang and automorphic
     report = TheoremReport(
         name=name,
@@ -529,8 +542,8 @@ def verify_main_theorem(L, name=None, enumeration=None, limit=None) -> TheoremRe
         hypotheses_hold=hypotheses,
         complete=enumeration.complete,
         total=len(enumeration.maps),
-        census=census,
-        proper_cycles=proper_cycles,
+        census=dict(counts),
+        proper_cycles=list(proper_cycles),
     )
     if hypotheses and proper_cycles:
         raise TheoremViolation(

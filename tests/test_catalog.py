@@ -4,6 +4,8 @@ the .loop file format."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsmith import catalog
 from loopsmith.catalog import (
@@ -229,3 +231,34 @@ def test_parse_normalize_directive():
     entry = parse_loop_file(text)
     for x in entry.table.elements:
         assert entry.table.mul(1, x) == x
+
+
+LOOP_FILE_TOKENS = st.sampled_from(
+    ["0", "1", "2", "3", "4", "12", "-1", " ", "  ", "\n", "\t", "#", ":",
+     "name", "normalize", "true", "false", "name:", "normalize:"]
+)
+
+
+@st.composite
+def near_tables(draw):
+    """An order line and n rows of n integers in 0..n."""
+    n = draw(st.integers(1, 4))
+    cells = st.lists(st.integers(0, n), min_size=n, max_size=n)
+    rows = draw(st.lists(cells, min_size=n, max_size=n))
+    head = draw(st.sampled_from(["", "name: t\n", "normalize: true\n", "# note\n"]))
+    return head + "%d\n" % n + "\n".join(" ".join(map(str, r)) for r in rows)
+
+
+LOOP_FILE_TEXT = st.one_of(
+    st.text(), st.lists(LOOP_FILE_TOKENS, max_size=40).map("".join), near_tables()
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(LOOP_FILE_TEXT)
+def test_parse_ends_in_an_entry_or_a_loop_file_error(text):
+    try:
+        entry = parse_loop_file(text)
+    except LoopFileError:
+        return
+    assert isinstance(entry, CatalogEntry)

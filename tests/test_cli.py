@@ -281,3 +281,27 @@ def test_internal_check_failure_has_its_own_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "analyze_table", broken)
     assert main(["analyze", "Z4"]) == 3
     assert "internal error: self-check tripped" in capsys.readouterr().err
+
+
+def test_halfautos_rejects_a_limit_below_one(capsys):
+    assert main(["halfautos", "--limit", "0", "Q2"]) == 2
+    captured = capsys.readouterr()
+    assert "--limit must be at least 1" in captured.err
+    assert captured.out == ""
+
+
+def test_unexpected_value_error_is_internal(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("stray value")
+
+    monkeypatch.setattr(cli, "analyze_table", broken)
+    assert main(["analyze", "Z4"]) == 3
+    assert "internal error: stray value" in capsys.readouterr().err
+
+
+def test_undecodable_file_is_unreadable_input(tmp_path, capsys):
+    path = tmp_path / "binary.loop"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert main(["validate", str(path)]) == 2
+    assert "unreadable" in capsys.readouterr().out
+    assert main(["analyze", str(path)]) == 2

@@ -3,12 +3,13 @@ derived witness machinery around them."""
 
 from __future__ import annotations
 
+import random
 from itertools import permutations
 
 import pytest
 
 from loopsmith import catalog
-from loopsmith.errors import HalfMapError, InternalCheckError
+from loopsmith.errors import HalfMapError, InternalCheckError, TheoremViolation
 from loopsmith.halfmorph import (
     GGTriple,
     HalfEnumeration,
@@ -22,6 +23,7 @@ from loopsmith.halfmorph import (
     induced_on_quotient,
     is_semi_isomorphism,
     make_half_map,
+    mask_pairs,
     verify_main_theorem,
 )
 from loopsmith.innermaps import is_automorphic, is_left_automorphic, perm_from_cycles
@@ -46,6 +48,13 @@ def test_make_half_map_reports_first_broken_pair():
     assert (e.x, e.y) == (2, 2)
     assert e.image_of_product == 2
     assert e.forward == 5 and e.backward == 5
+
+    q2 = catalog.builtin("Q2").table
+    with pytest.raises(HalfMapError) as exc:
+        make_half_map(q2, q2, (1, 2, 3, 4, 7, 8, 5, 6))
+    e = exc.value
+    assert (e.x, e.y) == (5, 5)
+    assert (e.image_of_product, e.forward, e.backward) == (1, 2, 2)
 
 
 def test_half_map_basics(phi1):
@@ -100,6 +109,54 @@ def test_classify_detects_corrupted_maps(q2):
     bad = HalfMap(q2, q2, (2, 1, 3, 4, 5, 6, 7, 8))
     with pytest.raises(InternalCheckError):
         classify(bad)
+
+
+def _pairwise_laws(m):
+    """(forward law holds, reversed law holds) for every pair, recomputed
+    pair by pair from the tables."""
+    n = m.domain.order
+    drows = m.domain.rows
+    crows = m.codomain.rows
+    images = m.images
+    laws = {}
+    for x in range(1, n + 1):
+        ix = images[x - 1]
+        for y in range(1, n + 1):
+            iy = images[y - 1]
+            got = images[drows[x - 1][y - 1] - 1]
+            laws[x, y] = (got == crows[ix - 1][iy - 1], got == crows[iy - 1][ix - 1])
+    return laws
+
+
+def test_law_masks_match_a_pairwise_recomputation(q2_enum, chein12, get_enum, phi1):
+    maps = q2_enum.maps + get_enum("M(S3,2)", chein12).maps + (phi1,)
+    for m in maps:
+        n = m.domain.order
+        laws = _pairwise_laws(m)
+        hom_only = sorted(p for p, (hom, anti) in laws.items() if hom and not anti)
+        anti_only = sorted(p for p, (hom, anti) in laws.items() if anti and not hom)
+        hom_pairs = sum(hom for hom, _ in laws.values())
+        anti_pairs = sum(anti for _, anti in laws.values())
+        if hom_pairs == anti_pairs == n * n:
+            kind = HalfKind.BOTH
+        elif hom_pairs == n * n:
+            kind = HalfKind.ISOMORPHISM
+        elif anti_pairs == n * n:
+            kind = HalfKind.ANTI_ISOMORPHISM
+        else:
+            kind = HalfKind.PROPER_HALF
+        cls = classify(m)
+        assert (cls.kind, cls.hom_pairs, cls.anti_pairs) == (kind, hom_pairs, anti_pairs), m.cycles()
+        assert cls.witness_hom == (hom_only[0] if hom_only else None)
+        assert cls.witness_anti == (anti_only[0] if anti_only else None)
+        assert d_set(m) == frozenset(x for x, _ in anti_only)
+        assert list(mask_pairs(m.hom & ~m.anti, n)) == hom_only
+        assert list(mask_pairs(m.anti & ~m.hom, n)) == anti_only
+        L = m.domain
+        triples = [GGTriple(x, y, z) for x in L.elements
+                   for y in L.elements if (x, y) in hom_only and L.commutator(x, y) != 1
+                   for z in L.elements if (x, z) in anti_only and L.commutator(x, z) != 1]
+        assert find_gg_triples(m) == triples
 
 
 def test_enumeration_census_q2(q2_enum):
@@ -162,6 +219,29 @@ def test_relabeled_copy_keeps_flags_and_census(q2):
     assert census[0] == census[1]
     assert census[1][HalfKind.PROPER_HALF] == 8
     assert enumerate_half_automorphisms(copy) is not enumerate_half_automorphisms(q2)
+
+
+SMALL_CATALOG = [key for key in catalog.catalog_keys() if catalog.builtin(key).table.order <= 8]
+
+
+@pytest.mark.parametrize("key", SMALL_CATALOG)
+def test_relabeling_keeps_flags_census_and_pair_counts(key):
+    # mask bits follow the labels, so a mask read in the wrong layout
+    # shows up as a changed census or pair-count multiset
+    t = catalog.builtin(key).table
+    rest = list(range(2, t.order + 1))
+    random.Random("relabel-" + key).shuffle(rest)
+    copy = LoopTable(relabel(t.rows, [1] + rest))
+    for flag in (is_automorphic, is_left_automorphic, LoopTable.is_moufang,
+                 LoopTable.is_flexible, LoopTable.is_commutative, LoopTable.is_associative):
+        assert flag(copy) == flag(t), flag.__name__
+    assert verify_main_theorem(copy).census == verify_main_theorem(t).census
+
+    def pair_counts(table):
+        return sorted((cls.kind.value, cls.hom_pairs, cls.anti_pairs)
+                      for cls in enumerate_half_automorphisms(table).classes())
+
+    assert pair_counts(copy) == pair_counts(t)
 
 
 def _brute_force_half_maps(t):
@@ -257,8 +337,8 @@ def test_induced_on_quotient(phi1, phi2):
     assert classify(down).kind is HalfKind.BOTH
 
 
-def test_verify_main_theorem_on_group(s3, get_enum):
-    report = verify_main_theorem(s3, name="S3", enumeration=get_enum("S3", s3))
+def test_verify_main_theorem_on_group(s3):
+    report = verify_main_theorem(s3, name="S3")
     assert report.hypotheses_hold
     assert report.moufang and report.automorphic
     assert report.automorphic_witness is None
@@ -270,8 +350,8 @@ def test_verify_main_theorem_on_group(s3, get_enum):
     assert "S3 (order 6)" in report.summary()
 
 
-def test_verify_main_theorem_on_q1(q1, q1_enum):
-    report = verify_main_theorem(q1, name="Q1", enumeration=q1_enum)
+def test_verify_main_theorem_on_q1(q1):
+    report = verify_main_theorem(q1, name="Q1")
     assert report.moufang
     assert report.left_automorphic
     assert not report.automorphic
@@ -280,3 +360,20 @@ def test_verify_main_theorem_on_q1(q1, q1_enum):
     assert report.total == 21504
     assert report.census[HalfKind.PROPER_HALF] == 18816
     assert len(report.proper_cycles) == 18816
+
+
+def test_theorem_report_is_a_copy_and_violations_raise_on_every_call(monkeypatch, q2):
+    copy = LoopTable(q2.rows, name="Q2-copy")
+    first = verify_main_theorem(copy)
+    first.census[HalfKind.PROPER_HALF] = 0
+    first.proper_cycles.clear()
+    again = verify_main_theorem(copy)
+    assert again.census[HalfKind.PROPER_HALF] == 8
+    assert len(again.proper_cycles) == 8
+
+    # Q2 is automorphic but not Moufang; declaring it Moufang makes its
+    # proper maps contradict the theorem, on the first and later calls
+    monkeypatch.setattr(LoopTable, "is_moufang", lambda self: True)
+    for _ in range(2):
+        with pytest.raises(TheoremViolation, match="Q2-copy"):
+            verify_main_theorem(copy)

@@ -22,6 +22,7 @@ from . import subloops as sl
 from .errors import InternalCheckError, LoopError, LoopFileError
 from .halfmorph import (
     HalfKind,
+    classify,
     enumerate_half_automorphisms,
     half_census,
     half_maps_form_group_check,
@@ -214,7 +215,8 @@ def cmd_halfautos(args) -> int:
     enum = enumerate_half_automorphisms(entry.table, limit=args.limit)
     census = {kind.value: 0 for kind in HalfKind}
     listing = []
-    for m, cls in zip(enum.maps, enum.classes()):
+    for m in enum.maps:
+        cls = classify(m)
         census[cls.kind.value] += 1
         listing.append({
             "cycles": m.cycles(),

@@ -163,11 +163,6 @@ class HalfEnumeration:
     maps: tuple
     complete: bool
 
-    def classes(self):
-        """Per-map classification, in map order; each call reads the
-        maps' law masks afresh."""
-        return [classify(m) for m in self.maps]
-
 
 def enumerate_half_automorphisms(L, limit=None) -> HalfEnumeration:
     """All half-morphisms from a loop to itself, in image-tuple order.
@@ -495,21 +490,22 @@ class TheoremReport:
 
 class HalfCensus(NamedTuple):
     counts: tuple          # (HalfKind, count) pairs in HalfKind order
-    proper_cycles: tuple   # cycle strings of the proper maps, in map order
+    proper_maps: tuple     # the proper maps, in map order
+    proper_cycles: tuple   # their cycle strings
 
 
 @memoized
 def half_census(L) -> HalfCensus:
-    """Kind counts over the complete enumeration of L and the cycles of
-    its proper maps, classified once per table and held immutable."""
+    """Kind counts over the complete enumeration of L and its proper
+    maps, classified once per table and held immutable."""
     counts = dict.fromkeys(HalfKind, 0)
     proper = []
     for m in enumerate_half_automorphisms(L).maps:
         kind = classify(m).kind
         counts[kind] += 1
         if kind is HalfKind.PROPER_HALF:
-            proper.append(m.cycles())
-    return HalfCensus(tuple(counts.items()), tuple(proper))
+            proper.append(m)
+    return HalfCensus(tuple(counts.items()), tuple(proper), tuple(m.cycles() for m in proper))
 
 
 def verify_main_theorem(L, name=None) -> TheoremReport:
@@ -530,7 +526,7 @@ def verify_main_theorem(L, name=None) -> TheoremReport:
         label = "%s[%d]" % (family, x) if y is None else "%s[%d,%d]" % (family, x, y)
         witness_text = "%s = %s is not an automorphism" % (label, cycles_str(perm))
     enumeration = enumerate_half_automorphisms(L)
-    counts, proper_cycles = half_census(L)
+    counts, _, proper_cycles = half_census(L)
     hypotheses = moufang and automorphic
     report = TheoremReport(
         name=name,

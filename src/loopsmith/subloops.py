@@ -6,24 +6,31 @@ alone: in a finite loop, every left and right translation by a member
 maps a product-closed set injectively into itself, so the set is closed
 under both divisions too.  is_closed re-checks all three operations
 independently of that fact.
+
+This module holds the one lattice of small-generated subloops: the
+subloops generated by at most two and at most three elements
+(two_generated, three_generated), grown once per table one generator
+at a time from the cyclic subloops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InternalCheckError, QuotientError
-from .table import LoopTable
+from .table import LoopTable, memoized
 
 
 @dataclass
 class Subloop:
     parent: LoopTable
     elements: tuple  # sorted, always contains 1
-    generators: tuple
-    is_group: bool
-    is_normal: bool | None = None  # filled on demand
+
+    @cached_property
+    def is_group(self) -> bool:
+        return _associative_on(self.parent, self.elements)
 
     def __len__(self):
         return len(self.elements)
@@ -87,24 +94,55 @@ def _associative_on(L, elems):
     return True
 
 
-def _make_subloop(L, elems, generators):
+def _make_subloop(L, elems):
     elements = tuple(sorted(elems))
     if not is_closed(L, elements):
         raise InternalCheckError("computed subloop is not closed: %r" % (elements,))
-    return Subloop(L, elements, tuple(sorted(set(generators))), _associative_on(L, elements))
+    return Subloop(L, elements)
 
 
 def generate_subloop(L, seed) -> Subloop:
     """Least subloop containing the seed."""
     for g in seed:
         L._check(g)
-    return _make_subloop(L, _close(L, seed), seed)
+    return _make_subloop(L, _close(L, seed))
+
+
+def _grow(L, family):
+    """The family together with every subloop generated by one of its
+    sets and one element outside it, as a set of element tuples.
+
+    Each set new to the family is re-checked once by is_closed.
+    """
+    out = set(family)
+    for H in family:
+        inside = set(H)
+        for g in L.elements:
+            if g not in inside:
+                K = tuple(sorted(_close(L, (*H, g))))
+                if K not in out:
+                    out.add(_make_subloop(L, K).elements)
+    return out
+
+
+@memoized
+def two_generated(L) -> tuple:
+    """Sorted element tuples of the subloops generated by one or two
+    elements other than 1."""
+    return tuple(sorted(_grow(L, _grow(L, [(1,)])) - {(1,)}))
+
+
+@memoized
+def three_generated(L) -> tuple:
+    """Sorted element tuples of the subloops generated by one, two or
+    three elements other than 1."""
+    return tuple(sorted(_grow(L, two_generated(L))))
 
 
 def commutator_subloop(L) -> Subloop:
     """Subloop generated by all commutators [x, y]."""
     values = {L.commutator(x, y) for x in L.elements for y in L.elements}
-    return _make_subloop(L, _close(L, values), values)
+    return _make_subloop(L, _close(L, values))
 
 
 def associator_subloop(L) -> Subloop:
@@ -114,7 +152,7 @@ def associator_subloop(L) -> Subloop:
         for y in L.elements:
             for z in L.elements:
                 values.add(L.associator(x, y, z))
-    return _make_subloop(L, _close(L, values), values)
+    return _make_subloop(L, _close(L, values))
 
 
 # -- nuclei, commutant, center ----------------------------------------
@@ -129,7 +167,7 @@ def nucleus_left(L) -> Subloop:
         if all(rows[rows[a - 1][x - 1] - 1][y - 1] == rows[a - 1][rows[x - 1][y - 1] - 1]
                for x in range(1, n + 1) for y in range(1, n + 1))
     ]
-    return _make_subloop(L, set(members), members)
+    return _make_subloop(L, members)
 
 
 def nucleus_middle(L) -> Subloop:
@@ -141,7 +179,7 @@ def nucleus_middle(L) -> Subloop:
         if all(rows[rows[x - 1][a - 1] - 1][y - 1] == rows[x - 1][rows[a - 1][y - 1] - 1]
                for x in range(1, n + 1) for y in range(1, n + 1))
     ]
-    return _make_subloop(L, set(members), members)
+    return _make_subloop(L, members)
 
 
 def nucleus_right(L) -> Subloop:
@@ -153,14 +191,14 @@ def nucleus_right(L) -> Subloop:
         if all(rows[rows[x - 1][y - 1] - 1][a - 1] == rows[x - 1][rows[y - 1][a - 1] - 1]
                for x in range(1, n + 1) for y in range(1, n + 1))
     ]
-    return _make_subloop(L, set(members), members)
+    return _make_subloop(L, members)
 
 
 def nucleus(L) -> Subloop:
     """Intersection of the three one-sided nuclei."""
     members = set(nucleus_left(L).elements) & set(nucleus_middle(L).elements) \
         & set(nucleus_right(L).elements)
-    return _make_subloop(L, members, members)
+    return _make_subloop(L, members)
 
 
 class Commutant(NamedTuple):
@@ -182,7 +220,7 @@ def commutant(L) -> Commutant:
 def center(L) -> Subloop:
     """Commutant intersected with the nucleus; always a subloop."""
     members = commutant(L).elements & set(nucleus(L).elements)
-    return _make_subloop(L, members, members)
+    return _make_subloop(L, members)
 
 
 # -- normality and quotients ------------------------------------------
@@ -201,19 +239,15 @@ def is_normal(L, H) -> bool:
         rx = rows[x - 1]
         for h in hset:
             if L.ldiv(x, rows[h - 1][x - 1]) not in hset:
-                H.is_normal = False
                 return False
         for y in range(1, n + 1):
             xy = rx[y - 1]
             ry = rows[y - 1]
             for h in hset:
                 if L.ldiv(xy, rx[ry[h - 1] - 1]) not in hset:
-                    H.is_normal = False
                     return False
                 if L.rdiv(rows[rows[h - 1][x - 1] - 1][y - 1], xy) not in hset:
-                    H.is_normal = False
                     return False
-    H.is_normal = True
     return True
 
 
@@ -314,12 +348,15 @@ def _p_part(n, p):
     return t
 
 
-def sylow_subloop(L, p, seed_cap=100_000) -> SylowResult:
+SYLOW_SEED_CAP = 100_000
+
+
+def sylow_subloop(L, p) -> SylowResult:
     """Search for a subloop whose order is the exact p-part of |L|.
 
     First closes the set of all elements of p-power left order; when
     that misses, falls back to closures of up to three such elements,
-    stopping after seed_cap candidate closures.
+    stopping after SYLOW_SEED_CAP candidate closures.
     """
     if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
         raise ValueError("p must be prime, got %r" % (p,))
@@ -328,25 +365,14 @@ def sylow_subloop(L, p, seed_cap=100_000) -> SylowResult:
     trivial = generate_subloop(L, ())
     if target == 1:
         return SylowResult(trivial, trivial, target)
-    pelems = []
-    for x in L.elements:
-        k = L.element_order(x).order
-        if k >= 1:
-            while k % p == 0:
-                k //= p
-            if k == 1:
-                pelems.append(x)
+    orders = [L.element_order(x).order for x in L.elements]
+    # _p_part(0, p) would never return; order 0 only marks a broken table
+    pelems = [x for x, k in zip(L.elements, orders) if k >= 1 and _p_part(k, p) == k]
     best = trivial
-
-    def p_power(m):
-        while m % p == 0:
-            m //= p
-        return m == 1
-
     full = generate_subloop(L, pelems)
     if len(full) == target:
         return SylowResult(full, full, target)
-    if p_power(len(full)) and len(full) > len(best):
+    if _p_part(len(full), p) == len(full) and len(full) > len(best):
         best = full
     tried = 0
     capped = False
@@ -355,13 +381,13 @@ def sylow_subloop(L, p, seed_cap=100_000) -> SylowResult:
     for size in (1, 2, 3):
         for seed in combinations(pelems, size):
             tried += 1
-            if tried > seed_cap:
+            if tried > SYLOW_SEED_CAP:
                 capped = True
                 break
             H = generate_subloop(L, seed)
             if len(H) == target:
                 return SylowResult(H, H, target, capped)
-            if p_power(len(H)) and len(H) > len(best):
+            if _p_part(len(H), p) == len(H) and len(H) > len(best):
                 best = H
         if capped:
             break
@@ -397,7 +423,7 @@ def hall_3prime_subgroup(L) -> HallResult:
     return HallResult(None, target, in_nuc, H.is_group)
 
 
-def commutative_nilpotency_class(L, max_rounds=None) -> int | None:
+def commutative_nilpotency_class(L) -> int | None:
     """Least k such that all left-normed commutator words of k+1 letters vanish.
 
     V_1 collects the commutators [x, y]; V_{k+1} collects [v, q] for v in
@@ -416,7 +442,5 @@ def commutative_nilpotency_class(L, max_rounds=None) -> int | None:
         if key in seen:
             return None
         seen.add(key)
-        if max_rounds is not None and k >= max_rounds:
-            return None
         current = {L.commutator(v, q) for v in current for q in range(1, n + 1)}
         k += 1

@@ -9,7 +9,6 @@ callers decide what a violation or an empty hypothesis class means.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from . import subloops as sl
 from .halfmorph import (
@@ -19,6 +18,7 @@ from .halfmorph import (
     d_set,
     enumerate_half_automorphisms,
     find_gg_triples,
+    half_census,
     half_maps_form_group_check,
     induced_on_quotient,
     is_semi_isomorphism,
@@ -27,7 +27,6 @@ from .halfmorph import (
     verify_main_theorem,
 )
 from .innermaps import is_automorphic, is_left_automorphic
-from .table import memoized
 
 
 @dataclass
@@ -160,18 +159,6 @@ def suite_sylow_factorization(inputs) -> SuiteResult:
     return res
 
 
-@memoized
-def _distinct_small_generated(t):
-    """Element sets of subloops generated by up to three elements."""
-    seen = set()
-    elems = [x for x in t.elements if x != 1]
-    for size in (1, 2, 3):
-        for seed in combinations(elems, size):
-            H = sl.generate_subloop(t, seed)
-            seen.add(H.elements)
-    return tuple(sorted(seen))
-
-
 def suite_bruck(inputs):
     """Classical identities for loops whose left inner maps are all
     automorphisms and whose table is Moufang.
@@ -247,7 +234,7 @@ def suite_bruck(inputs):
                 if cube not in nuc:
                     r_cubes.violations.append("%s: %d cubed lands outside the nucleus" % (name, u))
 
-        for elements in _distinct_small_generated(t):
+        for elements in sl.three_generated(t):
             sub, _ = sl.restriction(t, elements)
             inner = set(sl.associator_subloop(sub).elements)
             central = set(sl.center(sub).elements)
@@ -327,10 +314,7 @@ def suite_gg_witness(inputs, max_order=None) -> SuiteResult:
         if max_order is not None and t.order > max_order:
             res.notes.append("skipped %s" % name)
             continue
-        enum = enumerate_half_automorphisms(t)
-        for m, cls in zip(enum.maps, enum.classes()):
-            if cls.kind is not HalfKind.PROPER_HALF:
-                continue
+        for m in half_census(t).proper_maps:
             res.hypothesis_count += 1
             res.check_count += 1
             if not find_gg_triples(m, limit=1):
@@ -347,12 +331,11 @@ def suite_odd_order_trivial(inputs, max_order=None) -> SuiteResult:
         if max_order is not None and t.order > max_order:
             res.notes.append("skipped %s" % name)
             continue
-        enum = enumerate_half_automorphisms(t)
+        census = half_census(t)
         res.hypothesis_count += 1
-        for m, cls in zip(enum.maps, enum.classes()):
-            res.check_count += 1
-            if cls.kind is HalfKind.PROPER_HALF:
-                res.violations.append("%s: odd order yet proper map %s" % (name, m.cycles()))
+        res.check_count += sum(count for _, count in census.counts)
+        for cycles in census.proper_cycles:
+            res.violations.append("%s: odd order yet proper map %s" % (name, cycles))
     return res
 
 
@@ -410,7 +393,7 @@ def suite_commutator_d_set(inputs, max_order=None) -> SuiteResult:
     the reversed law has a central commutator on both sides of the map."""
     res = SuiteResult("commutator-d-set-central")
     for name, t in inputs:
-        for elements in _distinct_small_generated(t):
+        for elements in sl.three_generated(t):
             # the whole loop is one of the sets; using t itself reuses its memo
             sub = t if len(elements) == t.order else sl.restriction(t, elements)[0]
             if not (sub.is_moufang() and is_left_automorphic(sub)):

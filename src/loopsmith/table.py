@@ -355,9 +355,6 @@ class LoopTable:
     @memoized
     def is_diassociative(self) -> bool:
         """True when every subloop generated by two elements is a group."""
-        from .subloops import generate_subloop
+        from .subloops import Subloop, two_generated
 
-        return all(
-            generate_subloop(self, (x, y)).is_group
-            for x in range(1, self.order + 1) for y in range(x, self.order + 1)
-        )
+        return all(Subloop(self, H).is_group for H in two_generated(self))

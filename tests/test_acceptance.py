@@ -127,7 +127,7 @@ def test_criterion_03_trivial_on_groups_and_automorphic_moufang(capsys, get_enum
             problems.append("%s: enumeration incomplete" % key)
             continue
         maps_seen += len(enum.maps)
-        proper = sum(1 for cls in enum.classes() if cls.kind is HalfKind.PROPER_HALF)
+        proper = sum(1 for m in enum.maps if classify(m).kind is HalfKind.PROPER_HALF)
         if proper:
             problems.append("%s: %d proper maps" % (key, proper))
     elapsed = time.perf_counter() - t0
@@ -220,8 +220,8 @@ def test_criterion_07_witness_triples_exist(capsys, get_enum, phi1):
         if not entry.table.is_moufang():
             continue
         enum = get_enum(entry.key, entry.table)
-        for m, cls in zip(enum.maps, enum.classes()):
-            if cls.kind is not HalfKind.PROPER_HALF:
+        for m in enum.maps:
+            if classify(m).kind is not HalfKind.PROPER_HALF:
                 continue
             proper_seen += 1
             if not find_gg_triples(m, limit=1):

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 
 from loopsmith import catalog
+from loopsmith import subloops as sl
+from loopsmith.cli import analyze_table
 from loopsmith.errors import InternalCheckError, QuotientError
 from loopsmith.subloops import (
+    _close,
     associator_subloop,
     center,
     commutant,
@@ -23,7 +29,10 @@ from loopsmith.subloops import (
     quotient,
     restriction,
     sylow_subloop,
+    three_generated,
+    two_generated,
 )
+from loopsmith.table import LoopTable, relabel
 
 
 def test_generate_subloop_chain_on_q1(q1):
@@ -118,7 +127,6 @@ def test_commutant_and_center():
 def test_is_normal(q1, s3):
     a = associator_subloop(q1)
     assert is_normal(q1, a)
-    assert a.is_normal is True
     rotations = [x for x in s3.elements if s3.element_order(x).order == 3]
     a3 = generate_subloop(s3, rotations[:1])
     assert len(a3) == 3
@@ -127,7 +135,6 @@ def test_is_normal(q1, s3):
     h2 = generate_subloop(s3, flips[:1])
     assert len(h2) == 2
     assert not is_normal(s3, h2)
-    assert h2.is_normal is False
 
 
 def test_quotient_of_q1_by_associators(q1):
@@ -217,7 +224,77 @@ def test_nilpotency_goldens():
         assert got == want, (key, got, want)
 
 
-def test_nilpotency_max_rounds_cutoff():
-    d16 = catalog.builtin("D16").table
-    assert commutative_nilpotency_class(d16, max_rounds=1) is None
-    assert commutative_nilpotency_class(d16, max_rounds=3) == 3
+# -- the small-generated lattice --------------------------------------
+
+
+def _closures_of_combinations(t, sizes):
+    """Reference for the lattice: the distinct closures of every
+    combination of non-identity elements of the given sizes, sorted."""
+    elems = [x for x in t.elements if x != 1]
+    return tuple(sorted({tuple(sorted(_close(t, seed)))
+                         for size in sizes for seed in combinations(elems, size)}))
+
+
+@pytest.fixture(scope="module")
+def chein32():
+    return catalog.make_chein(catalog.make_dihedral(16))
+
+
+@pytest.mark.parametrize("key", catalog.catalog_keys())
+def test_three_generated_matches_closing_every_combination(key):
+    t = catalog.builtin(key).table
+    assert three_generated(t) == _closures_of_combinations(t, (1, 2, 3))
+
+
+def test_two_generated_matches_closing_every_pair(q1, q2, chein12, chein32):
+    for t in (q1, q2, chein12, chein32):
+        assert two_generated(t) == _closures_of_combinations(t, (1, 2)), t
+
+
+def test_diassociativity_reads_the_two_generated_sets(q2, chein32):
+    assert chein32.order == 32
+    assert not q2.is_diassociative()
+    assert chein32.is_diassociative()
+
+
+def test_each_lattice_set_is_rechecked_once(monkeypatch):
+    t = catalog.make_chein(catalog.make_symmetric3())
+    checked = []
+
+    def counting(L, elements):
+        checked.append(tuple(elements))
+        return is_closed(L, elements)
+
+    monkeypatch.setattr(sl, "is_closed", counting)
+    sets = three_generated(t)
+    assert sorted(checked) == list(sets)
+    three_generated(t)
+    assert len(checked) == len(sets)
+
+
+def test_lattice_raises_when_a_closure_fails_its_recheck(monkeypatch):
+    monkeypatch.setattr(sl, "is_closed", lambda L, elements: False)
+    with pytest.raises(InternalCheckError):
+        two_generated(catalog.make_cyclic(4))
+
+
+def test_is_group_is_computed_on_first_read(q1):
+    h = generate_subloop(q1, (2, 3, 9))
+    assert "is_group" not in vars(h)
+    assert not h.is_group
+    assert vars(h)["is_group"] is False
+
+
+@pytest.mark.parametrize("key", catalog.catalog_keys())
+def test_relabeling_keeps_subloop_structure(key):
+    t = catalog.builtin(key).table
+    rest = list(range(2, t.order + 1))
+    random.Random("relabel-" + key).shuffle(rest)
+    copy = LoopTable(relabel(t.rows, [1] + rest))
+
+    def invariants(table):
+        report = analyze_table(table, max_half_order=0)
+        return (report.subloop_orders, report.nilpotency_class, table.is_diassociative(),
+                sorted(len(H) for H in three_generated(table)))
+
+    assert invariants(copy) == invariants(t)

@@ -385,17 +385,18 @@ def find_gg_triples(m: HalfMap, limit: int | None = None) -> list:
     pair (x, y) obeys only the forward law and (x, z) only the reversed
     law.  Intended for Moufang domains; returned in ascending order.
     With a limit, stops once that many triples are collected."""
-    L = m.domain
-    n = L.order
+    n = m.domain.order
+    comm = m.domain.commutators()
     hom_only = m.hom & ~m.anti
     anti_only = m.anti & ~m.hom
     out = []
     for x in range(1, n + 1):
         base = (x - 1) * n - 1  # bit of pair (x, y) is base + y
-        ys = [y for y in range(1, n + 1) if hom_only >> (base + y) & 1 and L.commutator(x, y) != 1]
+        cx = comm[x - 1]
+        ys = [y for y in range(1, n + 1) if hom_only >> (base + y) & 1 and cx[y - 1] != 1]
         if not ys:
             continue
-        zs = [z for z in range(1, n + 1) if anti_only >> (base + z) & 1 and L.commutator(x, z) != 1]
+        zs = [z for z in range(1, n + 1) if anti_only >> (base + z) & 1 and cx[z - 1] != 1]
         for y in ys:
             for z in zs:
                 out.append(GGTriple(x, y, z))

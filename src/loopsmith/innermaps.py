@@ -81,24 +81,24 @@ def right_translation(L, a) -> Perm:
 def inner_l(L, x, y) -> Perm:
     """z -> (x*y) \\ (x*(y*z)); fixes 1."""
     L._check(x, y)
-    rows = L.rows
-    xy = rows[x - 1][y - 1]
-    return tuple(L.ldiv(xy, rows[x - 1][rows[y - 1][z] - 1]) for z in range(L.order))
+    rx, ry = L.rows[x - 1], L.rows[y - 1]
+    ld = L._ld[rx[y - 1] - 1]
+    return tuple(ld[rx[ry[z] - 1] - 1] for z in range(L.order))
 
 
 def inner_r(L, x, y) -> Perm:
     """z -> ((z*x)*y) / (x*y); fixes 1."""
     L._check(x, y)
     rows = L.rows
-    xy = rows[x - 1][y - 1]
-    return tuple(L.rdiv(rows[rows[z][x - 1] - 1][y - 1], xy) for z in range(L.order))
+    rd = L._rd[rows[x - 1][y - 1] - 1]
+    return tuple(rd[rows[rows[z][x - 1] - 1][y - 1] - 1] for z in range(L.order))
 
 
 def inner_t(L, x) -> Perm:
     """z -> x \\ (z*x); fixes 1."""
     L._check(x)
-    rows = L.rows
-    return tuple(L.ldiv(x, rows[z][x - 1]) for z in range(L.order))
+    ld = L._ld[x - 1]
+    return tuple(ld[row[x - 1] - 1] for row in L.rows)
 
 
 def is_automorphism(L, p) -> bool:
@@ -117,6 +117,19 @@ def is_automorphism(L, p) -> bool:
 
 
 @memoized
+def _left_witness(L):
+    """First (x, y, perm) of the left family, in ascending element order,
+    whose map is not an automorphism; None when there is none."""
+    n = L.order
+    for x in range(1, n + 1):
+        for y in range(1, n + 1):
+            p = inner_l(L, x, y)
+            if not is_automorphism(L, p):
+                return x, y, p
+    return None
+
+
+@memoized
 def inner_map_witness(L):
     """First inner-mapping generator that is not an automorphism.
 
@@ -125,12 +138,10 @@ def inner_map_witness(L):
     order.  Returns (family, x, y, perm) or None when all generators are
     automorphisms; family is "l", "r" or "t" and y is None for "t".
     """
+    left = _left_witness(L)
+    if left is not None:
+        return ("l", *left)
     n = L.order
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            p = inner_l(L, x, y)
-            if not is_automorphism(L, p):
-                return ("l", x, y, p)
     for x in range(1, n + 1):
         for y in range(1, n + 1):
             p = inner_r(L, x, y)
@@ -148,14 +159,9 @@ def is_automorphic(L) -> bool:
     return inner_map_witness(L) is None
 
 
-@memoized
 def is_left_automorphic(L) -> bool:
     """All generators of the two-parameter left family are automorphisms."""
-    n = L.order
-    return all(
-        is_automorphism(L, inner_l(L, x, y))
-        for x in range(1, n + 1) for y in range(1, n + 1)
-    )
+    return _left_witness(L) is None
 
 
 def moufang_l_iff_r_check(L) -> bool:

@@ -53,10 +53,9 @@ def is_closed(L, elements) -> bool:
     if 1 not in s:
         return False
     for a in s:
+        row, ld, rd = L.rows[a - 1], L._ld[a - 1], L._rd[a - 1]
         for b in s:
-            if L.rows[a - 1][b - 1] not in s:
-                return False
-            if L.ldiv(a, b) not in s or L.rdiv(a, b) not in s:
+            if row[b - 1] not in s or ld[b - 1] not in s or rd[b - 1] not in s:
                 return False
     return True
 
@@ -82,16 +81,8 @@ def _close(L, seed):
 
 
 def _associative_on(L, elems):
-    rows = L.rows
-    for a in elems:
-        ra = rows[a - 1]
-        for b in elems:
-            ab = ra[b - 1]
-            rb = rows[b - 1]
-            for c in elems:
-                if rows[ab - 1][c - 1] != ra[rb[c - 1] - 1]:
-                    return False
-    return True
+    assoc = L.associators()
+    return all(assoc[a - 1][b - 1][c - 1] == 1 for a in elems for b in elems for c in elems)
 
 
 def _make_subloop(L, elems):
@@ -141,17 +132,12 @@ def three_generated(L) -> tuple:
 
 def commutator_subloop(L) -> Subloop:
     """Subloop generated by all commutators [x, y]."""
-    values = {L.commutator(x, y) for x in L.elements for y in L.elements}
-    return _make_subloop(L, _close(L, values))
+    return _make_subloop(L, _close(L, {c for row in L.commutators() for c in row}))
 
 
 def associator_subloop(L) -> Subloop:
     """Subloop generated by all associators (x, y, z)."""
-    values = set()
-    for x in L.elements:
-        for y in L.elements:
-            for z in L.elements:
-                values.add(L.associator(x, y, z))
+    values = {a for plane in L.associators() for row in plane for a in row}
     return _make_subloop(L, _close(L, values))
 
 
@@ -159,39 +145,24 @@ def associator_subloop(L) -> Subloop:
 
 
 def nucleus_left(L) -> Subloop:
-    """Elements a with (a*x)*y = a*(x*y) for all x, y."""
-    rows = L.rows
-    n = L.order
-    members = [
-        a for a in range(1, n + 1)
-        if all(rows[rows[a - 1][x - 1] - 1][y - 1] == rows[a - 1][rows[x - 1][y - 1] - 1]
-               for x in range(1, n + 1) for y in range(1, n + 1))
-    ]
-    return _make_subloop(L, members)
+    """Elements a with (a, x, y) = 1 for all x, y."""
+    assoc = L.associators()
+    return _make_subloop(L, [a for a in L.elements
+                             if all(v == 1 for row in assoc[a - 1] for v in row)])
 
 
 def nucleus_middle(L) -> Subloop:
-    """Elements a with (x*a)*y = x*(a*y) for all x, y."""
-    rows = L.rows
-    n = L.order
-    members = [
-        a for a in range(1, n + 1)
-        if all(rows[rows[x - 1][a - 1] - 1][y - 1] == rows[x - 1][rows[a - 1][y - 1] - 1]
-               for x in range(1, n + 1) for y in range(1, n + 1))
-    ]
-    return _make_subloop(L, members)
+    """Elements a with (x, a, y) = 1 for all x, y."""
+    assoc = L.associators()
+    return _make_subloop(L, [a for a in L.elements
+                             if all(v == 1 for plane in assoc for v in plane[a - 1])])
 
 
 def nucleus_right(L) -> Subloop:
-    """Elements a with (x*y)*a = x*(y*a) for all x, y."""
-    rows = L.rows
-    n = L.order
-    members = [
-        a for a in range(1, n + 1)
-        if all(rows[rows[x - 1][y - 1] - 1][a - 1] == rows[x - 1][rows[y - 1][a - 1] - 1]
-               for x in range(1, n + 1) for y in range(1, n + 1))
-    ]
-    return _make_subloop(L, members)
+    """Elements a with (x, y, a) = 1 for all x, y."""
+    assoc = L.associators()
+    return _make_subloop(L, [a for a in L.elements
+                             if all(row[a - 1] == 1 for plane in assoc for row in plane)])
 
 
 def nucleus(L) -> Subloop:
@@ -232,21 +203,21 @@ def is_normal(L, H) -> bool:
     Checks the maps z -> (x*y) \\ (x*(y*z)), z -> ((z*x)*y) / (x*y) and
     z -> x \\ (z*x) pointwise on H for all x, y.
     """
-    rows = L.rows
+    rows, ld, rd = L.rows, L._ld, L._rd
     hset = set(H.elements)
     n = L.order
     for x in range(1, n + 1):
         rx = rows[x - 1]
         for h in hset:
-            if L.ldiv(x, rows[h - 1][x - 1]) not in hset:
+            if ld[x - 1][rows[h - 1][x - 1] - 1] not in hset:
                 return False
         for y in range(1, n + 1):
             xy = rx[y - 1]
             ry = rows[y - 1]
             for h in hset:
-                if L.ldiv(xy, rx[ry[h - 1] - 1]) not in hset:
+                if ld[xy - 1][rx[ry[h - 1] - 1] - 1] not in hset:
                     return False
-                if L.rdiv(rows[rows[h - 1][x - 1] - 1][y - 1], xy) not in hset:
+                if rd[xy - 1][rows[rows[h - 1][x - 1] - 1][y - 1] - 1] not in hset:
                     return False
     return True
 
@@ -415,7 +386,8 @@ def hall_3prime_subgroup(L) -> HallResult:
     target = n
     while target % 3 == 0:
         target //= 3
-    members = [x for x in L.elements if L.element_order(x).order % 3 != 0 and L.element_order(x).order >= 1]
+    # order 0 only marks a broken table, and 0 % 3 == 0 leaves it out
+    members = [x for x in L.elements if L.element_order(x).order % 3]
     H = generate_subloop(L, members)
     in_nuc = set(H.elements) <= set(nucleus(L).elements)
     if len(H) == target:
@@ -431,8 +403,8 @@ def commutative_nilpotency_class(L) -> int | None:
     (so 1 for any commutative loop) or None when the sets stop changing
     without reaching {1}.
     """
-    n = L.order
-    current = {L.commutator(x, y) for x in range(1, n + 1) for y in range(1, n + 1)}
+    comm = L.commutators()
+    current = {c for row in comm for c in row}
     seen = set()
     k = 1
     while True:
@@ -442,5 +414,5 @@ def commutative_nilpotency_class(L) -> int | None:
         if key in seen:
             return None
         seen.add(key)
-        current = {L.commutator(v, q) for v in current for q in range(1, n + 1)}
+        current = {c for v in current for c in comm[v - 1]}
         k += 1

@@ -252,27 +252,46 @@ class LoopTable:
 
     # -- words ---------------------------------------------------------
 
-    def commutator(self, x, y):
-        """[x, y] = ((x' * y') * x) * y with x' the right inverse of x.
+    @memoized
+    def commutators(self) -> tuple:
+        """[x, y] = ((x' * y') * x) * y at [x-1][y-1], x' the right inverse of x.
 
         Left-normed bracketing throughout.  On Moufang tables the value
         is 1 exactly when x and y commute; on rough tables the word can
         disagree with a direct product comparison, so test commutativity
         with mul when that is what you mean.
         """
-        self._check(x, y)
         rows = self.rows
-        xi = self._ld[x - 1][0]
-        yi = self._ld[y - 1][0]
-        return rows[rows[rows[xi - 1][yi - 1] - 1][x - 1] - 1][y - 1]
+        inv = [r[0] for r in self._ld]
+        return tuple(
+            tuple(rows[rows[rows[inv[x] - 1][inv[y] - 1] - 1][x] - 1][y] for y in range(self.order))
+            for x in range(self.order)
+        )
+
+    @memoized
+    def associators(self) -> tuple:
+        """(x, y, z) = (x*(y*z)) \\ ((x*y)*z) at [x-1][y-1][z-1]; 1 iff the
+        triple associates."""
+        rows = self.rows
+        ld = self._ld
+        rng = range(self.order)
+        return tuple(
+            tuple(
+                tuple(ld[rx[rows[y][z] - 1] - 1][rows[rx[y] - 1][z] - 1] for z in rng)
+                for y in rng
+            )
+            for rx in rows
+        )
+
+    def commutator(self, x, y):
+        """[x, y], read from commutators()."""
+        self._check(x, y)
+        return self.commutators()[x - 1][y - 1]
 
     def associator(self, x, y, z):
-        """(x, y, z) = (x*(y*z)) \\ ((x*y)*z); equals 1 iff the triple associates."""
+        """(x, y, z), read from associators()."""
         self._check(x, y, z)
-        rows = self.rows
-        lhs = rows[x - 1][rows[y - 1][z - 1] - 1]
-        rhs = rows[rows[x - 1][y - 1] - 1][z - 1]
-        return self._ld[lhs - 1][rhs - 1]
+        return self.associators()[x - 1][y - 1][z - 1]
 
     # -- global properties ---------------------------------------------
 

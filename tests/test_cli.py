@@ -305,3 +305,20 @@ def test_undecodable_file_is_unreadable_input(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
     assert "unreadable" in capsys.readouterr().out
     assert main(["analyze", str(path)]) == 2
+
+
+def test_checked_accessors_stay_out_of_inner_loops(monkeypatch, capsys):
+    """Argument checks belong to public entry points: a whole checktheorem
+    run on Q1 makes about a thousand, not one per table lookup."""
+    calls = 0
+    check = LoopTable._check
+
+    def counting(self, *xs):
+        nonlocal calls
+        calls += 1
+        return check(self, *xs)
+
+    monkeypatch.setattr(LoopTable, "_check", counting)
+    assert main(["checktheorem", "--json", "Q1"]) == 0
+    capsys.readouterr()
+    assert calls < 2000

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopsmith import catalog
+from loopsmith import subloops as sl
 from loopsmith.innermaps import (
     compose,
     cycles_str,
@@ -133,3 +134,28 @@ def test_moufang_l_iff_r(q1, q2, chein12):
     assert moufang_l_iff_r_check(chein12)
     with pytest.raises(ValueError, match="Moufang"):
         moufang_l_iff_r_check(q2)
+
+
+def _left_family_is_automorphic(t):
+    """Every z -> (x*y) \\ (x*(y*z)) preserves every product; rows only."""
+    rows = t.rows
+    n = t.order
+    for x in range(n):
+        for y in range(n):
+            xy = rows[rows[x][y] - 1]
+            p = [xy.index(rows[x][rows[y][z] - 1]) + 1 for z in range(n)]
+            if any(p[rows[a][b] - 1] != rows[p[a] - 1][p[b] - 1]
+                   for a in range(n) for b in range(n)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("key", catalog.catalog_keys())
+def test_left_automorphic_matches_a_left_family_scan(key):
+    t = catalog.builtin(key).table
+    assert is_left_automorphic(t) == _left_family_is_automorphic(t)
+    witness = inner_map_witness(t)
+    assert (witness is not None and witness[0] == "l") == (not is_left_automorphic(t))
+    for elements in sl.three_generated(t):
+        sub, _ = sl.restriction(t, elements)
+        assert is_left_automorphic(sub) == _left_family_is_automorphic(sub)

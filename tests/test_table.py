@@ -201,6 +201,48 @@ def test_associator_values_on_q1():
     assert values == {1, 4}
 
 
+def _word_tables_by_hand(t):
+    """Associators and commutators from the rows alone, divisions by search."""
+    rows = t.rows
+    rng = range(1, t.order + 1)
+
+    def mul(x, y):
+        return rows[x - 1][y - 1]
+
+    def ldiv(x, y):
+        return rows[x - 1].index(y) + 1
+
+    assoc = [[[ldiv(mul(x, mul(y, z)), mul(mul(x, y), z)) for z in rng] for y in rng] for x in rng]
+    comm = [[mul(mul(mul(ldiv(x, 1), ldiv(y, 1)), x), y) for y in rng] for x in rng]
+    return assoc, comm
+
+
+@pytest.mark.parametrize("key", catalog.catalog_keys() + ("M(D16,2)",))
+def test_word_tables_match_a_plain_loop_over_the_rows(key):
+    if key == "M(D16,2)":
+        t = catalog.make_chein(catalog.make_dihedral(16))
+    else:
+        t = catalog.builtin(key).table
+    assoc, comm = _word_tables_by_hand(t)
+    assert [[list(row) for row in plane] for plane in t.associators()] == assoc
+    assert [list(row) for row in t.commutators()] == comm
+    assert t.associators() is t.associators()
+    assert t.commutators() is t.commutators()
+
+
+def test_public_words_check_their_arguments():
+    t = catalog.builtin("Q2").table
+    for bad in (0, t.order + 1):
+        with pytest.raises(ValueError):
+            t.commutator(bad, 2)
+        with pytest.raises(ValueError):
+            t.commutator(2, bad)
+        with pytest.raises(ValueError):
+            t.associator(bad, 2, 3)
+        with pytest.raises(ValueError):
+            t.associator(2, 3, bad)
+
+
 def test_moufang_flags():
     q1 = catalog.builtin("Q1").table
     flags = q1.moufang_report()

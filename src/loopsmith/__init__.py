@@ -29,21 +29,16 @@ from .subloops import (
     sylow_subloop,
 )
 from .innermaps import (
-    compose,
     cycles_str,
-    identity_perm,
     inner_l,
     inner_r,
     inner_t,
-    inverse_perm,
     is_automorphic,
     is_automorphism,
     is_left_automorphic,
     inner_map_witness,
-    left_translation,
     moufang_l_iff_r_check,
     perm_from_cycles,
-    right_translation,
 )
 from .halfmorph import (
     GGTriple,

@@ -1,7 +1,7 @@
-"""Translations and inner mappings.
+"""Permutations and inner mappings.
 
 Permutations are tuples of length n with images[i-1] the image of
-element i.  Composition follows (p o q)(z) = p(q(z)): q acts first.
+element i.
 """
 
 from __future__ import annotations
@@ -9,22 +9,6 @@ from __future__ import annotations
 from .table import memoized
 
 Perm = tuple
-
-
-def identity_perm(n) -> Perm:
-    return tuple(range(1, n + 1))
-
-
-def compose(p, q) -> Perm:
-    """p after q."""
-    return tuple(p[q[i] - 1] for i in range(len(p)))
-
-
-def inverse_perm(p) -> Perm:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v - 1] = i + 1
-    return tuple(out)
 
 
 def perm_from_cycles(n, cycles) -> Perm:
@@ -63,19 +47,7 @@ def cycles_str(p) -> str:
     return "".join(parts) if parts else "()"
 
 
-# -- translations and inner mappings ----------------------------------
-
-
-def left_translation(L, a) -> Perm:
-    """z -> a*z."""
-    L._check(a)
-    return L.rows[a - 1]
-
-
-def right_translation(L, a) -> Perm:
-    """z -> z*a."""
-    L._check(a)
-    return tuple(L.rows[z][a - 1] for z in range(L.order))
+# -- inner mappings ----------------------------------
 
 
 def inner_l(L, x, y) -> Perm:

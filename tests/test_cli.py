@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from loopsmith import cli
+from loopsmith import cli, halfmorph, suites
 from loopsmith.catalog import builtin, write_loop_file
 from loopsmith.cli import main
 from loopsmith.errors import InternalCheckError
@@ -309,7 +309,9 @@ def test_undecodable_file_is_unreadable_input(tmp_path, capsys):
 
 def test_checked_accessors_stay_out_of_inner_loops(monkeypatch, capsys):
     """Argument checks belong to public entry points: a whole checktheorem
-    run on Q1 makes about a thousand, not one per table lookup."""
+    run on Q1 makes about a thousand, not one per table lookup.  Pair
+    masks are walked only to word a result, not once per pair of every
+    map."""
     calls = 0
     check = LoopTable._check
 
@@ -318,7 +320,19 @@ def test_checked_accessors_stay_out_of_inner_loops(monkeypatch, capsys):
         calls += 1
         return check(self, *xs)
 
+    pairs = 0
+    walk = halfmorph.mask_pairs
+
+    def counting_pairs(mask, n):
+        nonlocal pairs
+        for pair in walk(mask, n):
+            pairs += 1
+            yield pair
+
     monkeypatch.setattr(LoopTable, "_check", counting)
+    monkeypatch.setattr(halfmorph, "mask_pairs", counting_pairs)
+    monkeypatch.setattr(suites, "mask_pairs", counting_pairs)
     assert main(["checktheorem", "--json", "Q1"]) == 0
     capsys.readouterr()
     assert calls < 2000
+    assert pairs < 100_000

@@ -24,6 +24,7 @@ from loopsmith.halfmorph import (
     is_semi_isomorphism,
     make_half_map,
     mask_pairs,
+    pull_mask,
     verify_main_theorem,
 )
 from loopsmith.innermaps import is_automorphic, is_left_automorphic, perm_from_cycles
@@ -284,10 +285,102 @@ def test_group_check_negative_controls(q2, q2_enum):
     assert not half_maps_form_group_check(q2, dropped_last)
 
 
+def _closed_with_identity(maps):
+    """Reference: the set holds the identity and every composite a o b."""
+    pool = {m.images for m in maps}
+    n = len(next(iter(pool)))
+    if tuple(range(1, n + 1)) not in pool:
+        return False
+    return all(tuple(a[b[i] - 1] for i in range(n)) in pool for a in pool for b in pool)
+
+
+def _generated(seeds):
+    """The subgroup generated by the seed images."""
+    group = {tuple(range(1, len(seeds[0]) + 1))}
+    frontier = list(group)
+    for e in frontier:
+        for a in seeds:
+            c = tuple(e[a[i] - 1] for i in range(len(a)))
+            if c not in group:
+                group.add(c)
+                frontier.append(c)
+    return group
+
+
+def test_group_check_matches_closure_reference(q2, q2_enum, chein12, get_enum):
+    rng = random.Random(6)
+    outcomes = set()
+    for table, enum in ((q2, q2_enum), (chein12, get_enum("M(S3,2)", chein12))):
+        ident, *rest = (m.images for m in enum.maps)
+        subsets = [{ident, *rest}]
+        for size in (1, 2, 3, len(rest) // 2, len(rest) - 1):
+            subsets.append({ident, *rng.sample(rest, size)})
+        for k in (1, 2):
+            subsets.append(_generated(rng.sample(rest, k)))
+        # product sets of two cyclic subgroups: groups only when the two permute
+        for _ in range(30):
+            a, b = rng.sample(rest, 2)
+            subsets.append({tuple(x[y[i] - 1] for i in range(len(x)))
+                            for x in _generated([a]) for y in _generated([b])})
+        for subset in subsets:
+            maps = tuple(m for m in enum.maps if m.images in subset)
+            expected = _closed_with_identity(maps)
+            assert half_maps_form_group_check(table, HalfEnumeration(maps, True)) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_group_check_rejects_inverse_closed_non_group(chein12, get_enum):
+    maps = get_enum("M(S3,2)", chein12).maps
+    by_images = {m.images: m for m in maps}
+    n = chein12.order
+
+    def order_above_3(a):
+        square = tuple(a.images[i - 1] for i in a.images)
+        cube = tuple(a.images[i - 1] for i in square)
+        return len({tuple(range(1, n + 1)), a.images, square, cube}) == 4
+
+    a = next(a for a in maps if order_above_3(a))
+    inverse = [0] * n
+    for i, v in enumerate(a.images):
+        inverse[v - 1] = i + 1
+    subset = (by_images[tuple(range(1, n + 1))], a, by_images[tuple(inverse)])
+    assert not _closed_with_identity(subset)
+    assert not half_maps_form_group_check(chein12, HalfEnumeration(subset, True))
+
+
+def test_pull_mask_reads_digits_at_the_images(q2_enum):
+    rng = random.Random(4)
+    for n, maps in ((1, [(1,)]), (8, [m.images for m in q2_enum.maps])):
+        digits = ["".join(rng.choice("01") for _ in range(n)) for _ in range(n)]
+        for t in maps:
+            want = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)
+                    if digits[t[x - 1] - 1][t[y - 1] - 1] == "1"]
+            assert list(mask_pairs(pull_mask(digits, t), n)) == want
+
+
 def test_semi_isomorphism(phi1, phi2, q1):
     assert is_semi_isomorphism(phi1)
     assert is_semi_isomorphism(make_half_map(q1, q1, tuple(range(1, 17))))
     assert not is_semi_isomorphism(phi2)
+
+
+def test_semi_isomorphism_on_a_non_flexible_loop():
+    L = LoopTable([[1, 2, 3, 4, 5], [2, 1, 4, 5, 3], [3, 4, 5, 1, 2], [4, 5, 2, 3, 1], [5, 3, 1, 2, 4]])
+    assert not L.is_flexible()
+    mul = L.mul
+    outcomes = set()
+    for rest in permutations(range(2, 6)):
+        t = (1, *rest)
+
+        def sandwich(u, v):
+            return (t[mul(mul(u, v), u) - 1] == mul(mul(t[u - 1], t[v - 1]), t[u - 1])
+                    and t[mul(u, mul(v, u)) - 1] == mul(t[u - 1], mul(t[v - 1], t[u - 1])))
+
+        expected = all(sandwich(u, v) for u in L.elements for v in L.elements)
+        assert is_semi_isomorphism(HalfMap(L, L, t)) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_gg_triples_phi1(phi1, q1):

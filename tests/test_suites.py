@@ -4,8 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from loopsmith import catalog
-from loopsmith.suites import run_theorem_suites, suite_bruck
+from loopsmith import catalog, suites
+from loopsmith import subloops as sl
+from loopsmith.halfmorph import (
+    HalfEnumeration,
+    HalfKind,
+    classify,
+    coset_images,
+    d_set,
+    enumerate_half_automorphisms,
+    make_half_map,
+    mask_pairs,
+)
+from loopsmith.innermaps import is_left_automorphic
+from loopsmith.suites import SuiteResult, run_theorem_suites, suite_bruck, suite_commutator_d_set
 
 SUITE_NAMES = [
     "moufang-flag-agreement",
@@ -121,3 +133,73 @@ def test_suite_line_rendering(mini_battery):
     line = mini_battery["main-theorem"].line()
     assert "main-theorem" in line
     assert "violations=0 ok" in line
+
+
+def _reference_commutator_d_set(inputs):
+    """The suite's statement walked pair by pair, for comparison."""
+    res = SuiteResult("commutator-d-set-central")
+    for name, t in inputs:
+        for elements in sl.three_generated(t):
+            sub = t if len(elements) == t.order else sl.restriction(t, elements)[0]
+            if not (sub.is_moufang() and is_left_automorphic(sub)):
+                continue
+            A = sl.associator_subloop(sub)
+            if not sl.is_normal(sub, A):
+                continue
+            q = sl.quotient(sub, A)
+            aset = set(A.elements)
+            derived = set(sl.commutator_subloop(sub).elements)
+            central = set(sl.center(sub).elements)
+            comm = sub.commutators()
+            for m in suites.enumerate_half_automorphisms(sub).maps:
+                if {m.images[a - 1] for a in aset} != aset:
+                    continue
+                try:
+                    key = coset_images(m, q.projection, q.projection)
+                except ValueError:
+                    continue
+                kind = classify(make_half_map(q.table, q.table, key)).kind
+                if kind not in (HalfKind.ISOMORPHISM, HalfKind.BOTH):
+                    continue
+                res.hypothesis_count += 1
+                dset = d_set(m)
+                for d in derived:
+                    for g in dset:
+                        res.check_count += 1
+                        if comm[d - 1][g - 1] not in central:
+                            res.violations.append("%s sub %r: [%d,%d] not central" % (name, elements, d, g))
+                for u, v in mask_pairs(m.anti, sub.order):
+                    res.check_count += 1
+                    iu, iv = m.images[u - 1], m.images[v - 1]
+                    if comm[u - 1][v - 1] not in central or comm[iu - 1][iv - 1] not in central:
+                        res.violations.append(
+                            "%s sub %r: reversed pair (%d,%d) has a non-central commutator"
+                            % (name, elements, u, v)
+                        )
+    return res
+
+
+def test_commutator_d_set_matches_pair_walk_on_a_shrunken_center(monkeypatch, q1, q1_enum, chein12):
+    """Only Q1 has kept maps with reversed-only pairs, so it is the input
+    that can fail; a sample of its maps keeps the reference walk short.
+    The derived subloop is widened to the whole loop, because with the
+    true one no [d, g] leaves even the shrunken center."""
+    center = sl.center
+
+    def shrunken(L):
+        H = center(L)
+        return sl.Subloop(L, H.elements[:-1] if len(H) > 1 else H.elements)
+
+    sample = HalfEnumeration(q1_enum.maps[::128], True)
+    monkeypatch.setattr(sl, "center", shrunken)
+    monkeypatch.setattr(sl, "commutator_subloop", lambda L: sl.Subloop(L, tuple(L.elements)))
+    monkeypatch.setattr(suites, "enumerate_half_automorphisms",
+                        lambda L: sample if L is q1 else enumerate_half_automorphisms(L))
+    inputs = [(key, catalog.builtin(key).table) for key in ("Z1", "Q8", "D8")]
+    inputs += [("M(S3,2)", chein12), ("Q1", q1)]
+    got = suite_commutator_d_set(inputs)
+    want = _reference_commutator_d_set(inputs)
+    assert (got.hypothesis_count, got.check_count) == (want.hypothesis_count, want.check_count)
+    assert got.violations == want.violations
+    for kind in ("not central", "reversed pair"):
+        assert any(kind in v for v in got.violations), kind

@@ -10,17 +10,21 @@ A HalfMap asks the per-pair question once, when it is built, and keeps
 the answers as two int bitmasks: bit (x-1)*n + (y-1) of ``hom`` is set
 when t(x*y) = t(x)*t(y), the same bit of ``anti`` when t(x*y) =
 t(y)*t(x).  Everything downstream reads these masks.
+
+A mask is read as a base-2 digit string: pair (n, n) first, pair (1, 1)
+last as bit 0, the order in which innermaps.gather lists the pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .errors import HalfMapError, InternalCheckError, TheoremViolation
-from .innermaps import cycles_str, inner_map_witness, is_left_automorphic
+from .innermaps import (check_bijection, cycles_str, gather, inner_map_witness,
+                        is_left_automorphic, push_products, pusher)
 from .subloops import associator_subloop, quotient
 from .table import LoopTable, memoized
 
@@ -41,26 +45,9 @@ class HalfMap:
     anti: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.domain.order
-        images = self.images
-        img = (0, *images)
-        crows = self.codomain.rows
-        ccols = tuple(zip(*crows))
-        hom = []
-        anti = []
-        # digits run from pair (n, n) down to bit 0, pair (1, 1)
-        for x in reversed(range(n)):
-            ix = images[x] - 1
-            fwd = crows[ix]
-            bwd = ccols[ix]
-            row = self.domain.rows[x]
-            for y in reversed(range(n)):
-                iy = images[y] - 1
-                got = img[row[y]]
-                hom.append("1" if got == fwd[iy] else "0")
-                anti.append("1" if got == bwd[iy] else "0")
-        object.__setattr__(self, "hom", int("".join(hom), 2))
-        object.__setattr__(self, "anti", int("".join(anti), 2))
+        got = push_products(self.domain)(self.images)
+        object.__setattr__(self, "hom", _agreement(got, gather(self.codomain.rows, self.images)))
+        object.__setattr__(self, "anti", _agreement(got, gather(_columns(self.codomain), self.images)))
 
     def apply(self, x):
         return self.images[x - 1]
@@ -77,6 +64,20 @@ class HalfMap:
         return next(mask_pairs(~(self.hom | self.anti) & ((1 << n * n) - 1), n), None)
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _agreement(a, b):
+    """The pair mask of the pairs where two sequences in gather order agree."""
+    return int(bytearray(map(eq, a, b)).translate(_DIGITS), 2)
+
+
+@memoized
+def _columns(L):
+    """The transposed rows: entry [y-1][x-1] is x*y."""
+    return tuple(zip(*L.rows))
+
+
 def mask_pairs(mask, n):
     """The pairs (x, y) whose bits are set in a pair mask, ascending."""
     while mask:
@@ -89,8 +90,7 @@ def mask_pairs(mask, n):
 def pull_mask(digits, images):
     """The pair mask whose bit (x, y) is digits[t(x)-1][t(y)-1], for rows
     of "0"/"1" digits and the images of a bijection t."""
-    pick = itemgetter(*[t - 1 for t in reversed(images)])
-    return int("".join("".join(pick(digits[t - 1])) for t in reversed(images)), 2)
+    return int("".join(gather(digits, images)), 2)
 
 
 def make_half_map(domain, codomain, images) -> HalfMap:
@@ -106,8 +106,7 @@ def make_half_map(domain, codomain, images) -> HalfMap:
     images = tuple(images)
     if len(images) != n:
         raise ValueError("expected %d images, got %d" % (n, len(images)))
-    if sorted(images) != list(range(1, n + 1)):
-        raise ValueError("images are not a bijection on 1..%d" % n)
+    check_bijection(images, n)
     m = HalfMap(domain, codomain, images)
     broken = m.broken_pair()
     if broken is not None:
@@ -331,19 +330,19 @@ def is_semi_isomorphism(m: HalfMap) -> bool:
     mirrored bracketing t(u*(v*u)) = t(u)*(t(v)*t(u)) is required too.
     """
     images = m.images
-    drows, crows = m.domain.rows, m.codomain.rows
-    dcols, ccols = tuple(zip(*drows)), tuple(zip(*crows))
-    # (u*v)*u reads row u, then column u; u*(v*u) reads them the other way
-    bracketings = [(drows, dcols, crows, ccols)]
-    if not m.domain.is_flexible():
-        bracketings.append((dcols, drows, ccols, crows))
-    for dfirst, dthen, cfirst, cthen in bracketings:
-        for u, iu in enumerate(images):
-            df, dt, cf, ct = dfirst[u], dthen[u], cfirst[iu - 1], cthen[iu - 1]
-            for v, iv in enumerate(images):
-                if images[dt[df[v] - 1] - 1] != ct[cf[iv - 1] - 1]:
-                    return False
-    return True
+    pushers = _sandwiches(m.domain)[1][:1 if m.domain.is_flexible() else 2]
+    return all(push(images) == tuple(gather(table, images))
+               for push, table in zip(pushers, _sandwiches(m.codomain)[0]))
+
+
+@memoized
+def _sandwiches(L):
+    """The tables of (u*v)*u and of u*(v*u), entry [u-1][v-1], and their
+    pushers.  Each reads row u, then column u, of the rows or the columns."""
+    rng = range(L.order)
+    tables = tuple(tuple(tuple(a[a[u][v] - 1][u] for v in rng) for u in rng)
+                   for a in (L.rows, _columns(L)))
+    return tables, tuple(map(pusher, tables))
 
 
 class GGTriple(NamedTuple):
@@ -356,7 +355,9 @@ def find_gg_triples(m: HalfMap, limit: int | None = None) -> list:
     """Triples (x, y, z) where x fails to commute with both y and z, the
     pair (x, y) obeys only the forward law and (x, z) only the reversed
     law.  Intended for Moufang domains; returned in ascending order.
-    With a limit, stops once that many triples are collected."""
+    With a limit, stops once that many (at least 1) are collected."""
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be at least 1")
     n = m.domain.order
     comm = m.domain.commutators()
     hom_only = m.hom & ~m.anti

@@ -6,6 +6,9 @@ element i.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
+
 from .table import memoized
 
 Perm = tuple
@@ -47,6 +50,35 @@ def cycles_str(p) -> str:
     return "".join(parts) if parts else "()"
 
 
+def check_bijection(images, n):
+    """Raise ValueError unless images is a bijection of 1..n."""
+    if sorted(images) != list(range(1, n + 1)):
+        raise ValueError("images are not a bijection on 1..%d" % n)
+
+
+def _getter(indices):
+    """itemgetter(*indices), returning a tuple even for one index."""
+    return itemgetter(*indices) if len(indices) > 1 else lambda seq: (seq[indices[0]],)
+
+
+def gather(array, images):
+    """Iterate array[t(x)-1][t(y)-1] for the map t of these images over
+    every pair (x, y): pair (n, n) first, pair (1, 1) last."""
+    pick = _getter([t - 1 for t in reversed(images)])
+    return chain.from_iterable(map(pick, pick(array)))
+
+
+def pusher(array):
+    """The getter from the images of t to t(array[x-1][y-1]), in gather's order."""
+    return _getter([c - 1 for row in reversed(array) for c in reversed(row)])
+
+
+@memoized
+def push_products(L):
+    """pusher(L.rows), built once per table: images of t to t(x*y)."""
+    return pusher(L.rows)
+
+
 # -- inner mappings ----------------------------------
 
 
@@ -77,15 +109,8 @@ def is_automorphism(L, p) -> bool:
     """Does the permutation preserve every product?"""
     if len(p) != L.order:
         raise ValueError("permutation degree %d does not match order %d" % (len(p), L.order))
-    rows = L.rows
-    n = L.order
-    for x in range(n):
-        rx = rows[x]
-        px = p[x]
-        for y in range(n):
-            if p[rx[y] - 1] != rows[px - 1][p[y] - 1]:
-                return False
-    return True
+    check_bijection(p, L.order)
+    return push_products(L)(p) == tuple(gather(L.rows, p))
 
 
 @memoized

@@ -7,6 +7,7 @@ import pytest
 from loopsmith import catalog
 from loopsmith.halfmorph import enumerate_half_automorphisms, make_half_map
 from loopsmith.innermaps import perm_from_cycles
+from loopsmith.table import LoopTable
 
 _ENUM_CACHE = {}
 
@@ -41,6 +42,12 @@ def chein12():
 @pytest.fixture(scope="session")
 def s3():
     return catalog.builtin("S3").table
+
+
+@pytest.fixture(scope="session")
+def nonflex5():
+    """An order-5 loop that is not flexible: (u*v)*u and u*(v*u) differ."""
+    return LoopTable([[1, 2, 3, 4, 5], [2, 1, 4, 5, 3], [3, 4, 5, 1, 2], [4, 5, 2, 3, 1], [5, 3, 1, 2, 4]])
 
 
 @pytest.fixture(scope="session")

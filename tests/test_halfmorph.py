@@ -129,27 +129,55 @@ def _pairwise_laws(m):
     return laws
 
 
-def test_law_masks_match_a_pairwise_recomputation(q2_enum, chein12, get_enum, phi1):
-    maps = q2_enum.maps + get_enum("M(S3,2)", chein12).maps + (phi1,)
+def _relabeled(L, seed):
+    """A copy of L under a seeded relabeling x -> perm[x-1] that fixes 1,
+    and perm."""
+    rest = list(L.elements[1:])
+    random.Random(seed).shuffle(rest)
+    perm = (1, *rest)
+    return LoopTable(relabel(L.rows, perm)), perm
+
+
+def test_law_masks_match_a_pairwise_recomputation(q2, q2_enum, chein12, get_enum, phi1, nonflex5):
+    half = q2_enum.maps + get_enum("M(S3,2)", chein12).maps + (phi1,)
+    maps = list(half)
+    # into a relabeled copy of the domain: half-maps moved along the
+    # relabeling, and seeded bijections that need not be half-maps
+    for L, seed in ((q2, 1), (chein12, 2), (nonflex5, 3)):
+        copy, perm = _relabeled(L, seed)
+        maps += [HalfMap(L, copy, tuple(perm[i - 1] for i in m.images)) for m in half if m.domain is L]
+        rng = random.Random(seed)
+        maps += [HalfMap(L, copy, tuple(rng.sample(L.elements, L.order))) for _ in range(5)]
+    maps += [HalfMap(nonflex5, nonflex5, (1, *rest)) for rest in permutations(range(2, 6))]
+    z1 = catalog.make_cyclic(1)
+    maps.append(HalfMap(z1, z1, (1,)))
     for m in maps:
         n = m.domain.order
         laws = _pairwise_laws(m)
+        assert list(mask_pairs(m.hom, n)) == sorted(p for p, (hom, _) in laws.items() if hom)
+        assert list(mask_pairs(m.anti, n)) == sorted(p for p, (_, anti) in laws.items() if anti)
         hom_only = sorted(p for p, (hom, anti) in laws.items() if hom and not anti)
         anti_only = sorted(p for p, (hom, anti) in laws.items() if anti and not hom)
         hom_pairs = sum(hom for hom, _ in laws.values())
         anti_pairs = sum(anti for _, anti in laws.values())
-        if hom_pairs == anti_pairs == n * n:
-            kind = HalfKind.BOTH
-        elif hom_pairs == n * n:
-            kind = HalfKind.ISOMORPHISM
-        elif anti_pairs == n * n:
-            kind = HalfKind.ANTI_ISOMORPHISM
+        broken = sorted(p for p, (hom, anti) in laws.items() if not (hom or anti))
+        assert m.broken_pair() == (broken[0] if broken else None)
+        if broken:
+            with pytest.raises(InternalCheckError):
+                classify(m)
         else:
-            kind = HalfKind.PROPER_HALF
-        cls = classify(m)
-        assert (cls.kind, cls.hom_pairs, cls.anti_pairs) == (kind, hom_pairs, anti_pairs), m.cycles()
-        assert cls.witness_hom == (hom_only[0] if hom_only else None)
-        assert cls.witness_anti == (anti_only[0] if anti_only else None)
+            if hom_pairs == anti_pairs == n * n:
+                kind = HalfKind.BOTH
+            elif hom_pairs == n * n:
+                kind = HalfKind.ISOMORPHISM
+            elif anti_pairs == n * n:
+                kind = HalfKind.ANTI_ISOMORPHISM
+            else:
+                kind = HalfKind.PROPER_HALF
+            cls = classify(m)
+            assert (cls.kind, cls.hom_pairs, cls.anti_pairs) == (kind, hom_pairs, anti_pairs), m.cycles()
+            assert cls.witness_hom == (hom_only[0] if hom_only else None)
+            assert cls.witness_anti == (anti_only[0] if anti_only else None)
         assert d_set(m) == frozenset(x for x, _ in anti_only)
         assert list(mask_pairs(m.hom & ~m.anti, n)) == hom_only
         assert list(mask_pairs(m.anti & ~m.hom, n)) == anti_only
@@ -365,22 +393,25 @@ def test_semi_isomorphism(phi1, phi2, q1):
     assert not is_semi_isomorphism(phi2)
 
 
-def test_semi_isomorphism_on_a_non_flexible_loop():
-    L = LoopTable([[1, 2, 3, 4, 5], [2, 1, 4, 5, 3], [3, 4, 5, 1, 2], [4, 5, 2, 3, 1], [5, 3, 1, 2, 4]])
+def test_semi_isomorphism_on_a_non_flexible_loop(nonflex5):
+    L = nonflex5
     assert not L.is_flexible()
     mul = L.mul
-    outcomes = set()
-    for rest in permutations(range(2, 6)):
-        t = (1, *rest)
+    # the loop itself, then a relabeled copy as codomain
+    for C in (L, _relabeled(L, 5)[0]):
+        cmul = C.mul
+        outcomes = set()
+        for rest in permutations(range(2, 6)):
+            t = (1, *rest)
 
-        def sandwich(u, v):
-            return (t[mul(mul(u, v), u) - 1] == mul(mul(t[u - 1], t[v - 1]), t[u - 1])
-                    and t[mul(u, mul(v, u)) - 1] == mul(t[u - 1], mul(t[v - 1], t[u - 1])))
+            def sandwich(u, v):
+                return (t[mul(mul(u, v), u) - 1] == cmul(cmul(t[u - 1], t[v - 1]), t[u - 1])
+                        and t[mul(u, mul(v, u)) - 1] == cmul(t[u - 1], cmul(t[v - 1], t[u - 1])))
 
-        expected = all(sandwich(u, v) for u in L.elements for v in L.elements)
-        assert is_semi_isomorphism(HalfMap(L, L, t)) == expected
-        outcomes.add(expected)
-    assert outcomes == {True, False}
+            expected = all(sandwich(u, v) for u in L.elements for v in L.elements)
+            assert is_semi_isomorphism(HalfMap(L, C, t)) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 def test_gg_triples_phi1(phi1, q1):
@@ -402,6 +433,10 @@ def test_gg_triples_phi1(phi1, q1):
 
 def test_gg_triples_limit_and_phi2(phi1, phi2):
     assert len(find_gg_triples(phi1, limit=7)) == 7
+    assert len(find_gg_triples(phi1, limit=1)) == 1
+    for limit in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            find_gg_triples(phi1, limit=limit)
     triples = find_gg_triples(phi2)
     assert len(triples) == 8
     assert triples[0] == GGTriple(5, 3, 7)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,8 +66,34 @@ def test_inner_maps_fix_identity(q1, q2):
 def test_is_automorphism_basics(q1):
     assert is_automorphism(q1, tuple(range(1, 17)))
     assert not is_automorphism(q1, perm_from_cycles(16, [(5, 8)]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree"):
         is_automorphism(q1, tuple(range(1, 5)))
+    for p in ((1,) * 16, (1, 1, *range(3, 17)), (*range(1, 16), 17)):
+        with pytest.raises(ValueError, match="images are not a bijection on 1..16"):
+            is_automorphism(q1, p)
+
+
+def _preserves_products(L, p):
+    """Pair-by-pair reference: p(x*y) = p(x)*p(y) for all x, y."""
+    rows, rng = L.rows, range(L.order)
+    return all(p[rows[x][y] - 1] == rows[p[x] - 1][p[y] - 1] for x in rng for y in rng)
+
+
+def test_is_automorphism_matches_a_pairwise_check(nonflex5, q1, chein12):
+    z1 = catalog.make_cyclic(1)
+    cases = [(z1, (1,))] + [(nonflex5, (1, *rest)) for rest in permutations(range(2, 6))]
+    rng = random.Random(11)
+    for L in (q1, chein12):
+        n = L.order
+        cases += [(L, tuple(rng.sample(L.elements, n))) for _ in range(5)]
+        cases += [(L, (1, *rng.sample(L.elements[1:], n - 1))) for _ in range(5)]
+        cases += [(L, inner_l(L, 2, y)) for y in L.elements] + [(L, inner_t(L, x)) for x in L.elements]
+    outcomes = {}
+    for L, p in cases:
+        expected = _preserves_products(L, p)
+        assert is_automorphism(L, p) == expected, (L.order, p)
+        outcomes.setdefault(L.order, set()).add(expected)
+    assert outcomes == {1: {True}, 5: {True, False}, 12: {True, False}, 16: {True, False}}
 
 
 def test_groups_are_automorphic(s3):

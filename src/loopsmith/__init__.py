@@ -46,6 +46,7 @@ from .halfmorph import (
     HalfEnumeration,
     HalfKind,
     HalfMap,
+    SearchStats,
     TheoremReport,
     classify,
     d_set,

@@ -165,27 +165,48 @@ def classify(m: HalfMap) -> HalfClass:
 # -- exhaustive enumeration -------------------------------------------
 
 
+class SearchStats(NamedTuple):
+    """Work counters of one search: images tried, images the law check
+    refused, complete assignments reached, and complete assignments that
+    make_half_map refused."""
+
+    nodes: int
+    prunes: int
+    leaves: int
+    rejected: int
+
+
 @dataclass
 class HalfEnumeration:
     maps: tuple
     complete: bool
+    stats: SearchStats | None = None  # None unless made by the search
 
 
 def enumerate_half_automorphisms(L, limit=None) -> HalfEnumeration:
     """All half-morphisms from a loop to itself, in image-tuple order.
 
-    Depth-first search assigning images in ascending element order.  A
-    partial assignment dies as soon as any fully-mapped pair breaks the
-    law, when the two admissible images of a mapped pair's product are
-    both taken, or when the mirror conditions through preimages fail
-    (sound because these maps form a group under composition, so the
-    inverse of any completed map is again one).  Every leaf is
-    revalidated from scratch before being kept.
+    Depth-first search assigning images in the table's generation order
+    (see _generation_order): 1 first, then generators, each followed by
+    the products it brings in.  A generator may take any free image.  A
+    product c = a*b, with a and b already mapped, may take only t(a)*t(b)
+    or t(b)*t(a), and only while that image is free.  After each
+    assignment one rule prunes: for every mapped y, a pair (x, y) or
+    (y, x) whose product is already mapped must obey the half law.
+    Every complete assignment is then checked on all n*n pairs by
+    make_half_map; a leaf it refuses is dropped and counted.
+
+    The search is complete: every element is listed once, the product
+    candidates are the only images the half law allows, and the pruning
+    rule is a necessary condition, so no half-morphism is cut off.  It is
+    sound because each kept map passed make_half_map.
 
     With limit set, the search stops after that many maps and the result
-    is flagged incomplete; such results must not feed census claims.  A
-    complete result is kept in the table's memo and returned to every
-    later call without a limit; a limited result is never stored.
+    is flagged incomplete; such results must not feed census claims.  The
+    limited result holds the first maps found in generation order, sorted,
+    which need not be the least maps in image-tuple order.  A complete
+    result is kept in the table's memo and returned to every later call
+    without a limit; a limited result is never stored.
     """
     if limit is None:
         return _complete_enumeration(L)
@@ -199,92 +220,111 @@ def _complete_enumeration(L):
     return _search(L, None)
 
 
+def _generation_order(L):
+    """Every element once, as (c, a, b) with c = a*b for a and b listed
+    before c, or (c, 0, 0) when c is a generator; (1, 0, 0) comes first.
+
+    Each generator is followed by the products of the listed elements,
+    breadth first, until nothing new appears.  Generators are chosen by
+    the number of elements they commute with, fewest first, then by
+    label.  Half-morphisms keep that number, so the choice depends on the
+    labels only to break ties.
+    """
+    n = L.order
+    rows = L.rows
+    commuting = [sum(r[y] == rows[y][x] for y in range(n)) for x, r in enumerate(rows)]
+    by_invariant = sorted(range(1, n + 1), key=lambda x: (commuting[x - 1], x))
+    order = [(1, 0, 0)]
+    listed = {1}
+    for g in by_invariant:
+        if g in listed:
+            continue
+        order.append((g, 0, 0))
+        listed.add(g)
+        k = len(order) - 1
+        while k < len(order):
+            c = order[k][0]
+            for i in range(k + 1):
+                a = order[i][0]
+                for x, y in ((a, c), (c, a)):
+                    p = rows[x - 1][y - 1]
+                    if p not in listed:
+                        order.append((p, x, y))
+                        listed.add(p)
+            k += 1
+    return tuple(order)
+
+
 def _search(L, limit):
     n = L.order
     mul = [[0] * (n + 1)]
     for r in L.rows:
         mul.append([0] + list(r))
-    by_product = [[] for _ in range(n + 1)]
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            by_product[mul[a][b]].append((a, b))
+    col = [[0] * (n + 1)]  # col[x][y] = y*x
+    for c in _columns(L):
+        col.append([0] + list(c))
+    order = _generation_order(L)
+    mapped = [c for c, _, _ in order]
     img = [0] * (n + 1)
-    pre = [0] * (n + 1)
-    img[1] = pre[1] = 1
+    free = [True] * (n + 1)
+    img[1] = 1
+    free[1] = False
     found = []
+    nodes = prunes = leaves = rejected = 0
     stopped = False
 
-    def consistent(x):
+    def consistent(k, x):
         w = img[x]
-        for y in range(1, x + 1):
+        mx, cx, mw, cw = mul[x], col[x], mul[w], col[w]
+        for y in mapped[:k + 1]:
             iy = img[y]
-            u = mul[w][iy]
-            v = mul[iy][w]
-            c = mul[x][y]
-            ic = img[c]
-            if ic:
-                if ic != u and ic != v:
-                    return False
-            elif pre[u] and pre[v]:
+            u = mw[iy]
+            v = cw[iy]
+            ic = img[mx[y]]
+            if ic and ic != u and ic != v:
                 return False
-            c = mul[y][x]
-            ic = img[c]
-            if ic:
-                if ic != u and ic != v:
-                    return False
-            elif pre[u] and pre[v]:
-                return False
-            # mirror through preimages: the inverse must also obey the law
-            u2 = mul[x][y]
-            v2 = mul[y][x]
-            d = mul[w][iy]
-            pd = pre[d]
-            if pd:
-                if pd != u2 and pd != v2:
-                    return False
-            elif img[u2] and img[v2]:
-                return False
-            d = mul[iy][w]
-            pd = pre[d]
-            if pd:
-                if pd != u2 and pd != v2:
-                    return False
-            elif img[u2] and img[v2]:
-                return False
-        for a, b in by_product[x]:
-            ia = img[a]
-            ib = img[b]
-            if ia and ib and w != mul[ia][ib] and w != mul[ib][ia]:
-                return False
-        for a, b in by_product[w]:
-            pa = pre[a]
-            pb = pre[b]
-            if pa and pb and x != mul[pa][pb] and x != mul[pb][pa]:
+            ic = img[cx[y]]
+            if ic and ic != u and ic != v:
                 return False
         return True
 
-    def dfs(x):
-        nonlocal stopped
-        if x > n:
-            found.append(make_half_map(L, L, tuple(img[1:])))
+    def dfs(k):
+        nonlocal nodes, prunes, leaves, rejected, stopped
+        if k == n:
+            leaves += 1
+            try:
+                found.append(make_half_map(L, L, tuple(img[1:])))
+            except HalfMapError:
+                rejected += 1
+                return
             if limit is not None and len(found) >= limit:
                 stopped = True
             return
-        for w in range(1, n + 1):
-            if pre[w]:
+        x, a, b = order[k]
+        if a:
+            u = mul[img[a]][img[b]]
+            v = mul[img[b]][img[a]]
+            candidates = (u,) if u == v else (u, v)
+        else:
+            candidates = range(2, n + 1)
+        for w in candidates:
+            if not free[w]:
                 continue
+            nodes += 1
             img[x] = w
-            pre[w] = x
-            if consistent(x):
-                dfs(x + 1)
-            img[x] = 0
-            pre[w] = 0
+            free[w] = False
+            if consistent(k, x):
+                dfs(k + 1)
+            else:
+                prunes += 1
+            free[w] = True
             if stopped:
-                return
+                break
+        img[x] = 0
 
-    dfs(2)
+    dfs(1)
     found.sort(key=lambda m: m.images)
-    return HalfEnumeration(tuple(found), not stopped)
+    return HalfEnumeration(tuple(found), not stopped, SearchStats(nodes, prunes, leaves, rejected))
 
 
 def half_maps_form_group_check(L, enumeration=None) -> bool:

@@ -40,6 +40,21 @@ def chein12():
 
 
 @pytest.fixture(scope="session")
+def chein():
+    """M(G,2) for G = Q8 or a dihedral group D<m>, built once per session
+    so that its memoized enumeration is shared."""
+    built = {}
+
+    def _get(group):
+        if group not in built:
+            G = catalog.make_quaternion8() if group == "Q8" else catalog.make_dihedral(int(group[1:]))
+            built[group] = catalog.make_chein(G)
+        return built[group]
+
+    return _get
+
+
+@pytest.fixture(scope="session")
 def s3():
     return catalog.builtin("S3").table
 

@@ -8,17 +8,19 @@ from itertools import permutations
 
 import pytest
 
-from loopsmith import catalog
+from loopsmith import catalog, halfmorph
 from loopsmith.errors import HalfMapError, InternalCheckError, TheoremViolation
 from loopsmith.halfmorph import (
     GGTriple,
     HalfEnumeration,
     HalfKind,
     HalfMap,
+    SearchStats,
     classify,
     d_set,
     enumerate_half_automorphisms,
     find_gg_triples,
+    half_census,
     half_maps_form_group_check,
     induced_on_quotient,
     is_semi_isomorphism,
@@ -212,10 +214,17 @@ def test_enumeration_on_z4():
     assert all(classify(m).kind is HalfKind.BOTH for m in enum.maps)
 
 
-def test_enumeration_limit(q2):
-    enum = enumerate_half_automorphisms(q2, limit=5)
-    assert not enum.complete
-    assert len(enum.maps) == 5
+def test_enumeration_limit(get_enum):
+    # the first maps found in generation order, sorted: not necessarily
+    # the least maps in image-tuple order
+    for key, limit in (("Q2", 5), ("M(S3,2)", 40)):
+        t = catalog.builtin(key).table
+        enum = enumerate_half_automorphisms(t, limit=limit)
+        images = [m.images for m in enum.maps]
+        assert not enum.complete
+        assert len(images) == limit
+        assert images == sorted(images)
+        assert set(images) <= {m.images for m in get_enum(key, t).maps}
 
 
 def test_limited_enumeration_is_never_memoized():
@@ -271,6 +280,170 @@ def test_relabeling_keeps_flags_census_and_pair_counts(key):
                       for cls in map(classify, enumerate_half_automorphisms(table).maps))
 
     assert pair_counts(copy) == pair_counts(t)
+
+
+def _conjugated_back(maps, perm):
+    """The sorted images of x -> perm^-1(t(perm(x))) for maps t on a copy
+    relabeled by perm: the maps moved back to the original labels."""
+    inverse = [0] * len(perm)
+    for x, p in enumerate(perm, 1):
+        inverse[p - 1] = x
+    return sorted(tuple(inverse[m.images[p - 1] - 1] for p in perm) for m in maps)
+
+
+@pytest.mark.parametrize("group", ["Q8", "D10"])
+def test_relabeled_chein_loop_keeps_maps_and_census(group, chein):
+    t = chein(group)
+    copy, perm = _relabeled(t, "relabel-" + group)
+    assert copy.rows != t.rows
+    assert _conjugated_back(enumerate_half_automorphisms(copy).maps, perm) == \
+        [m.images for m in enumerate_half_automorphisms(t).maps]
+    assert half_census(copy).counts == half_census(t).counts
+
+
+def test_search_cost_does_not_depend_on_the_labels(chein):
+    """The search branches at generators chosen by a label-free invariant,
+    so its node count barely moves under relabeling."""
+    t = chein("D12")
+    want = [m.images for m in enumerate_half_automorphisms(t).maps]
+    assert len(want) == 864
+    nodes = []
+    for seed in range(10):
+        copy, perm = _relabeled(t, seed)
+        enum = enumerate_half_automorphisms(copy)
+        assert _conjugated_back(enum.maps, perm) == want
+        nodes.append(enum.stats.nodes)
+    assert max(nodes) < 2 * min(nodes)
+
+
+def test_search_counters(q2_enum, q1_enum):
+    """Counters are deterministic, so they pin down the pruning.  On the
+    order-6 loop a consistency check without the reversed pair (y, x)
+    tries more images.  On Q1 the search stays near four images tried per
+    map, far below one per free image at every element."""
+    assert q2_enum.stats == SearchStats(nodes=185, prunes=76, leaves=16, rejected=0)
+    L = LoopTable([[1, 2, 3, 4, 5, 6], [2, 1, 4, 3, 6, 5], [3, 5, 6, 1, 2, 4],
+                   [4, 6, 1, 5, 3, 2], [5, 4, 2, 6, 1, 3], [6, 3, 5, 2, 4, 1]])
+    assert not L.is_associative()
+    enum = enumerate_half_automorphisms(L)
+    assert {m.images for m in enum.maps} == _brute_force_half_maps(L)
+    assert enum.stats == SearchStats(nodes=33, prunes=18, leaves=2, rejected=0)
+    stats = q1_enum.stats
+    assert (stats.leaves, stats.rejected) == (21504, 0)
+    assert stats.nodes < 100_000
+
+
+def test_search_drops_and_counts_leaves_that_fail_revalidation(monkeypatch, q2, q2_enum):
+    check = halfmorph.make_half_map
+
+    def refusing_identity(domain, codomain, images):
+        if images == tuple(range(1, len(images) + 1)):
+            raise HalfMapError(1, 1, 1, 1, 1)
+        return check(domain, codomain, images)
+
+    monkeypatch.setattr(halfmorph, "make_half_map", refusing_identity)
+    enum = enumerate_half_automorphisms(LoopTable(q2.rows))
+    assert enum.complete
+    assert [m.images for m in enum.maps] == [m.images for m in q2_enum.maps[1:]]
+    assert (enum.stats.leaves, enum.stats.rejected) == (16, 1)
+
+
+def _generated_automorphisms(L, anti):
+    """Every automorphism of L, or with anti set every anti-automorphism,
+    built from the images of generators alone.
+
+    Generators are taken by label.  Each is followed by the products of
+    the elements listed so far, until they close, and a product's image
+    is forced: t(a*b) = t(a)*t(b), or t(b)*t(a) for an anti-automorphism.
+    A generator's image must commute with as many elements as the
+    generator does.  Once a generator's subloop is mapped, the law is
+    checked on its pairs; each completed map is checked on all n*n pairs.
+    """
+    rows = L.rows
+    elements = L.elements
+
+    def mul(a, b):
+        return rows[a - 1][b - 1]
+
+    law = [[mul(b, a) if anti else mul(a, b) for b in elements] for a in elements]
+    commuting = [sum(mul(x, y) == mul(y, x) for y in elements) for x in elements]
+    blocks = []  # per generator g: g and the (c, a, b) with c = a*b it brings in
+    listed = {1}
+    for g in elements:
+        if g in listed:
+            continue
+        listed.add(g)
+        block = [(g, 0, 0)]
+        grew = True
+        while grew:
+            grew = False
+            for a in sorted(listed):
+                for b in sorted(listed):
+                    if mul(a, b) not in listed:
+                        listed.add(mul(a, b))
+                        block.append((mul(a, b), a, b))
+                        grew = True
+        blocks.append(block)
+
+    img = {1: 1}
+    found = set()
+
+    def obeys(xs, ys):
+        """The law holds on every pair (x, y) with x in xs and y in ys."""
+        for x in xs:
+            row, image_row = rows[x - 1], law[img[x] - 1]
+            if [img[row[y - 1]] for y in ys] != [image_row[img[y] - 1] for y in ys]:
+                return False
+        return True
+
+    def extend(k):
+        if k == len(blocks):
+            if obeys(elements, elements):
+                found.add(tuple(img[x] for x in elements))
+            return
+        g = blocks[k][0][0]
+        for w in set(elements) - set(img.values()):
+            if commuting[w - 1] != commuting[g - 1]:
+                continue
+            before = dict(img)
+            img[g] = w
+            used = set(img.values())
+            for c, a, b in blocks[k][1:]:
+                v = law[img[a] - 1][img[b] - 1]
+                if v in used:
+                    break
+                img[c] = v
+                used.add(v)
+            else:
+                new = [c for c, _, _ in blocks[k]]
+                if obeys(new, list(img)) and obeys(list(img), new):
+                    extend(k + 1)
+            img.clear()
+            img.update(before)
+
+    extend(0)
+    return found
+
+
+CENSUS_CHECK = [*catalog.catalog_keys(), "M(Q8,2)", "M(D16,2)"]
+
+
+@pytest.mark.parametrize("key", CENSUS_CHECK)
+def test_trivial_maps_match_an_independent_search(key, chein, get_enum):
+    """The isomorphisms and anti-isomorphisms among the enumerated maps are
+    exactly the ones built from generator images alone.
+
+    The two searches share no pruning rule, so one that loses a trivial
+    map shows up here, above the brute-force range too.  Proper half-maps
+    get no second source from this check.
+    """
+    t = catalog.builtin(key).table if key in catalog.catalog_keys() else chein(key[2:key.index(",")])
+    kinds = {HalfKind.ISOMORPHISM: set(), HalfKind.ANTI_ISOMORPHISM: set(), HalfKind.BOTH: set()}
+    for m in get_enum(key, t).maps:
+        kinds.get(classify(m).kind, set()).add(m.images)
+    both = kinds[HalfKind.BOTH]
+    assert kinds[HalfKind.ISOMORPHISM] | both == _generated_automorphisms(t, anti=False)
+    assert kinds[HalfKind.ANTI_ISOMORPHISM] | both == _generated_automorphisms(t, anti=True)
 
 
 def _brute_force_half_maps(t):

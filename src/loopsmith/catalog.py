@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import LoopFileError, TableValidationError
+from .table import MAX_ORDER, LoopTable, too_large_message
 # validate is unused here; it stays bound because the benchmark's test of
 # its tracer (loopbench/test_loopbench.py) checks that this binding is wrapped
-from .table import LoopTable, validate  # noqa: F401
+from .table import validate  # noqa: F401
 
 Q1_ROWS = (
     (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16),
@@ -314,6 +315,8 @@ def _read_structure(text):
                 raise LoopFileError("expected the order, got %r" % line, line=lineno) from None
             if order < 1:
                 raise LoopFileError("order must be positive, got %d" % order, line=lineno)
+            if order > MAX_ORDER:
+                raise LoopFileError(too_large_message(order), line=lineno)
             continue
         if len(rows) == order:
             raise LoopFileError("extra row after %d table rows" % order, line=lineno)

@@ -13,18 +13,22 @@ t(y)*t(x).  Everything downstream reads these masks.
 
 A mask is read as a base-2 digit string: pair (n, n) first, pair (1, 1)
 last as bit 0, the order in which innermaps.gather lists the pairs.
+The masks come from comparing two byte strings in that order as
+integers: their XOR has a zero byte exactly where the pair agrees, and
+one translate turns each byte into the pair's digit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import HalfMapError, InternalCheckError, TheoremViolation
-from .innermaps import (check_bijection, cycles_str, gather, inner_map_witness,
-                        is_left_automorphic, push_products, pusher)
+from .innermaps import (byte_table, check_bijection, cycles_str, gather, inner_map_witness,
+                        is_left_automorphic, product_bytes, push, translate_rows,
+                        zero_based)
 from .subloops import associator_subloop, quotient
 from .table import LoopTable, memoized
 
@@ -45,9 +49,10 @@ class HalfMap:
     anti: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        got = push_products(self.domain)(self.images)
-        object.__setattr__(self, "hom", _agreement(got, gather(self.codomain.rows, self.images)))
-        object.__setattr__(self, "anti", _agreement(got, gather(_columns(self.codomain), self.images)))
+        t = zero_based(self.images)
+        got = int.from_bytes(push(product_bytes(self.domain).flat, t), "big")
+        object.__setattr__(self, "hom", _agreement(got, gather(product_bytes(self.codomain).rows, t)))
+        object.__setattr__(self, "anti", _agreement(got, gather(_column_bytes(self.codomain).rows, t)))
 
     def apply(self, x):
         return self.images[x - 1]
@@ -64,18 +69,25 @@ class HalfMap:
         return next(mask_pairs(~(self.hom | self.anti) & ((1 << n * n) - 1), n), None)
 
 
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_EQ = b"1" + b"0" * 255  # byte 0 to digit "1", every other byte to "0"
 
 
-def _agreement(a, b):
-    """The pair mask of the pairs where two sequences in gather order agree."""
-    return int(bytearray(map(eq, a, b)).translate(_DIGITS), 2)
+def _agreement(got, gathered):
+    """The pair mask of the pairs where the int of pushed bytes and the
+    gathered bytes, both in gather order, agree."""
+    diff = got ^ int.from_bytes(gathered, "big")
+    return int(diff.to_bytes(len(gathered), "big").translate(_EQ), 2)
 
 
 @memoized
 def _columns(L):
     """The transposed rows: entry [y-1][x-1] is x*y."""
     return tuple(zip(*L.rows))
+
+
+@memoized
+def _column_bytes(L):
+    return byte_table(_columns(L))
 
 
 def mask_pairs(mask, n):
@@ -87,10 +99,11 @@ def mask_pairs(mask, n):
         mask ^= low
 
 
-def pull_mask(digits, images):
-    """The pair mask whose bit (x, y) is digits[t(x)-1][t(y)-1], for rows
-    of "0"/"1" digits and the images of a bijection t."""
-    return int("".join(gather(digits, images)), 2)
+def pull_mask(rows, images):
+    """The pair mask whose bit (x, y) is digits[t(x)-1][t(y)-1], for the
+    translate_rows of rows of b"0"/b"1" digits and the images of a
+    bijection t."""
+    return int(gather(rows, zero_based(images)), 2)
 
 
 def make_half_map(domain, codomain, images) -> HalfMap:
@@ -369,20 +382,19 @@ def is_semi_isomorphism(m: HalfMap) -> bool:
     On a non-flexible domain the two bracketings of u*v*u differ, so the
     mirrored bracketing t(u*(v*u)) = t(u)*(t(v)*t(u)) is required too.
     """
-    images = m.images
-    pushers = _sandwiches(m.domain)[1][:1 if m.domain.is_flexible() else 2]
-    return all(push(images) == tuple(gather(table, images))
-               for push, table in zip(pushers, _sandwiches(m.codomain)[0]))
+    t = zero_based(m.images)
+    domain = _sandwiches(m.domain)[:1 if m.domain.is_flexible() else 2]
+    return all(push(d.flat, t) == gather(c.rows, t)
+               for d, c in zip(domain, _sandwiches(m.codomain)))
 
 
 @memoized
 def _sandwiches(L):
-    """The tables of (u*v)*u and of u*(v*u), entry [u-1][v-1], and their
-    pushers.  Each reads row u, then column u, of the rows or the columns."""
+    """The byte tables of (u*v)*u and of u*(v*u), entry [u-1][v-1].  Each
+    reads row u, then column u, of the rows or the columns."""
     rng = range(L.order)
-    tables = tuple(tuple(tuple(a[a[u][v] - 1][u] for v in rng) for u in rng)
-                   for a in (L.rows, _columns(L)))
-    return tables, tuple(map(pusher, tables))
+    return tuple(byte_table([[a[a[u][v] - 1][u] for v in rng] for u in rng])
+                 for a in (L.rows, _columns(L)))
 
 
 class GGTriple(NamedTuple):
@@ -399,23 +411,29 @@ def find_gg_triples(m: HalfMap, limit: int | None = None) -> list:
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
     n = m.domain.order
-    comm = m.domain.commutators()
-    hom_only = m.hom & ~m.anti
-    anti_only = m.anti & ~m.hom
+    row = (1 << n) - 1
+    noncommuting = _noncommuting(m.domain)
+    hom_only = m.hom & ~m.anti & noncommuting
+    anti_only = m.anti & ~m.hom & noncommuting
     out = []
     for x in range(1, n + 1):
-        base = (x - 1) * n - 1  # bit of pair (x, y) is base + y
-        cx = comm[x - 1]
-        ys = [y for y in range(1, n + 1) if hom_only >> (base + y) & 1 and cx[y - 1] != 1]
-        if not ys:
+        ys = hom_only >> (x - 1) * n & row
+        zs = anti_only >> (x - 1) * n & row
+        if not (ys and zs):
             continue
-        zs = [z for z in range(1, n + 1) if anti_only >> (base + z) & 1 and cx[z - 1] != 1]
-        for y in ys:
-            for z in zs:
+        for _, y in mask_pairs(ys, n):
+            for _, z in mask_pairs(zs, n):
                 out.append(GGTriple(x, y, z))
                 if limit is not None and len(out) >= limit:
                     return out
     return out
+
+
+@memoized
+def _noncommuting(L):
+    """The pair mask of the pairs whose commutator is not 1."""
+    digits = (b"".join(b"0" if c == 1 else b"1" for c in row) for row in L.commutators())
+    return pull_mask(translate_rows(digits), L.elements)
 
 
 def d_set(m: HalfMap) -> frozenset:

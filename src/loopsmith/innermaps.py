@@ -1,13 +1,14 @@
 """Permutations and inner mappings.
 
 Permutations are tuples of length n with images[i-1] the image of
-element i.
+element i.  Per-map comparisons of table-shaped arrays run on byte
+strings (ByteTable, gather, push), which is why table.validate refuses
+orders above 256.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import itemgetter
+from typing import NamedTuple
 
 from .table import memoized
 
@@ -56,27 +57,49 @@ def check_bijection(images, n):
         raise ValueError("images are not a bijection on 1..%d" % n)
 
 
-def _getter(indices):
-    """itemgetter(*indices), returning a tuple even for one index."""
-    return itemgetter(*indices) if len(indices) > 1 else lambda seq: (seq[indices[0]],)
+def zero_based(images) -> bytes:
+    """The images of a bijection as the bytes t(x)-1, the form that
+    gather and push take."""
+    return bytes(i - 1 for i in images)
 
 
-def gather(array, images):
-    """Iterate array[t(x)-1][t(y)-1] for the map t of these images over
-    every pair (x, y): pair (n, n) first, pair (1, 1) last."""
-    pick = _getter([t - 1 for t in reversed(images)])
-    return chain.from_iterable(map(pick, pick(array)))
+class ByteTable(NamedTuple):
+    """A table-shaped array over 1..n, at most 256 wide, as bytes of its
+    0-based entries."""
+
+    rows: tuple   # row x-1 as a 256-byte translate table
+    flat: bytes   # every entry in gather order
 
 
-def pusher(array):
-    """The getter from the images of t to t(array[x-1][y-1]), in gather's order."""
-    return _getter([c - 1 for row in reversed(array) for c in reversed(row)])
+def translate_rows(rows) -> tuple:
+    """Rows of bytes, at most 256 long, as the translate tables gather reads."""
+    return tuple(row.ljust(256, b"\0") for row in rows)
+
+
+def byte_table(array) -> ByteTable:
+    return ByteTable(translate_rows(bytes(c - 1 for c in row) for row in array),
+                     bytes(c - 1 for row in reversed(array) for c in reversed(row)))
+
+
+def gather(rows, t) -> bytes:
+    """The bytes array[t(x)-1][t(y)-1] - 1 over every pair (x, y), pair
+    (n, n) first and pair (1, 1) last, for the rows of a ByteTable and
+    0-based images t.  Reading a row at the columns t(y) applies that row
+    to t, so each row of the result is one translate."""
+    rev = t[::-1]
+    return b"".join(map(rev.translate, map(rows.__getitem__, rev)))
+
+
+def push(flat, t) -> bytes:
+    """The bytes t(array[x-1][y-1]) - 1, in gather's order, for the flat
+    entries of a ByteTable and 0-based images t."""
+    return flat.translate(t.ljust(256, b"\0"))
 
 
 @memoized
-def push_products(L):
-    """pusher(L.rows), built once per table: images of t to t(x*y)."""
-    return pusher(L.rows)
+def product_bytes(L) -> ByteTable:
+    """byte_table(L.rows), built once per table."""
+    return byte_table(L.rows)
 
 
 # -- inner mappings ----------------------------------
@@ -110,7 +133,9 @@ def is_automorphism(L, p) -> bool:
     if len(p) != L.order:
         raise ValueError("permutation degree %d does not match order %d" % (len(p), L.order))
     check_bijection(p, L.order)
-    return push_products(L)(p) == tuple(gather(L.rows, p))
+    t = zero_based(p)
+    products = product_bytes(L)
+    return push(products.flat, t) == gather(products.rows, t)
 
 
 @memoized

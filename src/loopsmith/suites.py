@@ -27,7 +27,7 @@ from .halfmorph import (
     pull_mask,
     verify_main_theorem,
 )
-from .innermaps import is_automorphic, is_left_automorphic
+from .innermaps import is_automorphic, is_left_automorphic, translate_rows
 
 
 @dataclass
@@ -414,7 +414,8 @@ def suite_commutator_d_set(inputs, max_order=None) -> SuiteResult:
             central = set(sl.center(sub).elements)
             n = sub.order
             digits = ["".join("1" if c in central else "0" for c in row) for row in sub.commutators()]
-            central_pairs = pull_mask(digits, range(1, n + 1))
+            central_rows = translate_rows(d.encode() for d in digits)
+            central_pairs = pull_mask(central_rows, range(1, n + 1))
             # elements with a non-central commutator against the derived subloop
             offenders = {g for g in sub.elements if any(digits[d - 1][g - 1] == "0" for d in derived)}
             kinds = {}
@@ -439,7 +440,7 @@ def suite_commutator_d_set(inputs, max_order=None) -> SuiteResult:
                                 res.violations.append(
                                     "%s sub %r: [%d,%d] not central" % (name, elements, d, g)
                                 )
-                failing = m.anti & ~(central_pairs & pull_mask(digits, m.images))
+                failing = m.anti & ~(central_pairs & pull_mask(central_rows, m.images))
                 for u, v in mask_pairs(failing, n):
                     res.violations.append(
                         "%s sub %r: reversed pair (%d,%d) has a non-central commutator"

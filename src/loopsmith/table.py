@@ -14,6 +14,9 @@ from typing import NamedTuple
 
 from .errors import TableValidationError
 
+# per-map comparisons hold elements as bytes (see innermaps.ByteTable)
+MAX_ORDER = 256
+
 
 class ElementOrder(NamedTuple):
     order: int
@@ -49,14 +52,17 @@ class ValidationReport:
 def validate(raw) -> ValidationReport:
     """Check a raw square of ints for the quasigroup and identity laws.
 
-    Violations are (kind, witness) pairs.  Kinds: "empty", "not-square",
-    "bad-entry" with (row, column, value), "row-not-latin" with
-    (row, col1, col2) naming two equal cells, "column-not-latin" with
-    (column, row1, row2), and "no-identity".
+    Violations are (kind, witness) pairs.  Kinds: "empty", "too-large"
+    with (order, MAX_ORDER), "not-square", "bad-entry" with (row, column,
+    value), "row-not-latin" with (row, col1, col2) naming two equal
+    cells, "column-not-latin" with (column, row1, row2), and
+    "no-identity".
     """
     n = len(raw)
     if n == 0:
         return ValidationReport(False, False, None, [("empty", ())])
+    if n > MAX_ORDER:
+        return ValidationReport(False, False, None, [("too-large", (n, MAX_ORDER))])
     violations = []
     square = True
     for i, row in enumerate(raw, start=1):
@@ -100,6 +106,10 @@ def validate(raw) -> ValidationReport:
     if identity is None:
         violations.append(("no-identity", ()))
     return ValidationReport(is_quasigroup, identity is not None, identity, violations)
+
+
+def too_large_message(n) -> str:
+    return "order %d is above the limit of %d" % (n, MAX_ORDER)
 
 
 def relabel(raw, perm):
@@ -149,6 +159,8 @@ class LoopTable:
 
     def __init__(self, rows, name=None, normalize=False):
         report = validate(rows)
+        if len(rows) > MAX_ORDER:
+            raise TableValidationError(report, too_large_message(len(rows)))
         if not report.is_loop:
             raise TableValidationError(report)
         if report.identity_index != 1:

@@ -66,6 +66,13 @@ def nonflex5():
 
 
 @pytest.fixture(scope="session")
+def z256():
+    """The cyclic group at the order cap, built without make_cyclic's n**3
+    associativity assertion."""
+    return LoopTable([[(i + j) % 256 + 1 for j in range(256)] for i in range(256)], name="Z256")
+
+
+@pytest.fixture(scope="session")
 def q1_enum(q1, get_enum):
     return get_enum("Q1", q1)
 

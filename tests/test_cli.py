@@ -307,6 +307,23 @@ def test_undecodable_file_is_unreadable_input(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 2
 
 
+def _cyclic_file(n):
+    return "%d\n" % n + "".join(" ".join(str((i + j) % n + 1) for j in range(n)) + "\n" for i in range(n))
+
+
+def test_orders_above_256_are_unreadable_input(tmp_path, capsys):
+    at_cap = tmp_path / "z256.loop"
+    at_cap.write_text(_cyclic_file(256), encoding="utf-8")
+    assert main(["validate", str(at_cap)]) == 0
+    assert "valid loop of order 256" in capsys.readouterr().out
+    above = tmp_path / "z257.loop"
+    above.write_text(_cyclic_file(257), encoding="utf-8")
+    for command in ("validate", "analyze", "halfautos", "checktheorem"):
+        assert main([command, str(above)]) == 2
+        captured = capsys.readouterr()
+        assert "order 257 is above the limit of 256 (line 1)" in captured.out + captured.err
+
+
 def test_checked_accessors_stay_out_of_inner_loops(monkeypatch, capsys):
     """Argument checks belong to public entry points: a whole checktheorem
     run on Q1 makes about a thousand, not one per table lookup.  Pair

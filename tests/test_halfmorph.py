@@ -29,7 +29,7 @@ from loopsmith.halfmorph import (
     pull_mask,
     verify_main_theorem,
 )
-from loopsmith.innermaps import is_automorphic, is_left_automorphic, perm_from_cycles
+from loopsmith.innermaps import is_automorphic, is_left_automorphic, perm_from_cycles, translate_rows
 from loopsmith.table import LoopTable, relabel
 
 
@@ -140,7 +140,8 @@ def _relabeled(L, seed):
     return LoopTable(relabel(L.rows, perm)), perm
 
 
-def test_law_masks_match_a_pairwise_recomputation(q2, q2_enum, chein12, get_enum, phi1, nonflex5):
+def test_law_masks_match_a_pairwise_recomputation(q2, q2_enum, chein12, get_enum, phi1, nonflex5,
+                                                  z256):
     half = q2_enum.maps + get_enum("M(S3,2)", chein12).maps + (phi1,)
     maps = list(half)
     # into a relabeled copy of the domain: half-maps moved along the
@@ -153,6 +154,9 @@ def test_law_masks_match_a_pairwise_recomputation(q2, q2_enum, chein12, get_enum
     maps += [HalfMap(nonflex5, nonflex5, (1, *rest)) for rest in permutations(range(2, 6))]
     z1 = catalog.make_cyclic(1)
     maps.append(HalfMap(z1, z1, (1,)))
+    # at the order cap: x -> 3x is an automorphism, a transposition fixing 1 is not
+    maps.append(HalfMap(z256, z256, tuple(3 * x % 256 + 1 for x in range(256))))
+    maps.append(HalfMap(z256, z256, perm_from_cycles(256, [(2, 3)])))
     for m in maps:
         n = m.domain.order
         laws = _pairwise_laws(m)
@@ -557,7 +561,7 @@ def test_pull_mask_reads_digits_at_the_images(q2_enum):
         for t in maps:
             want = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)
                     if digits[t[x - 1] - 1][t[y - 1] - 1] == "1"]
-            assert list(mask_pairs(pull_mask(digits, t), n)) == want
+            assert list(mask_pairs(pull_mask(translate_rows(d.encode() for d in digits), t), n)) == want
 
 
 def test_semi_isomorphism(phi1, phi2, q1):

@@ -79,9 +79,12 @@ def _preserves_products(L, p):
     return all(p[rows[x][y] - 1] == rows[p[x] - 1][p[y] - 1] for x in rng for y in rng)
 
 
-def test_is_automorphism_matches_a_pairwise_check(nonflex5, q1, chein12):
+def test_is_automorphism_matches_a_pairwise_check(nonflex5, q1, chein12, z256):
     z1 = catalog.make_cyclic(1)
     cases = [(z1, (1,))] + [(nonflex5, (1, *rest)) for rest in permutations(range(2, 6))]
+    # at the order cap: x -> 3x is an automorphism, a transposition fixing 1 is not
+    cases += [(z256, tuple(3 * x % 256 + 1 for x in range(256))),
+              (z256, perm_from_cycles(256, [(2, 3)]))]
     rng = random.Random(11)
     for L in (q1, chein12):
         n = L.order
@@ -93,7 +96,8 @@ def test_is_automorphism_matches_a_pairwise_check(nonflex5, q1, chein12):
         expected = _preserves_products(L, p)
         assert is_automorphism(L, p) == expected, (L.order, p)
         outcomes.setdefault(L.order, set()).add(expected)
-    assert outcomes == {1: {True}, 5: {True, False}, 12: {True, False}, 16: {True, False}}
+    assert outcomes == {1: {True}, 5: {True, False}, 12: {True, False}, 16: {True, False},
+                        256: {True, False}}
 
 
 def test_groups_are_automorphic(s3):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from loopsmith import catalog
 from loopsmith.errors import TableValidationError
-from loopsmith.table import ElementOrder, LoopTable, relabel, validate
+from loopsmith.table import MAX_ORDER, ElementOrder, LoopTable, relabel, validate
 
 Z3_ROWS = [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
 
@@ -90,6 +90,15 @@ def test_constructor_rejects_invalid_table():
     with pytest.raises(TableValidationError) as exc:
         LoopTable([(1, 2), (2, 2)])
     assert exc.value.report.violations
+
+
+def test_order_cap_is_256(z256):
+    assert MAX_ORDER == 256
+    assert z256.order == 256 and validate(z256.rows).is_loop
+    rows = [[(i + j) % 257 + 1 for j in range(257)] for i in range(257)]
+    assert validate(rows).violations == [("too-large", (257, 256))]
+    with pytest.raises(TableValidationError, match="order 257 is above the limit of 256"):
+        LoopTable(rows)
 
 
 def test_constructor_rejects_shifted_identity_without_normalize():

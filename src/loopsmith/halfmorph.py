@@ -26,9 +26,9 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import HalfMapError, InternalCheckError, TheoremViolation
-from .innermaps import (byte_table, check_bijection, cycles_str, gather, inner_map_witness,
-                        is_left_automorphic, product_bytes, push, translate_rows,
-                        zero_based)
+from .innermaps import (byte_table, check_bijection, column_bytes, cycles_str, gather,
+                        inner_map_witness, is_left_automorphic, product_bytes, push,
+                        translate_rows, zero_based)
 from .subloops import associator_subloop, quotient
 from .table import LoopTable, memoized
 
@@ -52,7 +52,7 @@ class HalfMap:
         t = zero_based(self.images)
         got = int.from_bytes(push(product_bytes(self.domain).flat, t), "big")
         object.__setattr__(self, "hom", _agreement(got, gather(product_bytes(self.codomain).rows, t)))
-        object.__setattr__(self, "anti", _agreement(got, gather(_column_bytes(self.codomain).rows, t)))
+        object.__setattr__(self, "anti", _agreement(got, gather(column_bytes(self.codomain).rows, t)))
 
     def apply(self, x):
         return self.images[x - 1]
@@ -77,17 +77,6 @@ def _agreement(got, gathered):
     gathered bytes, both in gather order, agree."""
     diff = got ^ int.from_bytes(gathered, "big")
     return int(diff.to_bytes(len(gathered), "big").translate(_EQ), 2)
-
-
-@memoized
-def _columns(L):
-    """The transposed rows: entry [y-1][x-1] is x*y."""
-    return tuple(zip(*L.rows))
-
-
-@memoized
-def _column_bytes(L):
-    return byte_table(_columns(L))
 
 
 def mask_pairs(mask, n):
@@ -274,7 +263,7 @@ def _search(L, limit):
     for r in L.rows:
         mul.append([0] + list(r))
     col = [[0] * (n + 1)]  # col[x][y] = y*x
-    for c in _columns(L):
+    for c in zip(*L.rows):
         col.append([0] + list(c))
     order = _generation_order(L)
     mapped = [c for c, _, _ in order]
@@ -394,7 +383,7 @@ def _sandwiches(L):
     reads row u, then column u, of the rows or the columns."""
     rng = range(L.order)
     return tuple(byte_table([[a[a[u][v] - 1][u] for v in rng] for u in rng])
-                 for a in (L.rows, _columns(L)))
+                 for a in (L.rows, tuple(zip(*L.rows))))
 
 
 class GGTriple(NamedTuple):

@@ -98,8 +98,16 @@ def push(flat, t) -> bytes:
 
 @memoized
 def product_bytes(L) -> ByteTable:
-    """byte_table(L.rows), built once per table."""
+    """byte_table(L.rows), built once per table: row x-1 maps y-1 to
+    x*y - 1."""
     return byte_table(L.rows)
+
+
+@memoized
+def column_bytes(L) -> ByteTable:
+    """byte_table of the columns, built once per table: row y-1 maps
+    x-1 to x*y - 1."""
+    return byte_table(tuple(zip(*L.rows)))
 
 
 # -- inner mappings ----------------------------------
@@ -138,17 +146,29 @@ def is_automorphism(L, p) -> bool:
     return push(products.flat, t) == gather(products.rows, t)
 
 
-@memoized
-def _left_witness(L):
-    """First (x, y, perm) of the left family, in ascending element order,
-    whose map is not an automorphism; None when there is none."""
-    n = L.order
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            p = inner_l(L, x, y)
+def _first_failure(L, generators, passed):
+    """First (x, y, perm) of the generators whose map is not an
+    automorphism, or None.  A permutation in passed is skipped, and each
+    one that passes is added: inner maps repeat a lot (on Z64 all 8256
+    generators are the identity), and skipping only passed ones keeps
+    the first failure in scan order."""
+    for x, y, p in generators:
+        if p not in passed:
             if not is_automorphism(L, p):
                 return x, y, p
+            passed.add(p)
     return None
+
+
+@memoized
+def _left_witness(L):
+    """The first (x, y, perm) of the left family, in ascending element
+    order, whose map is not an automorphism (None when there is none),
+    with the set of permutations that passed."""
+    n = L.order
+    passed = set()
+    left = ((x, y, inner_l(L, x, y)) for x in range(1, n + 1) for y in range(1, n + 1))
+    return _first_failure(L, left, passed), passed
 
 
 @memoized
@@ -160,19 +180,18 @@ def inner_map_witness(L):
     order.  Returns (family, x, y, perm) or None when all generators are
     automorphisms; family is "l", "r" or "t" and y is None for "t".
     """
-    left = _left_witness(L)
+    left, passed = _left_witness(L)
     if left is not None:
         return ("l", *left)
     n = L.order
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            p = inner_r(L, x, y)
-            if not is_automorphism(L, p):
-                return ("r", x, y, p)
-    for x in range(1, n + 1):
-        p = inner_t(L, x)
-        if not is_automorphism(L, p):
-            return ("t", x, None, p)
+    passed = set(passed)
+    right = ((x, y, inner_r(L, x, y)) for x in range(1, n + 1) for y in range(1, n + 1))
+    witness = _first_failure(L, right, passed)
+    if witness is not None:
+        return ("r", *witness)
+    witness = _first_failure(L, ((x, None, inner_t(L, x)) for x in range(1, n + 1)), passed)
+    if witness is not None:
+        return ("t", *witness)
     return None
 
 
@@ -183,7 +202,7 @@ def is_automorphic(L) -> bool:
 
 def is_left_automorphic(L) -> bool:
     """All generators of the two-parameter left family are automorphisms."""
-    return _left_witness(L) is None
+    return _left_witness(L)[0] is None
 
 
 def moufang_l_iff_r_check(L) -> bool:

@@ -10,16 +10,26 @@ independently of that fact.
 This module holds the one lattice of small-generated subloops: the
 subloops generated by at most two and at most three elements
 (two_generated, three_generated), grown once per table one generator
-at a time from the cyclic subloops.
+at a time from the cyclic subloops.  Each step closes a subloop H with
+one element g outside it, starting from H as a closed base, so no
+product inside H is formed again.  It then skips g's whole two-sided
+orbit under H, the closure of g under x -> x*h and x -> h*x for h in H:
+every element of the orbit generates the same subloop with H.  That is
+exact because a product-closed set that contains 1 is a subloop, so
+it is closed under division too: x = g*h gives g = x/h, and x = h*g
+gives g = h\\x, so each of g and x lies in the subloop that the other
+generates with H.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InternalCheckError, QuotientError
+from .innermaps import column_bytes, product_bytes
 from .table import LoopTable, memoized
 
 
@@ -60,29 +70,41 @@ def is_closed(L, elements) -> bool:
     return True
 
 
-def _close(L, seed):
-    rows = L.rows
-    elems = {1}
-    queue = [1]
-    for g in seed:
-        if g not in elems:
-            elems.add(g)
-            queue.append(g)
-    members = list(elems)
+def _close(L, seed, closed=(1,)):
+    """The least product-closed set that holds the seed and the closed
+    base, a set that already contains 1 and is closed under the product.
+
+    Members of the base are never queued, so no product inside the base
+    is formed; every other pair has a queued member, which forms both of
+    its products against all members when it leaves the queue.  Works on
+    0-based bytes: one translate forms the products of a queued member
+    with every member, on each side.
+    """
+    rows, cols = product_bytes(L).rows, column_bytes(L).rows
+    members = bytearray(c - 1 for c in closed)
+    elems = set(members)
+    queue = list({g - 1 for g in seed} - elems)
+    elems.update(queue)
+    members.extend(queue)
     while queue:
         a = queue.pop()
-        for b in list(members):
-            for c in (rows[a - 1][b - 1], rows[b - 1][a - 1]):
-                if c not in elems:
-                    elems.add(c)
-                    queue.append(c)
-                    members.append(c)
-    return elems
+        new = set(members.translate(rows[a]))
+        new.update(members.translate(cols[a]))
+        new -= elems
+        elems |= new
+        members.extend(new)
+        queue.extend(new)
+    return {c + 1 for c in elems}
 
 
 def _associative_on(L, elems):
+    """Every triple of elems associates: one gather of the associator
+    row (a, b, .) at elems per pair a, b."""
     assoc = L.associators()
-    return all(assoc[a - 1][b - 1][c - 1] == 1 for a in elems for b in elems for c in elems)
+    idx = [c - 1 for c in elems]
+    at = itemgetter(*idx)
+    ones = at((1,) * L.order)  # gathered alike: a bare 1 when elems is (1,)
+    return all(at(assoc[a][b]) == ones for a in idx for b in idx)
 
 
 def _make_subloop(L, elems):
@@ -103,16 +125,30 @@ def _grow(L, family):
     """The family together with every subloop generated by one of its
     sets and one element outside it, as a set of element tuples.
 
-    Each set new to the family is re-checked once by is_closed.
+    Closes once per two-sided orbit under each set (see the module
+    docstring).  Each set new to the family is re-checked once by
+    is_closed.
     """
+    rows, cols = product_bytes(L).rows, column_bytes(L).rows
     out = set(family)
     for H in family:
-        inside = set(H)
-        for g in L.elements:
-            if g not in inside:
-                K = tuple(sorted(_close(L, (*H, g))))
-                if K not in out:
-                    out.add(_make_subloop(L, K).elements)
+        base = bytes(h - 1 for h in H)
+        done = set(base)
+        for g in range(L.order):
+            if g in done:
+                continue
+            K = tuple(sorted(_close(L, (g + 1,), H)))
+            if K not in out:
+                out.add(_make_subloop(L, K).elements)
+            done.add(g)
+            orbit = [g]
+            while orbit:
+                x = orbit.pop()
+                new = set(base.translate(rows[x]))
+                new.update(base.translate(cols[x]))
+                new -= done
+                done |= new
+                orbit.extend(new)
     return out
 
 

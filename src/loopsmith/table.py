@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple
 
 from .errors import TableValidationError
@@ -340,45 +341,31 @@ class LoopTable:
 
     @memoized
     def moufang_report(self) -> MoufangFlags:
-        """Evaluate the three Moufang identities separately."""
-        rows = self.rows
+        """Evaluate the three Moufang identities separately.
+
+        Each identity is read, for every pair (x, y), as an equation
+        between two maps of the free variable, each a composition of
+        translations held as innermaps' 256-byte translate tables, and
+        compared on their first n bytes:
+
+        - left: the row of (x*y)*x against row_x, then row_y, then row_x;
+        - right, in the renamed form z*(x*(y*x)) == ((z*x)*y)*x: the
+          column of x*(y*x) against col_x, then col_y, then col_x;
+        - middle: col_x then the row of x*y, against row_y, then row_x,
+          then col_x.
+        """
+        from .innermaps import column_bytes, product_bytes
+
+        R, C = product_bytes(self).rows, column_bytes(self).rows
         n = self.order
-        rng = range(n)
-
-        def left_ok():
-            for x in rng:
-                rx = rows[x]
-                for y in rng:
-                    a = rows[rx[y] - 1][x] - 1   # (x*y)*x
-                    ry = rows[y]
-                    for z in rng:
-                        if rows[a][z] != rx[ry[rx[z] - 1] - 1]:
-                            return False
-            return True
-
-        def right_ok():
-            for x in rng:
-                rx = rows[x]
-                for y in rng:
-                    xy = rx[y] - 1
-                    ry = rows[y]
-                    for z in rng:
-                        if rows[rows[xy][z] - 1][y] != rx[ry[rows[z][y] - 1] - 1]:
-                            return False
-            return True
-
-        def middle_ok():
-            for x in rng:
-                rx = rows[x]
-                for y in rng:
-                    xy = rx[y] - 1
-                    ry = rows[y]
-                    for z in rng:
-                        if rows[xy][rows[z][x] - 1] != rows[rx[ry[z] - 1] - 1][x]:
-                            return False
-            return True
-
-        return MoufangFlags(left_ok(), right_ok(), middle_ok())
+        row, col = [r[:n] for r in R], [c[:n] for c in C]
+        left = all(row[R[R[x][y]][x]] == row[x].translate(R[y]).translate(R[x])
+                   for x, y in product(range(n), repeat=2))
+        right = all(col[R[x][C[x][y]]] == col[x].translate(C[y]).translate(C[x])
+                    for x, y in product(range(n), repeat=2))
+        middle = all(col[x].translate(R[R[x][y]]) == row[y].translate(R[x]).translate(C[x])
+                     for x, y in product(range(n), repeat=2))
+        return MoufangFlags(left, right, middle)
 
     def is_moufang(self) -> bool:
         return self.moufang_report().holds

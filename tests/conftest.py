@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from loopsmith import catalog
 from loopsmith.halfmorph import enumerate_half_automorphisms, make_half_map
 from loopsmith.innermaps import perm_from_cycles
-from loopsmith.table import LoopTable
+from loopsmith.table import LoopTable, relabel
 
 _ENUM_CACHE = {}
 
@@ -49,6 +51,22 @@ def chein():
         if group not in built:
             G = catalog.make_quaternion8() if group == "Q8" else catalog.make_dihedral(int(group[1:]))
             built[group] = catalog.make_chein(G)
+        return built[group]
+
+    return _get
+
+
+@pytest.fixture(scope="session")
+def relabeled_chein(chein):
+    """A seeded relabeling of M(G,2) that fixes 1, built once per session."""
+    built = {}
+
+    def _get(group):
+        if group not in built:
+            t = chein(group)
+            rest = list(range(2, t.order + 1))
+            random.Random("relabel-M(%s,2)" % group).shuffle(rest)
+            built[group] = LoopTable(relabel(t.rows, [1] + rest))
         return built[group]
 
     return _get

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopsmith import catalog
+from loopsmith import innermaps as im
 from loopsmith import subloops as sl
 from loopsmith.innermaps import (
     cycles_str,
@@ -157,3 +158,36 @@ def test_left_automorphic_matches_a_left_family_scan(key):
     for elements in sl.three_generated(t):
         sub, _ = sl.restriction(t, elements)
         assert is_left_automorphic(sub) == _left_family_is_automorphic(sub)
+
+
+def _witness_by_plain_scan(t):
+    """Reference for inner_map_witness: every generator in scan order,
+    each checked, repeats included."""
+    n = t.order
+    for family, inner in (("l", inner_l), ("r", inner_r)):
+        for x in range(1, n + 1):
+            for y in range(1, n + 1):
+                p = inner(t, x, y)
+                if not is_automorphism(t, p):
+                    return family, x, y, p
+    for x in range(1, n + 1):
+        p = inner_t(t, x)
+        if not is_automorphism(t, p):
+            return "t", x, None, p
+    return None
+
+
+def test_witness_scan_skips_maps_that_passed(relabeled_chein, monkeypatch):
+    tables = [catalog.builtin(key).table for key in catalog.catalog_keys()]
+    for t in tables + [relabeled_chein("D24")]:
+        assert inner_map_witness(t) == _witness_by_plain_scan(t), t.name
+    calls = []
+
+    def counting(L, p):
+        calls.append(p)
+        return is_automorphism(L, p)
+
+    monkeypatch.setattr(im, "is_automorphism", counting)
+    z64 = catalog.make_cyclic(64)
+    assert inner_map_witness(z64) is None
+    assert calls == [tuple(range(1, 65))]

@@ -12,6 +12,7 @@ from loopsmith import subloops as sl
 from loopsmith.cli import analyze_table
 from loopsmith.errors import InternalCheckError, QuotientError
 from loopsmith.subloops import (
+    Subloop,
     _close,
     associator_subloop,
     center,
@@ -246,8 +247,8 @@ def test_three_generated_matches_closing_every_combination(key):
     assert three_generated(t) == _closures_of_combinations(t, (1, 2, 3))
 
 
-def test_two_generated_matches_closing_every_pair(q1, q2, chein12, chein32):
-    for t in (q1, q2, chein12, chein32):
+def test_two_generated_matches_closing_every_pair(q1, q2, chein12, chein32, relabeled_chein):
+    for t in (q1, q2, chein12, chein32, relabeled_chein("D24")):
         assert two_generated(t) == _closures_of_combinations(t, (1, 2)), t
 
 
@@ -278,6 +279,59 @@ def test_lattice_raises_when_a_closure_fails_its_recheck(monkeypatch):
         two_generated(catalog.make_cyclic(4))
 
 
+def _plain_closure(t, seed):
+    """Reference closure: add every product of members until none is new."""
+    rows = t.rows
+    members = {1, *seed}
+    while True:
+        new = {rows[a - 1][b - 1] for a in members for b in members} - members
+        if not new:
+            return members
+        members |= new
+
+
+def test_closing_from_a_closed_base_matches_closing_from_scratch(q1, chein):
+    for t in (q1, chein("D16")):
+        for H in three_generated(t):
+            for g in t.elements:
+                assert _close(t, (g,), H) == _plain_closure(t, (*H, g)), (H, g)
+
+
+def test_lattice_closes_once_per_orbit(monkeypatch):
+    t = catalog.make_chein(catalog.make_dihedral(24))
+    calls = []
+
+    def counting(L, seed, closed=(1,)):
+        calls.append(seed)
+        return _close(L, seed, closed)
+
+    monkeypatch.setattr(sl, "_close", counting)
+    two_generated(t)
+    two = len(calls)
+    three_generated(t)
+    three = len(calls) - two
+    # closing every element outside each set took 1963 and 10149 closures;
+    # one closure per orbit takes 801 and 1862
+    assert two < 1963 / 2 and three < 10149 / 2, (two, three)
+
+
+def test_is_group_matches_an_all_triples_check(q1, q2, relabeled_chein):
+    def associates(t, H):
+        rows = t.rows
+        return all(rows[rows[a - 1][b - 1] - 1][c - 1] == rows[a - 1][rows[b - 1][c - 1] - 1]
+                   for a in H for b in H for c in H)
+
+    m16 = relabeled_chein("D16")
+    cases = [(q2, H) for H in two_generated(q2)] + [(m16, H) for H in two_generated(m16)]
+    cases += [(t, tuple(t.elements)) for t in (q1, q2)] + [(q1, H) for H in three_generated(q1)]
+    outcomes = set()
+    for t, H in cases:
+        expected = associates(t, H)
+        assert Subloop(t, H).is_group == expected, H
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
 def test_is_group_is_computed_on_first_read(q1):
     h = generate_subloop(q1, (2, 3, 9))
     assert "is_group" not in vars(h)
@@ -285,9 +339,9 @@ def test_is_group_is_computed_on_first_read(q1):
     assert vars(h)["is_group"] is False
 
 
-@pytest.mark.parametrize("key", catalog.catalog_keys())
-def test_relabeling_keeps_subloop_structure(key):
-    t = catalog.builtin(key).table
+@pytest.mark.parametrize("key", catalog.catalog_keys() + ("M(D16,2)", "M(D24,2)"))
+def test_relabeling_keeps_subloop_structure(key, chein):
+    t = chein(key[2:-3]) if key in ("M(D16,2)", "M(D24,2)") else catalog.builtin(key).table
     rest = list(range(2, t.order + 1))
     random.Random("relabel-" + key).shuffle(rest)
     copy = LoopTable(relabel(t.rows, [1] + rest))

@@ -268,6 +268,60 @@ def test_moufang_flags():
     assert s3.moufang_report().holds
 
 
+def _moufang_by_triples(t):
+    """Reference for moufang_report: each identity over all n**3 triples,
+    one product at a time."""
+    rows = t.rows
+    rng = range(t.order)
+
+    def mul(x, y):
+        return rows[x][y] - 1
+
+    left = all(mul(mul(mul(x, y), x), z) == mul(x, mul(y, mul(x, z)))
+               for x in rng for y in rng for z in rng)
+    right = all(mul(mul(mul(x, y), z), y) == mul(x, mul(y, mul(z, y)))
+                for x in rng for y in rng for z in rng)
+    middle = all(mul(mul(x, y), mul(z, x)) == mul(mul(x, mul(y, z)), x)
+                 for x in rng for y in rng for z in rng)
+    return left, right, middle
+
+
+def _reduced_latin_squares(n):
+    """Every loop table on 1..n with identity 1: the Latin squares whose
+    first row and column are 1..n."""
+    rows = [list(range(1, n + 1))] + [[x] + [0] * (n - 1) for x in range(2, n + 1)]
+    cells = [(x, y) for x in range(1, n) for y in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield LoopTable([list(r) for r in rows])
+            return
+        x, y = cells[k]
+        used = set(rows[x][:y]) | {rows[i][y] for i in range(x)}
+        for v in range(1, n + 1):
+            if v not in used:
+                rows[x][y] = v
+                yield from fill(k + 1)
+        rows[x][y] = 0
+
+    return list(fill(0))
+
+
+def test_moufang_flags_match_the_triple_loops(nonflex5, relabeled_chein):
+    squares = _reduced_latin_squares(5)
+    assert len(squares) == 56
+    tables = [catalog.builtin(key).table for key in catalog.catalog_keys()]
+    tables += [nonflex5, relabeled_chein("D24")] + squares
+    failing = set()
+    for t in tables:
+        flags = t.moufang_report()
+        assert (flags.left, flags.right, flags.middle) == _moufang_by_triples(t), t.rows
+        failing.update(i for i, ok in enumerate(flags) if not ok)
+    assert failing == {0, 1, 2}
+    # Z5 is the only Moufang loop of order 5: its 4!/4 labelings with identity 1
+    assert sum(t.is_moufang() for t in squares) == sum(t.is_associative() for t in squares) == 6
+
+
 def test_global_flags():
     q1 = catalog.builtin("Q1").table
     q2 = catalog.builtin("Q2").table

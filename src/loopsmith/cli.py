@@ -294,7 +294,7 @@ def cmd_checktheorem(args) -> int:
                     "moufang": r.moufang if r else t.is_moufang(),
                     "automorphic": r.automorphic if r else is_automorphic(t),
                     "hypotheses_hold": r.hypotheses_hold if r else None,
-                    "proper_half_maps": len(r.proper_cycles) if r else None,
+                    "proper_half_maps": len(r.proper_maps) if r else None,
                     "enumerated": r is not None,
                 }
                 for (name, t), r in zip(named, reports)
@@ -349,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--json", action="store_true")
     p.add_argument("--limit", type=int, default=None, metavar="N",
-                   help="stop after N maps (marks the run incomplete)")
+                   help="stop after the first N maps the search finds (marks the run "
+                        "incomplete); once N exceeds the search's first subtree, which maps "
+                        "come first can change with the search")
     p.set_defaults(func=cmd_halfautos)
 
     p = sub.add_parser("checktheorem", help="run the theorem driver and all identity suites")

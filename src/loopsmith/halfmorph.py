@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 from .errors import HalfMapError, InternalCheckError, TheoremViolation
 from .innermaps import (byte_table, check_bijection, column_bytes, cycles_str, gather,
-                        inner_map_witness, is_left_automorphic, product_bytes, push,
-                        translate_rows, zero_based)
+                        inner_map_witness, is_automorphism, is_left_automorphic, product_bytes,
+                        push, translate_rows, zero_based)
 from .subloops import associator_subloop, quotient
 from .table import LoopTable, memoized
 
@@ -168,14 +168,20 @@ def classify(m: HalfMap) -> HalfClass:
 
 
 class SearchStats(NamedTuple):
-    """Work counters of one search: images tried, images the law check
-    refused, complete assignments reached, and complete assignments that
-    make_half_map refused."""
+    """Work counters of one search.  In the subtrees searched directly:
+    images tried, images the law check refused, complete assignments
+    reached, and complete assignments that make_half_map refused.  Then
+    the images of the first generator searched directly, the maps made
+    by composing with an automorphism, and the images tried while
+    looking for those automorphisms."""
 
     nodes: int
     prunes: int
     leaves: int
     rejected: int
+    representatives: int
+    compositions: int
+    lookup_nodes: int
 
 
 @dataclass
@@ -188,27 +194,72 @@ class HalfEnumeration:
 def enumerate_half_automorphisms(L, limit=None) -> HalfEnumeration:
     """All half-morphisms from a loop to itself, in image-tuple order.
 
-    Depth-first search assigning images in the table's generation order
-    (see _generation_order): 1 first, then generators, each followed by
-    the products it brings in.  A generator may take any free image.  A
-    product c = a*b, with a and b already mapped, may take only t(a)*t(b)
-    or t(b)*t(a), and only while that image is free.  After each
-    assignment one rule prunes: for every mapped y, a pair (x, y) or
-    (y, x) whose product is already mapped must obey the half law.
-    Every complete assignment is then checked on all n*n pairs by
-    make_half_map; a leaf it refuses is dropped and counted.
+    The search assigns images in the table's generation order (see
+    _generation_order): 1 first, then generators, each followed by the
+    products it brings in.  Let g be the first generator.  The images of
+    g are walked in ascending order; for each image w' the maps with
+    t(g) = w' form one subtree, found in one of two ways.
 
-    The search is complete: every element is listed once, the product
-    candidates are the only images the half law allows, and the pruning
-    rule is a necessary condition, so no half-morphism is cut off.  It is
-    sound because each kept map passed make_half_map.
+    Searched directly: depth-first along the generation order with
+    t(g) = w' fixed.  A later generator may take any free image.  A
+    product c = a*b, with a and b already mapped, may take only
+    t(a)*t(b) or t(b)*t(a), and only while that image is free.  After
+    each assignment one rule prunes: for every mapped y, a pair (x, y) or
+    (y, x) whose product is already mapped must obey the half law.  Every
+    complete assignment is checked on all n*n pairs by make_half_map; a
+    leaf it refuses is dropped and counted.  w' becomes a representative.
 
-    With limit set, the search stops after that many maps and the result
-    is flagged incomplete; such results must not feed census claims.  The
-    limited result holds the first maps found in generation order, sorted,
-    which need not be the least maps in image-tuple order.  A complete
-    result is kept in the table's memo and returned to every later call
-    without a limit; a limited result is never stored.
+    Composed: when an automorphism alpha of L sends an earlier
+    representative w to w', the subtree of w' is alpha o s for the maps s
+    of w's subtree.  alpha is found by the same depth-first search in a
+    hom-law-only mode, along a generation order that lists w first with
+    t(w) = w' fixed: a product takes only t(a)*t(b), the pruning rule
+    asks the forward law alone, a complete assignment counts when its hom
+    mask is full, and the search stops at the first one.
+    innermaps.is_automorphism checks alpha again; a refusal raises
+    InternalCheckError.
+
+    Completeness and soundness rest on four facts.
+
+    - Composition.  For an automorphism alpha and a half-map s, alpha o s
+      is a bijection and alpha(s(x*y)) is alpha(s(x)*s(y)) =
+      alpha(s(x))*alpha(s(y)) or alpha(s(y)*s(x)) = alpha(s(y))*alpha(s(x)),
+      so alpha o s is a half-map.  If alpha(w) = w', then s -> alpha o s
+      maps the half-maps with s(g) = w onto those with t(g) = w', with
+      inverse t -> alpha^-1 o t.  So a composed subtree is complete and
+      sound exactly when w's is.
+    - Commuting counts.  Only images w' that commute with as many
+      elements as g does are tried, and no half-map is lost: a half-map
+      t keeps each element's commuting count.  If x*y != y*x, then t(x*y)
+      and t(y*x) are distinct, since t is injective, and both lie in
+      {t(x)*t(y), t(y)*t(x)}, so t(x) and t(y) do not commute.  Thus the
+      bijection (x, y) -> (t(x), t(y)) of L x L sends the finitely many
+      non-commuting pairs into themselves, hence onto themselves, and so
+      the commuting pairs onto the commuting pairs.  For each x it sends
+      the y commuting with x onto the y' commuting with t(x).
+    - Mask transport.  alpha o s gets the hom and anti masks of s without
+      a pair walk.  alpha is an injective homomorphism, so
+      s(x*y) = s(x)*s(y) exactly when alpha(s(x*y)) = alpha(s(x))*alpha(s(y)),
+      and likewise for the reversed law.
+    - Disjoint subtrees.  Every half-map t has exactly one image t(g), and
+      each tried image is searched or composed once, so every map is
+      listed once.  A direct search is complete because every element is
+      listed once, the product candidates are the only images the half
+      law allows, and the pruning rule is a necessary condition; it is
+      sound because each kept map passed make_half_map.  Whether an
+      automorphism is found changes only the work: an image with none is
+      searched directly.
+
+    With limit set, the same procedure stops after that many maps and the
+    result is flagged incomplete; such results must not feed census
+    claims.  The limited result holds the first maps found, sorted: those
+    of the first subtree in generation order, then the later subtrees in
+    ascending t(g), each composed one in the order of its
+    representative's maps.  They need not be the least maps in
+    image-tuple order, and beyond the first subtree they need not be the
+    maps a plain depth-first search finds first.  A complete result is kept in the table's memo and returned
+    to every later call without a limit; a limited result is never
+    stored.
     """
     if limit is None:
         return _complete_enumeration(L)
@@ -222,7 +273,13 @@ def _complete_enumeration(L):
     return _search(L, None)
 
 
-def _generation_order(L):
+def _commuting(L):
+    """For each element, the number of elements it commutes with."""
+    rows = L.rows
+    return [sum(r[y] == rows[y][x] for y in range(L.order)) for x, r in enumerate(rows)]
+
+
+def _generation_order(L, first=None):
     """Every element once, as (c, a, b) with c = a*b for a and b listed
     before c, or (c, 0, 0) when c is a generator; (1, 0, 0) comes first.
 
@@ -230,12 +287,13 @@ def _generation_order(L):
     breadth first, until nothing new appears.  Generators are chosen by
     the number of elements they commute with, fewest first, then by
     label.  Half-morphisms keep that number, so the choice depends on the
-    labels only to break ties.
+    labels only to break ties.  With first given, that element is the
+    first generator.
     """
     n = L.order
     rows = L.rows
-    commuting = [sum(r[y] == rows[y][x] for y in range(n)) for x, r in enumerate(rows)]
-    by_invariant = sorted(range(1, n + 1), key=lambda x: (commuting[x - 1], x))
+    commuting = _commuting(L)
+    by_invariant = sorted(range(1, n + 1), key=lambda x: (x != first, commuting[x - 1], x))
     order = [(1, 0, 0)]
     listed = {1}
     for g in by_invariant:
@@ -259,20 +317,87 @@ def _generation_order(L):
 
 def _search(L, limit):
     n = L.order
+    if n == 1:
+        return HalfEnumeration((make_half_map(L, L, (1,)),), True, SearchStats(0, 0, 1, 0, 0, 0, 0))
     mul = [[0] * (n + 1)]
     for r in L.rows:
         mul.append([0] + list(r))
     col = [[0] * (n + 1)]  # col[x][y] = y*x
     for c in zip(*L.rows):
         col.append([0] + list(c))
+    full = (1 << n * n) - 1
     order = _generation_order(L)
+    g = order[1][0]
+    commuting = _commuting(L)
+    found = []
+    representatives = []  # per representative w: (generation order led by w, the maps with t(g) = w)
+    nodes = prunes = leaves = rejected = compositions = lookup_nodes = 0
+
+    def keep(images):
+        nonlocal leaves, rejected
+        leaves += 1
+        try:
+            found.append(make_half_map(L, L, images))
+        except HalfMapError:
+            rejected += 1
+            return False
+        return limit is not None and len(found) >= limit
+
+    hits = []
+
+    def first_automorphism(images):
+        if HalfMap(L, L, images).hom != full:
+            return False
+        hits.append(images)
+        return True
+
+    for image in range(2, n + 1):
+        if commuting[image - 1] != commuting[g - 1]:
+            continue
+        hits.clear()
+        for w_order, maps in representatives:
+            tried, _ = _dfs(mul, col, w_order, image, True, first_automorphism)
+            lookup_nodes += tried
+            if hits:
+                break
+        if hits:
+            alpha = hits[0]
+            if not is_automorphism(L, alpha):
+                raise InternalCheckError("the automorphism lookup returned %s, which is not an automorphism"
+                                         % cycles_str(alpha))
+            take = maps if limit is None else maps[:limit - len(found)]
+            found.extend(_compose(alpha, s) for s in take)
+            compositions += len(take)
+        else:
+            start = len(found)
+            tried, refused = _dfs(mul, col, order, image, False, keep)
+            nodes += tried
+            prunes += refused
+            representatives.append((_generation_order(L, image), found[start:]))
+        if limit is not None and len(found) >= limit:
+            break
+    found.sort(key=lambda m: m.images)
+    stats = SearchStats(nodes, prunes, leaves, rejected, len(representatives), compositions, lookup_nodes)
+    return HalfEnumeration(tuple(found), limit is None or len(found) < limit, stats)
+
+
+def _dfs(mul, col, order, image, hom, leaf):
+    """Depth-first search along a generation order with order[1] mapped
+    to image, calling leaf(images) at every complete assignment until it
+    returns True.  With hom set, a product takes only t(a)*t(b) and the
+    pruning rule asks the forward law alone.  Returns the images tried
+    and the images the pruning rule refused.
+
+    mul and col are the table and its transpose, padded so that
+    mul[x][y] = x*y = col[y][x] with 1-based labels.
+    """
+    n = len(order)
     mapped = [c for c, _, _ in order]
     img = [0] * (n + 1)
     free = [True] * (n + 1)
     img[1] = 1
     free[1] = False
-    found = []
-    nodes = prunes = leaves = rejected = 0
+    nodes = prunes = 0
     stopped = False
 
     def consistent(k, x):
@@ -283,30 +408,25 @@ def _search(L, limit):
             u = mw[iy]
             v = cw[iy]
             ic = img[mx[y]]
-            if ic and ic != u and ic != v:
+            if ic and ic != u and (hom or ic != v):
                 return False
             ic = img[cx[y]]
-            if ic and ic != u and ic != v:
+            if ic and ic != v and (hom or ic != u):
                 return False
         return True
 
     def dfs(k):
-        nonlocal nodes, prunes, leaves, rejected, stopped
+        nonlocal nodes, prunes, stopped
         if k == n:
-            leaves += 1
-            try:
-                found.append(make_half_map(L, L, tuple(img[1:])))
-            except HalfMapError:
-                rejected += 1
-                return
-            if limit is not None and len(found) >= limit:
-                stopped = True
+            stopped = leaf(tuple(img[1:]))
             return
         x, a, b = order[k]
         if a:
             u = mul[img[a]][img[b]]
             v = mul[img[b]][img[a]]
-            candidates = (u,) if u == v else (u, v)
+            candidates = (u,) if hom or u == v else (u, v)
+        elif k == 1:
+            candidates = (image,)
         else:
             candidates = range(2, n + 1)
         for w in candidates:
@@ -325,8 +445,18 @@ def _search(L, limit):
         img[x] = 0
 
     dfs(1)
-    found.sort(key=lambda m: m.images)
-    return HalfEnumeration(tuple(found), not stopped, SearchStats(nodes, prunes, leaves, rejected))
+    return nodes, prunes
+
+
+def _compose(alpha, s):
+    """alpha o s for an automorphism alpha, given as images, and a
+    half-map s, carrying the masks of s (see the mask transport in
+    enumerate_half_automorphisms)."""
+    at = (0, *alpha)
+    m = object.__new__(HalfMap)
+    m.__dict__.update(domain=s.domain, codomain=s.codomain, images=tuple(map(at.__getitem__, s.images)),
+                      hom=s.hom, anti=s.anti)
+    return m
 
 
 def half_maps_form_group_check(L, enumeration=None) -> bool:
@@ -491,7 +621,7 @@ class TheoremReport:
     complete: bool
     total: int
     census: dict
-    proper_cycles: list = field(default_factory=list)
+    proper_maps: list = field(default_factory=list)
 
     def summary(self) -> str:
         parts = [
@@ -512,7 +642,6 @@ class TheoremReport:
 class HalfCensus(NamedTuple):
     counts: tuple          # (HalfKind, count) pairs in HalfKind order
     proper_maps: tuple     # the proper maps, in map order
-    proper_cycles: tuple   # their cycle strings
 
 
 @memoized
@@ -526,7 +655,7 @@ def half_census(L) -> HalfCensus:
         counts[kind] += 1
         if kind is HalfKind.PROPER_HALF:
             proper.append(m)
-    return HalfCensus(tuple(counts.items()), tuple(proper), tuple(m.cycles() for m in proper))
+    return HalfCensus(tuple(counts.items()), tuple(proper))
 
 
 def verify_main_theorem(L, name=None) -> TheoremReport:
@@ -547,7 +676,7 @@ def verify_main_theorem(L, name=None) -> TheoremReport:
         label = "%s[%d]" % (family, x) if y is None else "%s[%d,%d]" % (family, x, y)
         witness_text = "%s = %s is not an automorphism" % (label, cycles_str(perm))
     enumeration = enumerate_half_automorphisms(L)
-    counts, _, proper_cycles = half_census(L)
+    counts, proper = half_census(L)
     hypotheses = moufang and automorphic
     report = TheoremReport(
         name=name,
@@ -560,11 +689,11 @@ def verify_main_theorem(L, name=None) -> TheoremReport:
         complete=enumeration.complete,
         total=len(enumeration.maps),
         census=dict(counts),
-        proper_cycles=list(proper_cycles),
+        proper_maps=list(proper),
     )
-    if hypotheses and proper_cycles:
+    if hypotheses and proper:
         raise TheoremViolation(
             "%s is automorphic Moufang yet carries proper half-morphisms: %s"
-            % (name, ", ".join(proper_cycles[:3]))
+            % (name, ", ".join(m.cycles() for m in proper[:3]))
         )
     return report

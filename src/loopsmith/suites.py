@@ -335,8 +335,8 @@ def suite_odd_order_trivial(inputs, max_order=None) -> SuiteResult:
         census = half_census(t)
         res.hypothesis_count += 1
         res.check_count += sum(count for _, count in census.counts)
-        for cycles in census.proper_cycles:
-            res.violations.append("%s: odd order yet proper map %s" % (name, cycles))
+        for m in census.proper_maps:
+            res.violations.append("%s: odd order yet proper map %s" % (name, m.cycles()))
     return res
 
 

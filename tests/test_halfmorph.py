@@ -320,36 +320,169 @@ def test_search_cost_does_not_depend_on_the_labels(chein):
     assert max(nodes) < 2 * min(nodes)
 
 
-def test_search_counters(q2_enum, q1_enum):
-    """Counters are deterministic, so they pin down the pruning.  On the
-    order-6 loop a consistency check without the reversed pair (y, x)
-    tries more images.  On Q1 the search stays near four images tried per
-    map, far below one per free image at every element."""
-    assert q2_enum.stats == SearchStats(nodes=185, prunes=76, leaves=16, rejected=0)
+def test_search_counters(q2_enum, q1_enum, chein12, get_enum):
+    """Counters are deterministic, so they pin down the pruning and the
+    orbit search.  On the order-6 loop a consistency check without the
+    reversed pair (y, x) tries more images, and so does an automorphism
+    lookup that prunes by the half law instead of the forward law.  On Q1
+    one subtree is searched, at about four images tried per map, and the
+    other thirteen images of the first generator are composed from it."""
+    assert q2_enum.stats == SearchStats(nodes=75, prunes=29, leaves=8, rejected=0,
+                                        representatives=3, compositions=8, lookup_nodes=81)
+    assert get_enum("M(S3,2)", chein12).stats == SearchStats(
+        nodes=1019, prunes=108, leaves=108, rejected=0, representatives=1, compositions=108, lookup_nodes=11)
     L = LoopTable([[1, 2, 3, 4, 5, 6], [2, 1, 4, 3, 6, 5], [3, 5, 6, 1, 2, 4],
-                   [4, 6, 1, 5, 3, 2], [5, 4, 2, 6, 1, 3], [6, 3, 5, 2, 4, 1]])
+                   [4, 6, 2, 5, 1, 3], [5, 4, 1, 6, 3, 2], [6, 3, 5, 2, 4, 1]])
     assert not L.is_associative()
     enum = enumerate_half_automorphisms(L)
     assert {m.images for m in enum.maps} == _brute_force_half_maps(L)
-    assert enum.stats == SearchStats(nodes=33, prunes=18, leaves=2, rejected=0)
+    assert enum.stats == SearchStats(nodes=32, prunes=18, leaves=1, rejected=0,
+                                     representatives=5, compositions=0, lookup_nodes=22)
     stats = q1_enum.stats
-    assert (stats.leaves, stats.rejected) == (21504, 0)
-    assert stats.nodes < 100_000
+    assert (stats.leaves, stats.rejected, stats.representatives, stats.compositions) == (1536, 0, 1, 19968)
+    assert stats.nodes < 10_000
 
 
 def test_search_drops_and_counts_leaves_that_fail_revalidation(monkeypatch, q2, q2_enum):
+    """A representative's leaf that make_half_map refuses is counted, and
+    every map composed from it is missing too: the refused map's whole
+    orbit under the automorphisms that the search composes with."""
     check = halfmorph.make_half_map
+    refused = []
 
-    def refusing_identity(domain, codomain, images):
-        if images == tuple(range(1, len(images) + 1)):
+    def refusing_first_leaf(domain, codomain, images):
+        if not refused:
+            refused.append(images)
             raise HalfMapError(1, 1, 1, 1, 1)
         return check(domain, codomain, images)
 
-    monkeypatch.setattr(halfmorph, "make_half_map", refusing_identity)
+    monkeypatch.setattr(halfmorph, "make_half_map", refusing_first_leaf)
     enum = enumerate_half_automorphisms(LoopTable(q2.rows))
     assert enum.complete
-    assert [m.images for m in enum.maps] == [m.images for m in q2_enum.maps[1:]]
-    assert (enum.stats.leaves, enum.stats.rejected) == (16, 1)
+    assert (enum.stats.leaves, enum.stats.rejected) == (q2_enum.stats.leaves, 1)
+    kept = [m.images for m in enum.maps]
+    assert kept == sorted(kept)
+    dropped = {m.images for m in q2_enum.maps} - set(kept)
+    s0, = refused
+    automorphisms = [m.images for m in q2_enum.maps
+                     if classify(m).kind in (HalfKind.ISOMORPHISM, HalfKind.BOTH)]
+    g = halfmorph._generation_order(q2)[1][0]
+    orbit = {a[s0[g - 1] - 1] for a in automorphisms}
+    assert len(orbit) > 1
+    assert {d[g - 1] for d in dropped} == orbit and len(dropped) == len(orbit)
+    inverse = [0] * q2.order
+    for x, v in enumerate(s0, 1):
+        inverse[v - 1] = x
+    assert all(tuple(d[inverse[v - 1] - 1] for v in q2.elements) in automorphisms for d in dropped)
+
+
+def test_lookup_goes_past_a_leaf_that_is_no_automorphism(monkeypatch, q2, q2_enum):
+    """A complete assignment of the hom-law-only search counts only when
+    its hom mask is full; a proper half-map offered first is passed over."""
+    proper = next(m.images for m in q2_enum.maps if classify(m).kind is HalfKind.PROPER_HALF)
+    dfs = halfmorph._dfs
+    answers = []
+
+    def offering_a_proper_map_first(mul, col, order, image, hom, leaf):
+        if hom:
+            answers.append(leaf(proper))
+        return dfs(mul, col, order, image, hom, leaf)
+
+    monkeypatch.setattr(halfmorph, "_dfs", offering_a_proper_map_first)
+    enum = enumerate_half_automorphisms(LoopTable(q2.rows))
+    assert answers and not any(answers)
+    assert [m.images for m in enum.maps] == [m.images for m in q2_enum.maps]
+
+
+def test_search_raises_when_a_composing_map_is_no_automorphism(monkeypatch, q2):
+    monkeypatch.setattr(halfmorph, "is_automorphism", lambda L, p: False)
+    with pytest.raises(InternalCheckError, match="automorphism"):
+        enumerate_half_automorphisms(LoopTable(q2.rows))
+
+
+def _all_candidates_search(L):
+    """Reference for the orbit search: the sorted images of every
+    half-map, found by one depth-first search along the generation order
+    in which the first generator, like every other, may take any free
+    image, and each leaf is checked by make_half_map."""
+    n = L.order
+    mul = [[0] * (n + 1)]
+    for r in L.rows:
+        mul.append([0] + list(r))
+    col = [[0] * (n + 1)]  # col[x][y] = y*x
+    for c in zip(*L.rows):
+        col.append([0] + list(c))
+    order = halfmorph._generation_order(L)
+    mapped = [c for c, _, _ in order]
+    img = [0] * (n + 1)
+    free = [True] * (n + 1)
+    img[1] = 1
+    free[1] = False
+    found = []
+
+    def consistent(k, x):
+        w = img[x]
+        mx, cx, mw, cw = mul[x], col[x], mul[w], col[w]
+        for y in mapped[:k + 1]:
+            iy = img[y]
+            u = mw[iy]
+            v = cw[iy]
+            ic = img[mx[y]]
+            if ic and ic != u and ic != v:
+                return False
+            ic = img[cx[y]]
+            if ic and ic != u and ic != v:
+                return False
+        return True
+
+    def dfs(k):
+        if k == n:
+            try:
+                found.append(make_half_map(L, L, tuple(img[1:])).images)
+            except HalfMapError:
+                pass
+            return
+        x, a, b = order[k]
+        if a:
+            u = mul[img[a]][img[b]]
+            v = mul[img[b]][img[a]]
+            candidates = (u,) if u == v else (u, v)
+        else:
+            candidates = range(2, n + 1)
+        for w in candidates:
+            if not free[w]:
+                continue
+            img[x] = w
+            free[w] = False
+            if consistent(k, x):
+                dfs(k + 1)
+            free[w] = True
+        img[x] = 0
+
+    dfs(1)
+    return sorted(found)
+
+
+ORBIT_CHECK = [*catalog.catalog_keys(), "M(Q8,2)", "M(D16,2)", "M(D12,2)@0", "M(D12,2)@1", "M(D12,2)@2"]
+
+
+@pytest.mark.parametrize("key", ORBIT_CHECK)
+def test_orbit_search_matches_the_all_candidates_search(key, chein, get_enum):
+    """Same maps as the reference search, and every composed map carries
+    the masks that a fresh pair walk gives."""
+    if key in catalog.catalog_keys():
+        t = catalog.builtin(key).table
+        maps = get_enum(key, t).maps
+    elif "@" in key:
+        t, _ = _relabeled(chein("D12"), int(key[key.index("@") + 1:]))
+        maps = enumerate_half_automorphisms(t).maps
+    else:
+        t = chein(key[2:key.index(",")])
+        maps = get_enum(key, t).maps
+    assert [m.images for m in maps] == _all_candidates_search(t)
+    for m in maps:
+        fresh = HalfMap(t, t, m.images)
+        assert (m.hom, m.anti) == (fresh.hom, fresh.anti), m.images
 
 
 def _generated_automorphisms(L, anti):
@@ -651,7 +784,7 @@ def test_verify_main_theorem_on_group(s3):
     assert report.census[HalfKind.ISOMORPHISM] == 6
     assert report.census[HalfKind.ANTI_ISOMORPHISM] == 6
     assert report.census[HalfKind.PROPER_HALF] == 0
-    assert report.proper_cycles == []
+    assert report.proper_maps == []
     assert "S3 (order 6)" in report.summary()
 
 
@@ -664,17 +797,17 @@ def test_verify_main_theorem_on_q1(q1):
     assert "t[2]" in report.automorphic_witness
     assert report.total == 21504
     assert report.census[HalfKind.PROPER_HALF] == 18816
-    assert len(report.proper_cycles) == 18816
+    assert len(report.proper_maps) == 18816
 
 
 def test_theorem_report_is_a_copy_and_violations_raise_on_every_call(monkeypatch, q2):
     copy = LoopTable(q2.rows, name="Q2-copy")
     first = verify_main_theorem(copy)
     first.census[HalfKind.PROPER_HALF] = 0
-    first.proper_cycles.clear()
+    first.proper_maps.clear()
     again = verify_main_theorem(copy)
     assert again.census[HalfKind.PROPER_HALF] == 8
-    assert len(again.proper_cycles) == 8
+    assert len(again.proper_maps) == 8
 
     # Q2 is automorphic but not Moufang; declaring it Moufang makes its
     # proper maps contradict the theorem, on the first and later calls

@@ -39,16 +39,20 @@ class HalfMap:
 
     hom and anti hold one bit per pair, row x in bits (x-1)*n onwards:
     the forward and the reversed law.  The map is a half-morphism exactly
-    when hom | anti has all n*n bits set.
+    when hom | anti has all n*n bits set.  The masks are computed from
+    the tables unless both are given, as the search does for a map whose
+    masks are known to equal another map's.
     """
 
     domain: LoopTable
     codomain: LoopTable
     images: tuple
-    hom: int = field(init=False, repr=False, compare=False)
-    anti: int = field(init=False, repr=False, compare=False)
+    hom: int | None = field(default=None, repr=False, compare=False)
+    anti: int | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.hom is not None and self.anti is not None:
+            return
         t = zero_based(self.images)
         got = int.from_bytes(push(product_bytes(self.domain).flat, t), "big")
         object.__setattr__(self, "hom", _agreement(got, gather(product_bytes(self.codomain).rows, t)))
@@ -257,9 +261,9 @@ def enumerate_half_automorphisms(L, limit=None) -> HalfEnumeration:
     ascending t(g), each composed one in the order of its
     representative's maps.  They need not be the least maps in
     image-tuple order, and beyond the first subtree they need not be the
-    maps a plain depth-first search finds first.  A complete result is kept in the table's memo and returned
-    to every later call without a limit; a limited result is never
-    stored.
+    maps a plain depth-first search finds first.  A complete result is
+    kept in the table's memo and returned to every later call without a
+    limit; a limited result is never stored.
     """
     if limit is None:
         return _complete_enumeration(L)
@@ -318,7 +322,8 @@ def _generation_order(L, first=None):
 def _search(L, limit):
     n = L.order
     if n == 1:
-        return HalfEnumeration((make_half_map(L, L, (1,)),), True, SearchStats(0, 0, 1, 0, 0, 0, 0))
+        return HalfEnumeration((make_half_map(L, L, (1,)),), limit is None or 1 < limit,
+                               SearchStats(0, 0, 1, 0, 0, 0, 0))
     mul = [[0] * (n + 1)]
     for r in L.rows:
         mul.append([0] + list(r))
@@ -453,10 +458,7 @@ def _compose(alpha, s):
     half-map s, carrying the masks of s (see the mask transport in
     enumerate_half_automorphisms)."""
     at = (0, *alpha)
-    m = object.__new__(HalfMap)
-    m.__dict__.update(domain=s.domain, codomain=s.codomain, images=tuple(map(at.__getitem__, s.images)),
-                      hom=s.hom, anti=s.anti)
-    return m
+    return HalfMap(s.domain, s.codomain, tuple(map(at.__getitem__, s.images)), s.hom, s.anti)
 
 
 def half_maps_form_group_check(L, enumeration=None) -> bool:

@@ -151,10 +151,11 @@ def test_halfautos_listing(capsys):
 
 
 def test_halfautos_limit_withholds_census(capsys):
-    assert main(["halfautos", "--limit", "3", "Q2"]) == 0
-    out = capsys.readouterr().out
-    assert "stopped at limit 3: enumeration incomplete, census withheld" in out
-    assert "total=" not in out
+    for limit, key in (("3", "Q2"), ("1", "Z1")):
+        assert main(["halfautos", "--limit", limit, key]) == 0
+        out = capsys.readouterr().out
+        assert "stopped at limit %s: enumeration incomplete, census withheld" % limit in out
+        assert "total=" not in out
 
 
 def test_halfautos_json(capsys):

@@ -220,8 +220,9 @@ def test_enumeration_on_z4():
 
 def test_enumeration_limit(get_enum):
     # the first maps found in generation order, sorted: not necessarily
-    # the least maps in image-tuple order
-    for key, limit in (("Q2", 5), ("M(S3,2)", 40)):
+    # the least maps in image-tuple order; reaching the limit, even on
+    # the one map of Z1, leaves the result incomplete
+    for key, limit in (("Q2", 5), ("M(S3,2)", 40), ("Z1", 1)):
         t = catalog.builtin(key).table
         enum = enumerate_half_automorphisms(t, limit=limit)
         images = [m.images for m in enum.maps]
@@ -307,7 +308,8 @@ def test_relabeled_chein_loop_keeps_maps_and_census(group, chein):
 
 def test_search_cost_does_not_depend_on_the_labels(chein):
     """The search branches at generators chosen by a label-free invariant,
-    so its node count barely moves under relabeling."""
+    so its node count, with the automorphism lookups, barely moves under
+    relabeling."""
     t = chein("D12")
     want = [m.images for m in enumerate_half_automorphisms(t).maps]
     assert len(want) == 864
@@ -316,28 +318,38 @@ def test_search_cost_does_not_depend_on_the_labels(chein):
         copy, perm = _relabeled(t, seed)
         enum = enumerate_half_automorphisms(copy)
         assert _conjugated_back(enum.maps, perm) == want
-        nodes.append(enum.stats.nodes)
+        nodes.append(enum.stats.nodes + enum.stats.lookup_nodes)
     assert max(nodes) < 2 * min(nodes)
 
 
 def test_search_counters(q2_enum, q1_enum, chein12, get_enum):
     """Counters are deterministic, so they pin down the pruning and the
-    orbit search.  On the order-6 loop a consistency check without the
-    reversed pair (y, x) tries more images, and so does an automorphism
-    lookup that prunes by the half law instead of the forward law.  On Q1
-    one subtree is searched, at about four images tried per map, and the
-    other thirteen images of the first generator are composed from it."""
+    orbit search.  The first order-6 loop has a half-map besides the
+    identity, both with the same image of the first generator.  On the
+    second, a consistency check without the reversed pair (y, x) tries
+    more images, and so does an automorphism lookup that prunes by the
+    half law instead of the forward law.  On Q1 one subtree is searched,
+    at about four images tried per map, and the other thirteen images of
+    the first generator are composed from it."""
     assert q2_enum.stats == SearchStats(nodes=75, prunes=29, leaves=8, rejected=0,
                                         representatives=3, compositions=8, lookup_nodes=81)
     assert get_enum("M(S3,2)", chein12).stats == SearchStats(
         nodes=1019, prunes=108, leaves=108, rejected=0, representatives=1, compositions=108, lookup_nodes=11)
-    L = LoopTable([[1, 2, 3, 4, 5, 6], [2, 1, 4, 3, 6, 5], [3, 5, 6, 1, 2, 4],
-                   [4, 6, 2, 5, 1, 3], [5, 4, 1, 6, 3, 2], [6, 3, 5, 2, 4, 1]])
-    assert not L.is_associative()
-    enum = enumerate_half_automorphisms(L)
-    assert {m.images for m in enum.maps} == _brute_force_half_maps(L)
-    assert enum.stats == SearchStats(nodes=32, prunes=18, leaves=1, rejected=0,
-                                     representatives=5, compositions=0, lookup_nodes=22)
+    for rows, maps, stats in (
+            ([[1, 2, 3, 4, 5, 6], [2, 1, 4, 3, 6, 5], [3, 5, 6, 1, 2, 4],
+              [4, 6, 1, 5, 3, 2], [5, 4, 2, 6, 1, 3], [6, 3, 5, 2, 4, 1]], 2,
+             SearchStats(nodes=13, prunes=4, leaves=2, rejected=0,
+                         representatives=1, compositions=0, lookup_nodes=0)),
+            ([[1, 2, 3, 4, 5, 6], [2, 1, 4, 3, 6, 5], [3, 5, 6, 1, 2, 4],
+              [4, 6, 2, 5, 1, 3], [5, 4, 1, 6, 3, 2], [6, 3, 5, 2, 4, 1]], 1,
+             SearchStats(nodes=32, prunes=18, leaves=1, rejected=0,
+                         representatives=5, compositions=0, lookup_nodes=22))):
+        L = LoopTable(rows)
+        assert not L.is_associative()
+        enum = enumerate_half_automorphisms(L)
+        assert {m.images for m in enum.maps} == _brute_force_half_maps(L)
+        assert len(enum.maps) == maps
+        assert enum.stats == stats
     stats = q1_enum.stats
     assert (stats.leaves, stats.rejected, stats.representatives, stats.compositions) == (1536, 0, 1, 19968)
     assert stats.nodes < 10_000

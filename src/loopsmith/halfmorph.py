@@ -190,9 +190,31 @@ class SearchStats(NamedTuple):
 
 @dataclass
 class HalfEnumeration:
+    """Half-maps in image-tuple order.  sources[i] is the index in maps of
+    the map that the search found directly and composed into maps[i] with
+    an automorphism; a map found directly is its own source.  Given
+    without sources, every map is its own source."""
+
     maps: tuple
     complete: bool
     stats: SearchStats | None = None  # None unless made by the search
+    sources: tuple | None = None
+
+    def __post_init__(self):
+        if self.sources is None:
+            self.sources = tuple(range(len(self.maps)))
+
+
+def per_orbit(enum, fn) -> list:
+    """[fn(m) for m in enum.maps], with fn called once per map found
+    directly and its value copied to the maps composed from it.
+
+    The caller vouches that fn(alpha o s) == fn(s) for every automorphism
+    alpha of the domain and every half-map s.
+    """
+    maps, sources = enum.maps, enum.sources
+    values = [fn(m) if i == s else None for i, (m, s) in enumerate(zip(maps, sources))]
+    return [values[s] for s in sources]
 
 
 def enumerate_half_automorphisms(L, limit=None) -> HalfEnumeration:
@@ -261,7 +283,9 @@ def enumerate_half_automorphisms(L, limit=None) -> HalfEnumeration:
     ascending t(g), each composed one in the order of its
     representative's maps.  They need not be the least maps in
     image-tuple order, and beyond the first subtree they need not be the
-    maps a plain depth-first search finds first.  A complete result is
+    maps a plain depth-first search finds first.  In either case the
+    result's sources name, for each map, the map found directly that it
+    was composed from (see per_orbit).  A complete result is
     kept in the table's memo and returned to every later call without a
     limit; a limited result is never stored.
     """
@@ -335,17 +359,20 @@ def _search(L, limit):
     g = order[1][0]
     commuting = _commuting(L)
     found = []
-    representatives = []  # per representative w: (generation order led by w, the maps with t(g) = w)
+    origin = []  # per map in found, the index in found of the map found directly that it comes from
+    representatives = []  # per representative w: (generation order led by w, indices in found of its subtree)
     nodes = prunes = leaves = rejected = compositions = lookup_nodes = 0
 
     def keep(images):
         nonlocal leaves, rejected
         leaves += 1
         try:
-            found.append(make_half_map(L, L, images))
+            m = make_half_map(L, L, images)
         except HalfMapError:
             rejected += 1
             return False
+        origin.append(len(found))
+        found.append(m)
         return limit is not None and len(found) >= limit
 
     hits = []
@@ -360,7 +387,7 @@ def _search(L, limit):
         if commuting[image - 1] != commuting[g - 1]:
             continue
         hits.clear()
-        for w_order, maps in representatives:
+        for w_order, subtree in representatives:
             tried, _ = _dfs(mul, col, w_order, image, True, first_automorphism)
             lookup_nodes += tried
             if hits:
@@ -370,20 +397,25 @@ def _search(L, limit):
             if not is_automorphism(L, alpha):
                 raise InternalCheckError("the automorphism lookup returned %s, which is not an automorphism"
                                          % cycles_str(alpha))
-            take = maps if limit is None else maps[:limit - len(found)]
-            found.extend(_compose(alpha, s) for s in take)
+            take = subtree if limit is None else subtree[:limit - len(found)]
+            found.extend([_compose(alpha, found[j]) for j in take])
+            origin.extend(take)
             compositions += len(take)
         else:
             start = len(found)
             tried, refused = _dfs(mul, col, order, image, False, keep)
             nodes += tried
             prunes += refused
-            representatives.append((_generation_order(L, image), found[start:]))
+            representatives.append((_generation_order(L, image), range(start, len(found))))
         if limit is not None and len(found) >= limit:
             break
-    found.sort(key=lambda m: m.images)
+    ranked = sorted(range(len(found)), key=lambda j: found[j].images)
+    position = [0] * len(found)
+    for i, j in enumerate(ranked):
+        position[j] = i
     stats = SearchStats(nodes, prunes, leaves, rejected, len(representatives), compositions, lookup_nodes)
-    return HalfEnumeration(tuple(found), limit is None or len(found) < limit, stats)
+    return HalfEnumeration(tuple(found[j] for j in ranked), limit is None or len(found) < limit, stats,
+                           tuple(position[origin[j]] for j in ranked))
 
 
 def _dfs(mul, col, order, image, hom, leaf):
@@ -649,13 +681,17 @@ class HalfCensus(NamedTuple):
 @memoized
 def half_census(L) -> HalfCensus:
     """Kind counts over the complete enumeration of L and its proper
-    maps, classified once per table and held immutable."""
+    maps, classified once per table and held immutable.
+
+    The kind is classified per searched map and copied (per_orbit): it
+    reads only the masks, and alpha o s carries the masks of s (the mask
+    transport in enumerate_half_automorphisms)."""
     counts = dict.fromkeys(HalfKind, 0)
     proper = []
-    for m in enumerate_half_automorphisms(L).maps:
-        kind = classify(m).kind
-        counts[kind] += 1
-        if kind is HalfKind.PROPER_HALF:
+    enum = enumerate_half_automorphisms(L)
+    for m, cls in zip(enum.maps, per_orbit(enum, classify)):
+        counts[cls.kind] += 1
+        if cls.kind is HalfKind.PROPER_HALF:
             proper.append(m)
     return HalfCensus(tuple(counts.items()), tuple(proper))
 

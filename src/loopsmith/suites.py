@@ -24,6 +24,7 @@ from .halfmorph import (
     is_semi_isomorphism,
     make_half_map,
     mask_pairs,
+    per_orbit,
     pull_mask,
     verify_main_theorem,
 )
@@ -287,7 +288,11 @@ def suite_half_group(inputs, max_order=None) -> SuiteResult:
 
 def suite_semi_isomorphism(inputs, max_order=None) -> SuiteResult:
     """Every half-morphism of a Moufang table preserves x*y*x products:
-    t((u*v)*u) = (t(u)*t(v))*t(u)."""
+    t((u*v)*u) = (t(u)*t(v))*t(u).
+
+    Checked once per searched map s and copied to each alpha o s
+    (per_orbit): with t = alpha o s, t((u*v)*u) = alpha(s((u*v)*u)) and
+    (t(u)*t(v))*t(u) = alpha((s(u)*s(v))*s(u)), and alpha is injective."""
     res = SuiteResult("semi-isomorphism")
     for name, t in inputs:
         if not t.is_moufang():
@@ -297,9 +302,9 @@ def suite_semi_isomorphism(inputs, max_order=None) -> SuiteResult:
             continue
         enum = enumerate_half_automorphisms(t)
         res.hypothesis_count += 1
-        for m in enum.maps:
+        for m, ok in zip(enum.maps, per_orbit(enum, is_semi_isomorphism)):
             res.check_count += 1
-            if not is_semi_isomorphism(m):
+            if not ok:
                 res.violations.append("%s: map %s breaks the sandwich law" % (name, m.cycles()))
     return res
 
@@ -307,7 +312,13 @@ def suite_semi_isomorphism(inputs, max_order=None) -> SuiteResult:
 def suite_gg_witness(inputs, max_order=None) -> SuiteResult:
     """Every proper half-morphism of a Moufang table has a witness
     triple: an element that fails to commute with a forward-only partner
-    and a reversed-only partner."""
+    and a reversed-only partner.
+
+    The triple search runs once per searched map s and its answer is
+    copied to each alpha o s (per_orbit): properness and the search read
+    only the domain and the masks, and alpha o s carries the masks of s.
+    A map is proper, as classify says, when neither of its masks is
+    full."""
     res = SuiteResult("proper-half-witness-triples")
     for name, t in inputs:
         if not t.is_moufang():
@@ -315,10 +326,16 @@ def suite_gg_witness(inputs, max_order=None) -> SuiteResult:
         if max_order is not None and t.order > max_order:
             res.notes.append("skipped %s" % name)
             continue
-        for m in half_census(t).proper_maps:
+        enum = enumerate_half_automorphisms(t)
+        full = (1 << t.order * t.order) - 1
+        witnessed = per_orbit(enum, lambda m: None if full in (m.hom, m.anti)
+                              else bool(find_gg_triples(m, limit=1)))
+        for m, ok in zip(enum.maps, witnessed):
+            if ok is None:
+                continue
             res.hypothesis_count += 1
             res.check_count += 1
-            if not find_gg_triples(m, limit=1):
+            if not ok:
                 res.violations.append("%s: proper map %s has no witness triple" % (name, m.cycles()))
     return res
 
@@ -340,14 +357,46 @@ def suite_odd_order_trivial(inputs, max_order=None) -> SuiteResult:
     return res
 
 
+def _induced_kind(A, q):
+    """The per-map function of the two quotient suites, for the associator
+    subloop A of a table and the quotient q by it.  Its value is None when
+    the map does not carry A onto itself, False when the map it induces
+    on the cosets is not well defined, and otherwise the HalfKind of the
+    induced map, classified once per distinct image tuple.
+
+    The value on alpha o s equals the value on s for every automorphism
+    alpha, so per_orbit may copy it: A is characteristic, so alpha(A) = A
+    and alpha induces an automorphism alpha' of the quotient; s is well
+    defined on cosets exactly when alpha o s is, and the map that
+    alpha o s induces is alpha' o s', which has the kind of s'.
+    """
+    aset = set(A.elements)
+    proj = q.projection
+    kinds = {}
+
+    def kind(m):
+        if {m.images[a - 1] for a in aset} != aset:
+            return None
+        try:
+            key = coset_images(m, proj, proj)
+        except ValueError:
+            return False
+        if key not in kinds:
+            kinds[key] = classify(make_half_map(q.table, q.table, key)).kind
+        return kinds[key]
+
+    return kind
+
+
 def suite_induced_quotient(inputs, max_order=None) -> SuiteResult:
     """Pushing any half-morphism down to the associator quotient gives a
     trivial map whenever that quotient is a group and the map fixes the
     associator subloop setwise.
 
-    Induced images are computed in place and classified once per distinct
-    image tuple; a few maps per loop are cross-checked against the full
-    quotient-pushdown operation.
+    Induced images are computed in place once per searched map and their
+    kind copied to its compositions (see _induced_kind); the first three
+    maps per loop are cross-checked against the full quotient-pushdown
+    operation.
     """
     res = SuiteResult("induced-quotient-trivial")
     for name, t in inputs:
@@ -361,29 +410,64 @@ def suite_induced_quotient(inputs, max_order=None) -> SuiteResult:
             res.notes.append("skipped %s" % name)
             continue
         enum = enumerate_half_automorphisms(t)
-        aset = set(A.elements)
         proj = q.projection
-        kinds = {}
         crosschecked = 0
-        for m in enum.maps:
-            if {m.images[a - 1] for a in aset} != aset:
+        for m, kind in zip(enum.maps, per_orbit(enum, _induced_kind(A, q))):
+            if kind is None:
                 continue
             res.hypothesis_count += 1
             res.check_count += 1
-            try:
-                key = coset_images(m, proj, proj)
-            except ValueError:
+            if kind is False:
                 res.violations.append("%s: %s has no well-defined quotient image" % (name, m.cycles()))
                 continue
-            if key not in kinds:
-                kinds[key] = classify(make_half_map(q.table, q.table, key)).kind
             if crosschecked < 3:
                 crosschecked += 1
-                if induced_on_quotient(m).images != key:
+                if induced_on_quotient(m).images != coset_images(m, proj, proj):
                     res.violations.append("%s: quotient pushdown of %s disagrees with the in-place images" % (name, m.cycles()))
-            if kinds[key] is HalfKind.PROPER_HALF:
+            if kind is HalfKind.PROPER_HALF:
                 res.violations.append("%s: induced image of %s is proper" % (name, m.cycles()))
     return res
+
+
+def _d_set_verdict(sub, A, q, where):
+    """The per-map function of suite_commutator_d_set on the subloop sub,
+    with A its associator subloop, q the quotient by A, and where the
+    prefix of violation lines.  Its value is None outside the hypothesis,
+    else the check count and the violations.
+
+    per_orbit may copy it from s to alpha o s: the hypothesis is
+    _induced_kind's; the d-set and the anti mask read only the masks,
+    which alpha o s carries; the center is characteristic and
+    alpha([a, b]) = [alpha(a), alpha(b)], so the central-pair pull mask of
+    alpha o s equals that of s; and the violation lines name only pairs of
+    the domain.
+    """
+    induced = _induced_kind(A, q)
+    derived = set(sl.commutator_subloop(sub).elements)
+    central = set(sl.center(sub).elements)
+    n = sub.order
+    digits = ["".join("1" if c in central else "0" for c in row) for row in sub.commutators()]
+    central_rows = translate_rows(d.encode() for d in digits)
+    central_pairs = pull_mask(central_rows, range(1, n + 1))
+    # elements with a non-central commutator against the derived subloop
+    offenders = {g for g in sub.elements if any(digits[d - 1][g - 1] == "0" for d in derived)}
+
+    def verdict(m):
+        if induced(m) not in (HalfKind.ISOMORPHISM, HalfKind.BOTH):
+            return None
+        dset = d_set(m)
+        violations = []
+        if not offenders.isdisjoint(dset):
+            for d in derived:
+                for g in dset:
+                    if digits[d - 1][g - 1] == "0":
+                        violations.append("%s: [%d,%d] not central" % (where, d, g))
+        failing = m.anti & ~(central_pairs & pull_mask(central_rows, m.images))
+        for u, v in mask_pairs(failing, n):
+            violations.append("%s: reversed pair (%d,%d) has a non-central commutator" % (where, u, v))
+        return len(derived) * len(dset) + m.anti.bit_count(), tuple(violations)
+
+    return verdict
 
 
 def suite_commutator_d_set(inputs, max_order=None) -> SuiteResult:
@@ -391,7 +475,10 @@ def suite_commutator_d_set(inputs, max_order=None) -> SuiteResult:
     left-automorphic Moufang subloops whose induced associator-quotient
     map preserves products: commutators of derived-subloop elements
     against reversed-only elements are central, and every pair obeying
-    the reversed law has a central commutator on both sides of the map."""
+    the reversed law has a central commutator on both sides of the map.
+
+    Each verdict is computed once per searched map and copied to its
+    compositions (see _d_set_verdict)."""
     res = SuiteResult("commutator-d-set-central")
     for name, t in inputs:
         for elements in sl.three_generated(t):
@@ -408,44 +495,13 @@ def suite_commutator_d_set(inputs, max_order=None) -> SuiteResult:
                 res.notes.append("skipped %s" % label)
                 continue
             enum = enumerate_half_automorphisms(sub)
-            aset = set(A.elements)
-            proj = q.projection
-            derived = set(sl.commutator_subloop(sub).elements)
-            central = set(sl.center(sub).elements)
-            n = sub.order
-            digits = ["".join("1" if c in central else "0" for c in row) for row in sub.commutators()]
-            central_rows = translate_rows(d.encode() for d in digits)
-            central_pairs = pull_mask(central_rows, range(1, n + 1))
-            # elements with a non-central commutator against the derived subloop
-            offenders = {g for g in sub.elements if any(digits[d - 1][g - 1] == "0" for d in derived)}
-            kinds = {}
-            for m in enum.maps:
-                if {m.images[a - 1] for a in aset} != aset:
-                    continue
-                try:
-                    key = coset_images(m, proj, proj)
-                except ValueError:
-                    continue
-                if key not in kinds:
-                    kinds[key] = classify(make_half_map(q.table, q.table, key)).kind
-                if kinds[key] not in (HalfKind.ISOMORPHISM, HalfKind.BOTH):
-                    continue
-                res.hypothesis_count += 1
-                dset = d_set(m)
-                res.check_count += len(derived) * len(dset) + m.anti.bit_count()
-                if not offenders.isdisjoint(dset):
-                    for d in derived:
-                        for g in dset:
-                            if digits[d - 1][g - 1] == "0":
-                                res.violations.append(
-                                    "%s sub %r: [%d,%d] not central" % (name, elements, d, g)
-                                )
-                failing = m.anti & ~(central_pairs & pull_mask(central_rows, m.images))
-                for u, v in mask_pairs(failing, n):
-                    res.violations.append(
-                        "%s sub %r: reversed pair (%d,%d) has a non-central commutator"
-                        % (name, elements, u, v)
-                    )
+            verdict = _d_set_verdict(sub, A, q, "%s sub %r" % (name, elements))
+            for value in per_orbit(enum, verdict):
+                if value is not None:
+                    checks, violations = value
+                    res.hypothesis_count += 1
+                    res.check_count += checks
+                    res.violations.extend(violations)
     return res
 
 

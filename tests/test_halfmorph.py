@@ -8,7 +8,8 @@ from itertools import permutations
 
 import pytest
 
-from loopsmith import catalog, halfmorph
+from loopsmith import catalog, halfmorph, suites
+from loopsmith import subloops as sl
 from loopsmith.errors import HalfMapError, InternalCheckError, TheoremViolation
 from loopsmith.halfmorph import (
     GGTriple,
@@ -26,10 +27,12 @@ from loopsmith.halfmorph import (
     is_semi_isomorphism,
     make_half_map,
     mask_pairs,
+    per_orbit,
     pull_mask,
     verify_main_theorem,
 )
-from loopsmith.innermaps import is_automorphic, is_left_automorphic, perm_from_cycles, translate_rows
+from loopsmith.innermaps import (is_automorphic, is_automorphism, is_left_automorphic, perm_from_cycles,
+                                 translate_rows)
 from loopsmith.table import LoopTable, relabel
 
 
@@ -495,6 +498,51 @@ def test_orbit_search_matches_the_all_candidates_search(key, chein, get_enum):
     for m in maps:
         fresh = HalfMap(t, t, m.images)
         assert (m.hom, m.anti) == (fresh.hom, fresh.anti), m.images
+
+
+TRANSPORT_CHECK = [*catalog.catalog_keys(), "M(Q8,2)", "M(D16,2)", "M(D16,2) relabeled"]
+
+
+@pytest.mark.parametrize("key", TRANSPORT_CHECK)
+def test_sources_name_a_searched_map_one_automorphism_away(key, chein, relabeled_chein, get_enum):
+    """Every map points to a map the search found directly, with the same
+    masks, and differs from it by an automorphism on the left; copying a
+    per-map value along sources gives what evaluating every map gives."""
+    if key in catalog.catalog_keys():
+        t = catalog.builtin(key).table
+    elif key.endswith("relabeled"):
+        t = relabeled_chein("D16")
+    else:
+        t = chein(key[2:key.index(",")])
+    enum = get_enum(key, t)
+    n = t.order
+    for m, s in zip(enum.maps, enum.sources):
+        source = enum.maps[s]
+        assert enum.sources[s] == s
+        assert (source.hom, source.anti) == (m.hom, m.anti)
+        inverse = [0] * n
+        for x, v in enumerate(source.images, 1):
+            inverse[v - 1] = x
+        assert is_automorphism(t, tuple(m.images[x - 1] for x in inverse)), m.images
+    searched = sum(i == s for i, s in enumerate(enum.sources))
+    assert searched == enum.stats.leaves - enum.stats.rejected
+    functions = [classify, is_semi_isomorphism, d_set, lambda m: find_gg_triples(m, limit=1)]
+    A = sl.associator_subloop(t)
+    if sl.is_normal(t, A):
+        q = sl.quotient(t, A)
+        functions.append(suites._induced_kind(A, q))
+        if t.is_moufang() and is_left_automorphic(t):
+            functions.append(suites._d_set_verdict(t, A, q, key))
+    for fn in functions:
+        assert per_orbit(enum, fn) == [fn(m) for m in enum.maps], fn
+
+
+def test_limited_search_sources_point_inside_the_result(q1):
+    for limit in (1, 5, 1600):
+        enum = enumerate_half_automorphisms(q1, limit=limit)
+        assert len(enum.sources) == len(enum.maps) == limit
+        assert all(enum.sources[s] == s for s in enum.sources)
+        assert sum(i == s for i, s in enumerate(enum.sources)) == enum.stats.leaves - enum.stats.rejected
 
 
 def _generated_automorphisms(L, anti):

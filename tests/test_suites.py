@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 from loopsmith import catalog, suites
@@ -13,10 +16,12 @@ from loopsmith.halfmorph import (
     coset_images,
     d_set,
     enumerate_half_automorphisms,
+    half_census,
     make_half_map,
     mask_pairs,
 )
 from loopsmith.innermaps import is_left_automorphic
+from loopsmith.table import LoopTable, relabel
 from loopsmith.suites import SuiteResult, run_theorem_suites, suite_bruck, suite_commutator_d_set
 
 SUITE_NAMES = [
@@ -118,6 +123,58 @@ def test_q1_battery_accounting(q1_battery):
     assert q1_battery["commutator-d-set-central"].check_count == 4232484
 
 
+def _searched(L):
+    """The number of maps that the search of L found directly."""
+    enum = enumerate_half_automorphisms(L)
+    return sum(i == s for i, s in enumerate(enum.sources))
+
+
+@pytest.mark.parametrize("key, semi, cosets", [("Q2", 0, 22), ("M(S3,2)", 108, 151)])
+def test_per_map_work_runs_once_per_searched_map(monkeypatch, key, semi, cosets):
+    """Counters repeat exactly, so per-map work that comes back shows here.
+    The sandwich law is checked once per searched map of a Moufang loop.
+    Coset images are computed once per searched map of the loop, three
+    more times for the cross-checks, and once per searched map of each
+    3-generated subloop that the commutator suite reads; on these inputs
+    every searched map carries the associator subloop onto itself."""
+    t = catalog.builtin(key).table
+    calls = Counter()
+    for fname in ("is_semi_isomorphism", "coset_images"):
+        def counted(*args, _fn=getattr(suites, fname), _name=fname, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(suites, fname, counted)
+    run_theorem_suites([(key, t)])
+    assert (calls["is_semi_isomorphism"], calls["coset_images"]) == (semi, cosets)
+    subs = [t if len(elements) == t.order else sl.restriction(t, elements)[0]
+            for elements in sl.three_generated(t)]
+    assert semi == (_searched(t) if t.is_moufang() else 0)
+    assert cosets == _searched(t) + 3 + sum(_searched(sub) for sub in subs
+                                            if sub.is_moufang() and is_left_automorphic(sub))
+    assert semi < len(enumerate_half_automorphisms(t).maps)
+
+
+def _counts(results):
+    return [(r.name, r.hypothesis_count, r.check_count, len(r.violations)) for r in results]
+
+
+def test_relabeling_the_catalog_keeps_every_suite_count():
+    """Which map of an orbit the search finds directly depends on the
+    labels, so the copied verdicts must not: one seeded relabeling of
+    every catalog loop, fixing 1, gives the same counts in all 17 suites
+    and the same censuses."""
+    rng = random.Random("relabel-catalog")
+    canonical, relabeled = [], []
+    for entry in catalog.entries():
+        t = entry.table
+        rest = list(t.elements[1:])
+        rng.shuffle(rest)
+        canonical.append((entry.key, t))
+        relabeled.append((entry.key, LoopTable(relabel(t.rows, (1, *rest)))))
+    assert _counts(run_theorem_suites(relabeled)) == _counts(run_theorem_suites(canonical))
+    assert [half_census(t).counts for _, t in relabeled] == [half_census(t).counts for _, t in canonical]
+
+
 def test_bruck_standalone_on_groups():
     inputs = [("D8", catalog.builtin("D8").table), ("D16", catalog.builtin("D16").table)]
     results = suite_bruck(inputs)
@@ -183,7 +240,12 @@ def test_commutator_d_set_matches_pair_walk_on_a_shrunken_center(monkeypatch, q1
     """Only Q1 has kept maps with reversed-only pairs, so it is the input
     that can fail; a sample of its maps keeps the reference walk short.
     The derived subloop is widened to the whole loop, because with the
-    true one no [d, g] leaves even the shrunken center."""
+    true one no [d, g] leaves even the shrunken center.
+
+    The sample is built by hand, so every map is its own source and the
+    suite evaluates each one.  It must not carry the search's sources:
+    the shrunken center is not characteristic, so a verdict copied from
+    s to alpha o s could differ from the one a pair walk gives."""
     center = sl.center
 
     def shrunken(L):
@@ -191,6 +253,7 @@ def test_commutator_d_set_matches_pair_walk_on_a_shrunken_center(monkeypatch, q1
         return sl.Subloop(L, H.elements[:-1] if len(H) > 1 else H.elements)
 
     sample = HalfEnumeration(q1_enum.maps[::128], True)
+    assert sample.sources == tuple(range(len(sample.maps)))
     monkeypatch.setattr(sl, "center", shrunken)
     monkeypatch.setattr(sl, "commutator_subloop", lambda L: sl.Subloop(L, tuple(L.elements)))
     monkeypatch.setattr(suites, "enumerate_half_automorphisms",

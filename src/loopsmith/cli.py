@@ -26,6 +26,7 @@ from .halfmorph import (
     enumerate_half_automorphisms,
     half_census,
     half_maps_form_group_check,
+    per_orbit,
     verify_main_theorem,
 )
 from .innermaps import is_automorphic, is_left_automorphic
@@ -215,8 +216,8 @@ def cmd_halfautos(args) -> int:
     enum = enumerate_half_automorphisms(entry.table, limit=args.limit)
     census = {kind.value: 0 for kind in HalfKind}
     listing = []
-    for m in enum.maps:
-        cls = classify(m)
+    # the kind and witnesses read only the masks, which alpha o s shares with s
+    for m, cls in zip(enum.maps, per_orbit(enum, classify)):
         census[cls.kind.value] += 1
         listing.append({
             "cycles": m.cycles(),

@@ -3,7 +3,7 @@
 Permutations are tuples of length n with images[i-1] the image of
 element i.  Per-map comparisons of table-shaped arrays run on byte
 strings (ByteTable, gather, push), which is why table.validate refuses
-orders above 256.
+orders above 256; so does bracketings, the one associativity comparison.
 """
 
 from __future__ import annotations
@@ -108,6 +108,13 @@ def column_bytes(L) -> ByteTable:
     """byte_table of the columns, built once per table: row y-1 maps
     x-1 to x*y - 1."""
     return byte_table(tuple(zip(*L.rows)))
+
+
+def bracketings(rows, x, y, over) -> tuple:
+    """z -> x*(y*z) and z -> (x*y)*z over the 0-based elements over, as
+    bytes, for 0-based x, y and the rows of product_bytes; on column_bytes
+    rows, z -> (z*y)*x and z -> z*(y*x).  Equal iff the pair associates."""
+    return over.translate(rows[y]).translate(rows[x]), over.translate(rows[rows[x][y]])
 
 
 # -- inner mappings ----------------------------------

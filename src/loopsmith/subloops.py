@@ -19,17 +19,20 @@ exact because a product-closed set that contains 1 is a subloop, so
 it is closed under division too: x = g*h gives g = x/h, and x = h*g
 gives g = h\\x, so each of g and x lies in the subloop that the other
 generates with H.
+
+Associativity (is_group, LoopTable.is_associative), the nuclei and the
+associator subloop compare the bracketings of pairs (innermaps.bracketings).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import eq
 from typing import NamedTuple
 
 from .errors import InternalCheckError, QuotientError
-from .innermaps import column_bytes, product_bytes
+from .innermaps import bracketings, column_bytes, product_bytes
 from .table import LoopTable, memoized
 
 
@@ -78,33 +81,32 @@ def _close(L, seed, closed=(1,)):
     is formed; every other pair has a queued member, which forms both of
     its products against all members when it leaves the queue.  Works on
     0-based bytes: one translate forms the products of a queued member
-    with every member, on each side.
+    with every member, on each side, and one more finds any new ones.
     """
     rows, cols = product_bytes(L).rows, column_bytes(L).rows
     members = bytearray(c - 1 for c in closed)
-    elems = set(members)
-    queue = list({g - 1 for g in seed} - elems)
-    elems.update(queue)
+    queue = list({g - 1 for g in seed} - set(members))
     members.extend(queue)
+    inside = bytearray(256)  # inside[c] is 1 when c is a member
+    for c in members:
+        inside[c] = 1
     while queue:
         a = queue.pop()
-        new = set(members.translate(rows[a]))
-        new.update(members.translate(cols[a]))
-        new -= elems
-        elems |= new
-        members.extend(new)
-        queue.extend(new)
-    return {c + 1 for c in elems}
+        products = members.translate(rows[a]) + members.translate(cols[a])
+        if 0 in products.translate(inside):  # some product is not a member yet
+            new = {c for c in products if not inside[c]}
+            for c in new:
+                inside[c] = 1
+            members.extend(new)
+            queue.extend(new)
+    return {c + 1 for c in members}
 
 
 def _associative_on(L, elems):
-    """Every triple of elems associates: one gather of the associator
-    row (a, b, .) at elems per pair a, b."""
-    assoc = L.associators()
-    idx = [c - 1 for c in elems]
-    at = itemgetter(*idx)
-    ones = at((1,) * L.order)  # gathered alike: a bare 1 when elems is (1,)
-    return all(at(assoc[a][b]) == ones for a in idx for b in idx)
+    """Every pair of elems has equal bracketings over elems."""
+    rows = product_bytes(L).rows
+    over = bytes(c - 1 for c in elems)
+    return all(eq(*bracketings(rows, a, b, over)) for a in over for b in over)
 
 
 def _make_subloop(L, elems):
@@ -172,33 +174,44 @@ def commutator_subloop(L) -> Subloop:
 
 
 def associator_subloop(L) -> Subloop:
-    """Subloop generated by all associators (x, y, z)."""
-    values = {a for plane in L.associators() for row in plane for a in row}
-    return _make_subloop(L, _close(L, values))
+    """Subloop generated by all associator values, read off unequal bracketings."""
+    rows, over = product_bytes(L).rows, bytes(range(L.order))
+    pairs = set()
+    for x in over:
+        for y in over:
+            p, q = bracketings(rows, x, y, over)
+            if p != q:
+                pairs.update(zip(p, q))
+    return _make_subloop(L, _close(L, {L._ld[p][q] for p, q in pairs}))
 
 
 # -- nuclei, commutant, center ----------------------------------------
 
 
+def _left_nucleus(L, rows):
+    """Elements a whose pair (a, x) associates for every x, on rows."""
+    over = bytes(range(L.order))
+    return _make_subloop(L, [a + 1 for a in over
+                             if all(eq(*bracketings(rows, a, x, over)) for x in over)])
+
+
 def nucleus_left(L) -> Subloop:
     """Elements a with (a, x, y) = 1 for all x, y."""
-    assoc = L.associators()
-    return _make_subloop(L, [a for a in L.elements
-                             if all(v == 1 for row in assoc[a - 1] for v in row)])
+    return _left_nucleus(L, product_bytes(L).rows)
 
 
 def nucleus_middle(L) -> Subloop:
     """Elements a with (x, a, y) = 1 for all x, y."""
-    assoc = L.associators()
-    return _make_subloop(L, [a for a in L.elements
-                             if all(v == 1 for plane in assoc for v in plane[a - 1])])
+    rows, over = product_bytes(L).rows, bytes(range(L.order))
+    return _make_subloop(L, [a + 1 for a in over
+                             if all(eq(*bracketings(rows, x, a, over)) for x in over)])
 
 
 def nucleus_right(L) -> Subloop:
-    """Elements a with (x, y, a) = 1 for all x, y."""
-    assoc = L.associators()
-    return _make_subloop(L, [a for a in L.elements
-                             if all(row[a - 1] == 1 for plane in assoc for row in plane)])
+    """Elements a with (x, y, a) = 1 for all x, y: the left nucleus of the
+    opposite loop x o y = y*x, whose rows are L's columns, since
+    (x*y)*a = x*(y*a) reads a o (y o x) = (a o y) o x."""
+    return _left_nucleus(L, column_bytes(L).rows)
 
 
 def nucleus(L) -> Subloop:

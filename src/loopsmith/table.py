@@ -4,6 +4,9 @@ A loop of order n lives on the elements 1..n and element 1 is the
 two-sided identity.  ``rows[x-1][y-1]`` holds the product x*y.  Left and
 right division are read off the rows and columns once at construction
 time, so all later queries are table lookups.
+
+The one word table is commutators(); associativity questions compare
+the two bracketings of a pair (innermaps.bracketings) instead.
 """
 
 from __future__ import annotations
@@ -281,30 +284,16 @@ class LoopTable:
             for x in range(self.order)
         )
 
-    @memoized
-    def associators(self) -> tuple:
-        """(x, y, z) = (x*(y*z)) \\ ((x*y)*z) at [x-1][y-1][z-1]; 1 iff the
-        triple associates."""
-        rows = self.rows
-        ld = self._ld
-        rng = range(self.order)
-        return tuple(
-            tuple(
-                tuple(ld[rx[rows[y][z] - 1] - 1][rows[rx[y] - 1][z] - 1] for z in rng)
-                for y in rng
-            )
-            for rx in rows
-        )
-
     def commutator(self, x, y):
         """[x, y], read from commutators()."""
         self._check(x, y)
         return self.commutators()[x - 1][y - 1]
 
     def associator(self, x, y, z):
-        """(x, y, z), read from associators()."""
+        """(x, y, z) = (x*(y*z)) \\ ((x*y)*z); 1 iff the triple associates."""
         self._check(x, y, z)
-        return self.associators()[x - 1][y - 1][z - 1]
+        rows = self.rows
+        return self._ld[rows[x - 1][rows[y - 1][z - 1] - 1] - 1][rows[rows[x - 1][y - 1] - 1][z - 1] - 1]
 
     # -- global properties ---------------------------------------------
 
@@ -328,16 +317,9 @@ class LoopTable:
 
     @memoized
     def is_associative(self) -> bool:
-        rows = self.rows
-        n = self.order
-        for x in range(n):
-            rx = rows[x]
-            for y in range(n):
-                xy = rx[y] - 1
-                ry = rows[y]
-                if any(rows[xy][z] != rx[ry[z] - 1] for z in range(n)):
-                    return False
-        return True
+        from .subloops import _associative_on
+
+        return _associative_on(self, self.elements)
 
     @memoized
     def moufang_report(self) -> MoufangFlags:

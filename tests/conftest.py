@@ -90,6 +90,38 @@ def z256():
     return LoopTable([[(i + j) % 256 + 1 for j in range(256)] for i in range(256)], name="Z256")
 
 
+def random_loop(n, seed):
+    """A seeded random loop of order n: a Latin square whose row 1 and
+    column 1 are 1..n, filled cell by cell in row order, each cell trying
+    its free values in a random order and backtracking when none fits."""
+    rng = random.Random("random-loop-%d-%d" % (n, seed))
+    rows = [list(range(1, n + 1))] + [[x] + [0] * (n - 1) for x in range(2, n + 1)]
+    cells = [(x, y) for x in range(1, n) for y in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        x, y = cells[k]
+        used = set(rows[x]) | {r[y] for r in rows}
+        free = [v for v in range(1, n + 1) if v not in used]
+        rng.shuffle(free)
+        for v in free:
+            rows[x][y] = v
+            if fill(k + 1):
+                return True
+        rows[x][y] = 0
+        return False
+
+    fill(0)
+    return LoopTable(rows, name="random-%d-%d" % (n, seed))
+
+
+@pytest.fixture(scope="session")
+def random_loops():
+    """Ten seeded random loops of each order 7 to 10; none is Moufang."""
+    return tuple(random_loop(n, seed) for n in range(7, 11) for seed in range(10))
+
+
 @pytest.fixture(scope="session")
 def q1_enum(q1, get_enum):
     return get_enum("Q1", q1)

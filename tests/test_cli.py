@@ -187,6 +187,28 @@ def test_halfautos_json_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_halfautos_classifies_once_per_searched_map(monkeypatch, capsys):
+    """The kind and witnesses read only the masks, which a composed map
+    shares with its source, so classify runs once per searched map."""
+    calls = 0
+    classify = cli.classify
+
+    def counting(m):
+        nonlocal calls
+        calls += 1
+        return classify(m)
+
+    monkeypatch.setattr(cli, "classify", counting)
+    assert main(["halfautos", "--json", "Q2"]) == 0
+    maps = json.loads(capsys.readouterr().out)["maps"]
+    enum = halfmorph.enumerate_half_automorphisms(builtin("Q2").table)
+    assert calls == sum(i == s for i, s in enumerate(enum.sources)) < len(enum.maps)
+    assert [(m["kind"], m["witness_hom"], m["witness_anti"]) for m in maps] == [
+        (c.kind.value, list(c.witness_hom) if c.witness_hom else None,
+         list(c.witness_anti) if c.witness_anti else None)
+        for c in map(classify, enum.maps)]
+
+
 def test_checktheorem_text(capsys):
     assert main(["checktheorem", "S3"]) == 0
     out = capsys.readouterr().out

@@ -290,8 +290,12 @@ def _plain_closure(t, seed):
         members |= new
 
 
-def test_closing_from_a_closed_base_matches_closing_from_scratch(q1, chein):
-    for t in (q1, chein("D16")):
+def test_closing_from_a_closed_base_matches_closing_from_scratch(q1, chein, random_loops):
+    """The random loops and their opposites (the transposed tables) are
+    where a closure that forms only a*b, or only b*a, for a queued a
+    misses elements."""
+    opposites = [LoopTable([list(c) for c in zip(*t.rows)]) for t in random_loops]
+    for t in (q1, chein("D16"), *random_loops, *opposites):
         for H in three_generated(t):
             for g in t.elements:
                 assert _close(t, (g,), H) == _plain_closure(t, (*H, g)), (H, g)

@@ -266,3 +266,40 @@ def test_commutator_d_set_matches_pair_walk_on_a_shrunken_center(monkeypatch, q1
     assert got.violations == want.violations
     for kind in ("not central", "reversed pair"):
         assert any(kind in v for v in got.violations), kind
+
+
+def _reference_absorption(inputs):
+    """The absorption statement of suite_bruck walked triple by triple
+    with LoopTable.associator over every input, for comparison."""
+    res = SuiteResult("bruck-nucleus-absorption")
+    for name, t in inputs:
+        res.hypothesis_count += 1
+        for a in set(sl.nucleus(t).elements):
+            for u in t.elements:
+                au, ua = t.mul(a, u), t.mul(u, a)
+                for v in t.elements:
+                    for w in t.elements:
+                        base = t.associator(u, v, w)
+                        res.check_count += 2
+                        if t.associator(au, v, w) != base or t.associator(ua, v, w) != base:
+                            res.violations.append(
+                                "%s: nucleus factor %d shifts associator (%d,%d,%d)" % (name, a, u, v, w))
+    return res
+
+
+def test_nucleus_absorption_matches_a_triple_walk_on_a_widened_nucleus(monkeypatch, q1, random_loops):
+    """With the nucleus widened to the whole loop, elements outside the
+    true nucleus shift associators, so the suite's violation lines can be
+    compared with a plain walk, line by line and in order.  A random
+    loop, let through the hypothesis, has factors that shift an
+    associator on one side only."""
+    monkeypatch.setattr(sl, "nucleus", lambda L: sl.Subloop(L, tuple(L.elements)))
+    monkeypatch.setattr(suites, "is_left_automorphic", lambda L: True)
+    monkeypatch.setattr(LoopTable, "is_moufang", lambda L: True)
+    inputs = [("D8", catalog.builtin("D8").table), ("Q1", q1), ("random", random_loops[0])]
+    got = {r.name: r for r in suite_bruck(inputs)}["bruck-nucleus-absorption"]
+    want = _reference_absorption(inputs)
+    assert (got.hypothesis_count, got.check_count) == (want.hypothesis_count, want.check_count)
+    assert got.check_count == 2 * (8 ** 4 + 16 ** 4 + 7 ** 4)  # 2 |N| n^3 with N the whole loop
+    assert got.violations == want.violations
+    assert {v.split(":")[0] for v in got.violations} == {"Q1", "random"}

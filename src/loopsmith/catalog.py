@@ -11,7 +11,6 @@ of a construction, "derived" for values first computed here and frozen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import LoopFileError, TableValidationError
@@ -55,12 +54,18 @@ Q1_HALF_MAP = tuple(8 if x == 5 else 5 if x == 8 else x for x in range(1, 17))
 Q2_HALF_MAP = (1, 2, 5, 6, 3, 4, 8, 7)
 
 
-@dataclass
 class CatalogEntry:
-    key: str
-    table: LoopTable
-    expected: dict = field(default_factory=dict)  # property -> (value, provenance)
-    featured_half_map: tuple | None = None
+    """A loop with its key, its expected properties, each mapped to
+    (value, provenance), and its featured half-map images, if any."""
+
+    __slots__ = ("key", "table", "expected", "featured_half_map")
+
+    def __init__(self, key: str, table: LoopTable, expected: dict | None = None,
+                 featured_half_map: tuple | None = None):
+        self.key = key
+        self.table = table
+        self.expected = {} if expected is None else expected
+        self.featured_half_map = featured_half_map
 
 
 PROVENANCE_TAGS = ("external", "trivial", "derived")

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import catalog as cat
 from . import subloops as sl
@@ -56,16 +55,23 @@ def _load(path, normalize=False):
 # -- analyze ----------------------------------------------------------
 
 
-@dataclass
 class AnalysisReport:
-    name: str
-    order: int
-    flags: dict = field(default_factory=dict)
-    subloop_orders: dict = field(default_factory=dict)
-    nilpotency_class: int | None = None
-    half_census: dict | None = None  # None when skipped
-    half_census_skipped: bool = False
-    elapsed: dict = field(default_factory=dict)
+    """The structural summary of one loop; half_census is None when skipped."""
+
+    __slots__ = ("name", "order", "flags", "subloop_orders", "nilpotency_class", "half_census",
+                 "half_census_skipped", "elapsed")
+
+    def __init__(self, name: str, order: int, flags: dict | None = None, subloop_orders: dict | None = None,
+                 nilpotency_class: int | None = None, half_census: dict | None = None,
+                 half_census_skipped: bool = False, elapsed: dict | None = None):
+        self.name = name
+        self.order = order
+        self.flags = {} if flags is None else flags
+        self.subloop_orders = {} if subloop_orders is None else subloop_orders
+        self.nilpotency_class = nilpotency_class
+        self.half_census = half_census
+        self.half_census_skipped = half_census_skipped
+        self.elapsed = {} if elapsed is None else elapsed
 
     def consistent(self) -> bool:
         f = self.flags

@@ -20,7 +20,6 @@ one translate turns each byte into the pair's digit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 from typing import NamedTuple
@@ -33,7 +32,6 @@ from .subloops import associator_subloop, quotient
 from .table import LoopTable, memoized
 
 
-@dataclass(frozen=True)
 class HalfMap:
     """A bijection with its law masks; construct through make_half_map.
 
@@ -41,22 +39,38 @@ class HalfMap:
     the forward and the reversed law.  The map is a half-morphism exactly
     when hom | anti has all n*n bits set.  The masks are computed from
     the tables unless both are given, as the search does for a map whose
-    masks are known to equal another map's.
+    masks are known to equal another map's.  Maps compare and hash by
+    domain, codomain and images; treat them as immutable.
     """
 
-    domain: LoopTable
-    codomain: LoopTable
-    images: tuple
-    hom: int | None = field(default=None, repr=False, compare=False)
-    anti: int | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("domain", "codomain", "images", "hom", "anti")
 
-    def __post_init__(self):
-        if self.hom is not None and self.anti is not None:
-            return
-        t = zero_based(self.images)
-        got = int.from_bytes(push(product_bytes(self.domain).flat, t), "big")
-        object.__setattr__(self, "hom", _agreement(got, gather(product_bytes(self.codomain).rows, t)))
-        object.__setattr__(self, "anti", _agreement(got, gather(column_bytes(self.codomain).rows, t)))
+    def __init__(self, domain: LoopTable, codomain: LoopTable, images: tuple,
+                 hom: int | None = None, anti: int | None = None):
+        self.domain = domain
+        self.codomain = codomain
+        self.images = images
+        if hom is None or anti is None:
+            t = zero_based(images)
+            got = int.from_bytes(push(product_bytes(domain).flat, t), "big")
+            hom = _agreement(got, gather(product_bytes(codomain).rows, t))
+            anti = _agreement(got, gather(column_bytes(codomain).rows, t))
+        self.hom = hom
+        self.anti = anti
+
+    def _key(self):
+        return self.domain, self.codomain, self.images
+
+    def __eq__(self, other):
+        if other.__class__ is not HalfMap:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "HalfMap(domain=%r, codomain=%r, images=%r)" % self._key()
 
     def apply(self, x):
         return self.images[x - 1]
@@ -130,8 +144,7 @@ class HalfKind(Enum):
     PROPER_HALF = "proper-half"
 
 
-@dataclass
-class HalfClass:
+class HalfClass(NamedTuple):
     """Per-pair census of the two laws for one half-morphism.
 
     witness_hom is the lexicographically least pair satisfying only the
@@ -188,21 +201,21 @@ class SearchStats(NamedTuple):
     lookup_nodes: int
 
 
-@dataclass
 class HalfEnumeration:
     """Half-maps in image-tuple order.  sources[i] is the index in maps of
     the map that the search found directly and composed into maps[i] with
     an automorphism; a map found directly is its own source.  Given
-    without sources, every map is its own source."""
+    without sources, every map is its own source.  stats is None unless
+    the search made the enumeration."""
 
-    maps: tuple
-    complete: bool
-    stats: SearchStats | None = None  # None unless made by the search
-    sources: tuple | None = None
+    __slots__ = ("maps", "complete", "stats", "sources")
 
-    def __post_init__(self):
-        if self.sources is None:
-            self.sources = tuple(range(len(self.maps)))
+    def __init__(self, maps: tuple, complete: bool, stats: SearchStats | None = None,
+                 sources: tuple | None = None):
+        self.maps = maps
+        self.complete = complete
+        self.stats = stats
+        self.sources = tuple(range(len(maps))) if sources is None else sources
 
 
 def per_orbit(enum, fn) -> list:
@@ -497,33 +510,78 @@ def half_maps_form_group_check(L, enumeration=None) -> bool:
     """The complete set of half-morphisms of a loop is a group under
     composition.
 
-    A finite set of bijections that contains the identity and is closed
-    under composition is a group, so the check grows the generated group
-    breadth first and fails at the first product outside the set.
-    Generators are taken in sorted order only while they enlarge the
-    group.
+    The maps are bijections of 1..n, so they lie in the symmetric group,
+    and the check computes G, the subgroup of it that they generate, by
+    Dimino's coset enumeration (G. Butler, Fundamental Algorithms for
+    Permutation Groups, LNCS 559, 1991).  Write xy for x after y.  The
+    maps are walked in their given order; each one not yet in G becomes
+    the next generator s, and G grows from H, the group generated by the
+    earlier generators, to the group generated by H and s:
+    U = H u Hs, then for each coset representative r in turn (s first)
+    and each generator g so far, if rg lies outside U, U takes the whole
+    coset H(rg) and rg becomes a representative.  Every element that
+    joins U is checked against the set of maps, and the check fails at
+    the first one outside it.
+
+    Why U ends as the group generated by H and s.  U is a union of right
+    cosets of the group H, and distinct cosets are disjoint, so a coset
+    added for rg outside U is new element by element.  When the walk
+    ends, rg lies in U for every representative r and generator g, and
+    also for r = 1, since an earlier generator lies in H and s in Hs.
+    So for x = hr in U, xg = h(rg) = hh'r' lies in the coset Hr' inside
+    U.  U contains 1 and is closed under composition with every
+    generator on the right, so it holds every product of generators; in
+    a finite group every inverse is such a product, so U is the whole
+    group generated.
+
+    Why the verdict is right.  If the maps form a group, every product of
+    maps is a map, so no element is ever refused and the result is True.
+    If the walk ends without a refusal, G lies in the set, and every map
+    either was in G when its turn came or became a generator, so the set
+    equals G, a group: the result is True exactly then.
     """
     if enumeration is None:
         enumeration = enumerate_half_automorphisms(L)
     if not enumeration.complete:
         raise ValueError("group check needs a complete enumeration")
-    pool = {m.images for m in enumeration.maps}
-    group = {tuple(range(1, L.order + 1))}
-    after = []  # one getter per generator a: e -> e after a
-    for a in sorted(pool):
-        if a in group:
+    images = [m.images for m in enumeration.maps]
+    index = {a: i for i, a in enumerate(images)}
+    inside = bytearray(len(images))  # inside[index[a]] is 1 when a is in G
+    group = []  # the elements of G, held as the maps' own image tuples
+
+    def join(coset):
+        """Add the elements of a coset new to G; False at the first that
+        is not a map."""
+        for c in coset:
+            i = index.get(c)
+            if i is None:
+                return False
+            inside[i] = 1
+            group.append(images[i])
+        return True
+
+    if not join([tuple(range(1, L.order + 1))]):
+        return False
+    generators = []  # one getter per generator g: x -> xg
+    for a in images:
+        if inside[index[a]]:
             continue
-        after.append(itemgetter(*[x - 1 for x in a]))
-        frontier = list(group)
-        for e in frontier:
-            for g in after:
-                c = g(e)
-                if c not in group:
-                    if c not in pool:
+        H = group[:]
+        generators.append(itemgetter(*[x - 1 for x in a]))
+        if not join(map(generators[-1], H)):
+            return False
+        representatives = [a]
+        for r in representatives:
+            for g in generators:
+                e = g(r)
+                i = index.get(e)
+                if i is None:
+                    return False
+                if not inside[i]:
+                    if not join(map(itemgetter(*[x - 1 for x in e]), H)):
                         return False
-                    group.add(c)
-                    frontier.append(c)
-    return group == pool
+                    representatives.append(images[i])
+    return True
 
 
 # -- derived maps and special laws ------------------------------------
@@ -643,19 +701,27 @@ def coset_images(m: HalfMap, domain_projection, codomain_projection) -> tuple:
 # -- main theorem driver ----------------------------------------------
 
 
-@dataclass
 class TheoremReport:
-    name: str
-    order: int
-    moufang: bool
-    left_automorphic: bool
-    automorphic: bool
-    automorphic_witness: str | None
-    hypotheses_hold: bool
-    complete: bool
-    total: int
-    census: dict
-    proper_maps: list = field(default_factory=list)
+    """The main-theorem verdict on one loop.  Each report owns its census
+    dict and proper_maps list, so a caller may change them."""
+
+    __slots__ = ("name", "order", "moufang", "left_automorphic", "automorphic", "automorphic_witness",
+                 "hypotheses_hold", "complete", "total", "census", "proper_maps")
+
+    def __init__(self, name: str, order: int, moufang: bool, left_automorphic: bool, automorphic: bool,
+                 automorphic_witness: str | None, hypotheses_hold: bool, complete: bool, total: int,
+                 census: dict, proper_maps: list | None = None):
+        self.name = name
+        self.order = order
+        self.moufang = moufang
+        self.left_automorphic = left_automorphic
+        self.automorphic = automorphic
+        self.automorphic_witness = automorphic_witness
+        self.hypotheses_hold = hypotheses_hold
+        self.complete = complete
+        self.total = total
+        self.census = census
+        self.proper_maps = [] if proper_maps is None else proper_maps
 
     def summary(self) -> str:
         parts = [

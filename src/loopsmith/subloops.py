@@ -26,7 +26,6 @@ associator subloop compare the bracketings of pairs (innermaps.bracketings).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import eq
 from typing import NamedTuple
@@ -36,10 +35,14 @@ from .innermaps import bracketings, column_bytes, product_bytes
 from .table import LoopTable, memoized
 
 
-@dataclass
 class Subloop:
-    parent: LoopTable
-    elements: tuple  # sorted, always contains 1
+    """A subloop of parent, given by its elements: sorted, always with 1.
+    Memoized results hand the same Subloop to every caller, so treat it as
+    immutable."""
+
+    def __init__(self, parent: LoopTable, elements: tuple):
+        self.parent = parent
+        self.elements = elements
 
     @cached_property
     def is_group(self) -> bool:
@@ -214,6 +217,7 @@ def nucleus_right(L) -> Subloop:
     return _left_nucleus(L, column_bytes(L).rows)
 
 
+@memoized
 def nucleus(L) -> Subloop:
     """Intersection of the three one-sided nuclei."""
     members = set(nucleus_left(L).elements) & set(nucleus_middle(L).elements) \
@@ -226,6 +230,7 @@ class Commutant(NamedTuple):
     closed: bool  # the set need not be a subloop in general
 
 
+@memoized
 def commutant(L) -> Commutant:
     """Elements commuting with everything; returned with a closure flag."""
     rows = L.rows
@@ -348,8 +353,7 @@ def restriction(L, elements, name=None):
 # -- Sylow-style searches ---------------------------------------------
 
 
-@dataclass
-class SylowResult:
+class SylowResult(NamedTuple):
     subloop: Subloop | None  # present only when an exact p-part subloop was found
     best: Subloop            # largest p-power-order subloop encountered
     target: int              # exact p-part of the loop order
@@ -414,8 +418,7 @@ def sylow_subloop(L, p) -> SylowResult:
     return SylowResult(None, best, target, capped)
 
 
-@dataclass
-class HallResult:
+class HallResult(NamedTuple):
     subloop: Subloop | None  # closure when its order matches the 3'-part of |L|
     target: int
     in_nucleus: bool

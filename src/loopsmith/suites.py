@@ -8,7 +8,6 @@ callers decide what a violation or an empty hypothesis class means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from . import subloops as sl
@@ -32,13 +31,18 @@ from .halfmorph import (
 from .innermaps import bracketings, is_automorphic, is_left_automorphic, product_bytes, translate_rows
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    hypothesis_count: int = 0
-    check_count: int = 0
-    violations: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    """The counts and findings of one suite; each result owns its lists."""
+
+    __slots__ = ("name", "hypothesis_count", "check_count", "violations", "notes")
+
+    def __init__(self, name: str, hypothesis_count: int = 0, check_count: int = 0,
+                 violations: list | None = None, notes: list | None = None):
+        self.name = name
+        self.hypothesis_count = hypothesis_count
+        self.check_count = check_count
+        self.violations = [] if violations is None else violations
+        self.notes = [] if notes is None else notes
 
     @property
     def ok(self) -> bool:

@@ -12,7 +12,6 @@ the two bracketings of a pair (innermaps.bracketings) instead.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
@@ -39,8 +38,7 @@ class MoufangFlags(NamedTuple):
         return self.left and self.right and self.middle
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of checking a raw table; clean iff violations is empty."""
 
     is_quasigroup: bool

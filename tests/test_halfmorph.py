@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from itertools import permutations
+from operator import itemgetter
 
 import pytest
 
@@ -270,11 +271,11 @@ def test_relabeled_copy_keeps_flags_and_census(q2):
 SMALL_CATALOG = [key for key in catalog.catalog_keys() if catalog.builtin(key).table.order <= 8]
 
 
-@pytest.mark.parametrize("key", SMALL_CATALOG)
-def test_relabeling_keeps_flags_census_and_pair_counts(key):
+@pytest.mark.parametrize("key", SMALL_CATALOG + ["M(D16,2)"])
+def test_relabeling_keeps_flags_census_and_pair_counts(key, chein):
     # mask bits follow the labels, so a mask read in the wrong layout
     # shows up as a changed census or pair-count multiset
-    t = catalog.builtin(key).table
+    t = chein("D16") if key == "M(D16,2)" else catalog.builtin(key).table
     rest = list(range(2, t.order + 1))
     random.Random("relabel-" + key).shuffle(rest)
     copy = LoopTable(relabel(t.rows, [1] + rest))
@@ -726,6 +727,63 @@ def test_group_check_matches_closure_reference(q2, q2_enum, chein12, get_enum):
             assert half_maps_form_group_check(table, HalfEnumeration(maps, True)) == expected
             outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+def _breadth_first_group_check(L, enumeration):
+    """Reference: the group check as a breadth-first closure.  Takes the
+    maps in sorted order as generators while they enlarge the group,
+    composes every element found with every generator so far, and fails
+    at the first product outside the set."""
+    pool = {m.images for m in enumeration.maps}
+    group = {tuple(range(1, L.order + 1))}
+    after = []  # one getter per generator a: e -> e after a
+    for a in sorted(pool):
+        if a in group:
+            continue
+        after.append(itemgetter(*[x - 1 for x in a]))
+        frontier = list(group)
+        for e in frontier:
+            for g in after:
+                c = g(e)
+                if c not in group:
+                    if c not in pool:
+                        return False
+                    group.add(c)
+                    frontier.append(c)
+    return group == pool
+
+
+GROUP_CHECK = [key for key in catalog.catalog_keys() if catalog.builtin(key).table.order <= 20] + \
+    ["M(Q8,2)", "M(D16,2)"]
+
+
+@pytest.mark.parametrize("key", GROUP_CHECK)
+def test_group_check_matches_the_breadth_first_closure(key, chein, get_enum):
+    """The coset walk and the breadth-first closure agree on the complete
+    enumeration and on seeded subsets of it: without the identity, with
+    one map dropped, and, walked in shuffled order, random samples with
+    and without the identity and the cyclic group of one map."""
+    t = catalog.builtin(key).table if key in catalog.catalog_keys() else chein(key[2:key.index(",")])
+    maps = get_enum(key, t).maps
+    identity, rest = maps[0], list(maps[1:])
+    assert identity.is_identity()
+    subsets = [maps, rest]
+    if rest:
+        rng = random.Random("group-check-" + key)
+        dropped = rng.choice(rest)
+        subsets.append([m for m in maps if m is not dropped])
+        for _ in range(3):
+            sample = rng.sample(rest, rng.randint(1, len(rest)))
+            subsets += [sample, [identity] + sample]
+        cyclic = _generated([rng.choice(rest).images])
+        subsets.append(rng.sample([m for m in maps if m.images in cyclic], len(cyclic)))
+    verdicts = []
+    for subset in subsets:
+        enum = HalfEnumeration(tuple(subset), True)
+        verdicts.append(half_maps_form_group_check(t, enum))
+        assert verdicts[-1] == _breadth_first_group_check(t, enum), len(verdicts) - 1
+    # the whole set and a cyclic group pass; with one map, rest is empty and fails
+    assert verdicts[0] and verdicts[-1] == bool(rest)
 
 
 def test_group_check_rejects_inverse_closed_non_group(chein12, get_enum):

@@ -1,0 +1,115 @@
+"""The package's records: what importing them costs, and the constructor
+contracts they keep without dataclasses."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from loopsmith import catalog
+from loopsmith.catalog import CatalogEntry
+from loopsmith.cli import AnalysisReport
+from loopsmith.halfmorph import HalfClass, HalfEnumeration, HalfKind, HalfMap, TheoremReport, make_half_map
+from loopsmith.subloops import HallResult, Subloop, SylowResult
+from loopsmith.suites import SuiteResult
+from loopsmith.table import LoopTable, ValidationReport
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # dataclasses imports inspect, which imports dis and ast: about 10 ms
+    # of every CLI run before any class is decorated
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", "import loopsmith.cli, sys; "
+         "print(sorted({'dataclasses', 'inspect', 'dis', 'ast'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SuiteResult("s"),
+    lambda: AnalysisReport("a", 1),
+    lambda: CatalogEntry("c", catalog.make_cyclic(1)),
+    lambda: TheoremReport("t", 1, True, True, True, None, True, True, 1, {}),
+])
+def test_default_lists_and_dicts_are_fresh_per_instance(make):
+    first, second = make(), make()
+    containers = [name for name in type(first).__slots__
+                  if isinstance(getattr(first, name), (list, dict))]
+    assert containers
+    for name in containers:
+        assert getattr(first, name) == type(getattr(first, name))()
+        assert getattr(first, name) is not getattr(second, name), name
+
+
+def test_constructors_keep_their_positional_order_keywords_and_defaults():
+    z1 = catalog.make_cyclic(1)
+    s = SuiteResult("s", 1, 2, ["v"], ["n"])
+    assert (s.name, s.hypothesis_count, s.check_count, s.violations, s.notes) == ("s", 1, 2, ["v"], ["n"])
+    s = SuiteResult(name="s")
+    assert (s.hypothesis_count, s.check_count, s.violations, s.notes) == (0, 0, [], [])
+
+    a = AnalysisReport("a", 2, {"f": True}, {"o": 1}, 3, {"total": 1}, True, {"e": 0.5})
+    assert (a.name, a.order, a.flags, a.subloop_orders, a.nilpotency_class, a.half_census,
+            a.half_census_skipped, a.elapsed) == ("a", 2, {"f": True}, {"o": 1}, 3, {"total": 1}, True, {"e": 0.5})
+    a = AnalysisReport(name="a", order=2)
+    assert (a.flags, a.subloop_orders, a.nilpotency_class, a.half_census, a.half_census_skipped,
+            a.elapsed) == ({}, {}, None, None, False, {})
+
+    c = CatalogEntry("c", z1, {"moufang": (True, "trivial")}, (1,))
+    assert (c.key, c.table, c.expected, c.featured_half_map) == ("c", z1, {"moufang": (True, "trivial")}, (1,))
+    c = CatalogEntry(key="c", table=z1)
+    assert (c.expected, c.featured_half_map) == ({}, None)
+
+    t = TheoremReport("t", 1, True, False, True, "w", False, True, 1, {}, ["m"])
+    assert (t.name, t.order, t.moufang, t.left_automorphic, t.automorphic, t.automorphic_witness,
+            t.hypotheses_hold, t.complete, t.total, t.census, t.proper_maps) == \
+        ("t", 1, True, False, True, "w", False, True, 1, {}, ["m"])
+    assert TheoremReport(name="t", order=1, moufang=True, left_automorphic=True, automorphic=True,
+                         automorphic_witness=None, hypotheses_hold=True, complete=True, total=1,
+                         census={}).proper_maps == []
+
+    H = Subloop(z1, (1,))
+    assert (H.parent, H.elements, H.is_group) == (z1, (1,), True)
+    assert Subloop(parent=z1, elements=(1,)).elements == (1,)
+    assert SylowResult(None, H, 2).capped is False
+    assert not SylowResult(subloop=None, best=H, target=2, capped=True).exact
+    assert HallResult(H, 1, True, True).in_nucleus
+    assert ValidationReport(True, True, 1, []).is_loop
+    assert HalfClass(HalfKind.PROPER_HALF, 1, 2, (1, 2), None).trivial is False
+
+
+def test_half_map_masks_are_computed_unless_both_are_given(q2):
+    images = (1, 2, 5, 6, 3, 4, 8, 7)
+    m = make_half_map(q2, q2, images)
+    for hom, anti in ((None, None), (m.hom, None), (None, m.anti)):
+        again = HalfMap(q2, q2, images, hom, anti)
+        assert (again.hom, again.anti) == (m.hom, m.anti)
+    given = HalfMap(q2, q2, images, hom=0, anti=1)
+    assert (given.hom, given.anti) == (0, 1)
+
+
+def test_half_maps_compare_and_hash_by_domain_codomain_and_images(q2):
+    images = (1, 2, 5, 6, 3, 4, 8, 7)
+    m = make_half_map(q2, q2, images)
+    same = HalfMap(q2, q2, images, hom=0, anti=0)
+    assert m == same and hash(m) == hash(same)
+    assert len({m, same}) == 1
+    assert m != make_half_map(q2, q2, tuple(range(1, 9)))
+    copy = LoopTable(q2.rows)
+    assert m == HalfMap(copy, copy, images)
+    assert m != images
+
+
+def test_enumeration_without_sources_makes_every_map_its_own(q2_enum):
+    enum = HalfEnumeration(q2_enum.maps, True)
+    assert enum.sources == tuple(range(len(q2_enum.maps)))
+    assert enum.stats is None
+    assert HalfEnumeration((), False).sources == ()
+    assert HalfEnumeration(q2_enum.maps, True, q2_enum.stats, q2_enum.sources).sources == q2_enum.sources

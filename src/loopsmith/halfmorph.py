@@ -28,7 +28,7 @@ from .errors import HalfMapError, InternalCheckError, TheoremViolation
 from .innermaps import (byte_table, check_bijection, column_bytes, cycles_str, gather,
                         inner_map_witness, is_automorphism, is_left_automorphic, product_bytes,
                         push, translate_rows, zero_based)
-from .subloops import associator_subloop, quotient
+from .subloops import associator_quotient, associator_subloop
 from .table import LoopTable, memoized
 
 
@@ -663,18 +663,15 @@ def induced_on_quotient(m: HalfMap) -> HalfMap:
     the other, and coset-independent images; any failure raises with a
     witness.  The induced map is validated like any other half-morphism.
     """
-    from .subloops import is_normal
-
-    A = associator_subloop(m.domain)
-    B = associator_subloop(m.codomain)
-    if not is_normal(m.domain, A):
+    qd = associator_quotient(m.domain)
+    if qd is None:
         raise ValueError("associator subloop of the domain is not normal")
-    if not is_normal(m.codomain, B):
+    qc = associator_quotient(m.codomain)
+    if qc is None:
         raise ValueError("associator subloop of the codomain is not normal")
-    if {m.images[a - 1] for a in A.elements} != set(B.elements):
+    if {m.images[a - 1] for a in associator_subloop(m.domain).elements} != \
+            set(associator_subloop(m.codomain).elements):
         raise ValueError("map does not carry the associator subloop onto its image counterpart")
-    qd = quotient(m.domain, A)
-    qc = quotient(m.codomain, B)
     return make_half_map(qd.table, qc.table, coset_images(m, qd.projection, qc.projection))
 
 

@@ -4,6 +4,10 @@ Permutations are tuples of length n with images[i-1] the image of
 element i.  Per-map comparisons of table-shaped arrays run on byte
 strings (ByteTable, gather, push), which is why table.validate refuses
 orders above 256; so does bracketings, the one associativity comparison.
+
+Inner maps are bytes inside this module, written once as chains of
+translate tables (inner_maps), which the scans here and subloops.is_normal
+read; they become tuples only at inner_l, inner_r, inner_t and a witness.
 """
 
 from __future__ import annotations
@@ -120,27 +124,59 @@ def bracketings(rows, x, y, over) -> tuple:
 # -- inner mappings ----------------------------------
 
 
+@memoized
+def _formulas(L) -> dict:
+    """The inner-map families l, r and t (inner_l, inner_r, inner_t) as
+    functions (over, x, y) -> the bytes p(z)-1 over the 0-based elements
+    over, for 0-based x and y; t ignores y.  Built once per table, with
+    the rows of L._ld and L._rd as translate tables: LD[x] maps v to x\\v."""
+    R, C = product_bytes(L).rows, column_bytes(L).rows
+    LD, RD = (translate_rows(bytes(c - 1 for c in row) for row in div) for div in (L._ld, L._rd))
+    return {"l": lambda over, x, y: over.translate(R[y]).translate(R[x]).translate(LD[R[x][y]]),
+            "r": lambda over, x, y: over.translate(C[x]).translate(C[y]).translate(RD[R[x][y]]),
+            "t": lambda over, x, y: over.translate(C[x]).translate(LD[x])}
+
+
+def inner_maps(L, over, families="lrt"):
+    """(family, x, y, p) for every generator of the named families, in
+    that order, then by 0-based x and y (None for "t"); p is the bytes
+    p(z)-1 over the 0-based elements over."""
+    formulas = _formulas(L)
+    n = range(L.order)
+    for family in families:
+        f = formulas[family]
+        for x in n:
+            for y in (None,) if family == "t" else n:
+                yield family, x, y, f(over, x, y)
+
+
+def _perm(p) -> Perm:
+    """The 1-based permutation of the bytes p over every element."""
+    return tuple(c + 1 for c in p)
+
+
 def inner_l(L, x, y) -> Perm:
     """z -> (x*y) \\ (x*(y*z)); fixes 1."""
     L._check(x, y)
-    rx, ry = L.rows[x - 1], L.rows[y - 1]
-    ld = L._ld[rx[y - 1] - 1]
-    return tuple(ld[rx[ry[z] - 1] - 1] for z in range(L.order))
+    return _perm(_formulas(L)["l"](bytes(range(L.order)), x - 1, y - 1))
 
 
 def inner_r(L, x, y) -> Perm:
     """z -> ((z*x)*y) / (x*y); fixes 1."""
     L._check(x, y)
-    rows = L.rows
-    rd = L._rd[rows[x - 1][y - 1] - 1]
-    return tuple(rd[rows[rows[z][x - 1] - 1][y - 1] - 1] for z in range(L.order))
+    return _perm(_formulas(L)["r"](bytes(range(L.order)), x - 1, y - 1))
 
 
 def inner_t(L, x) -> Perm:
     """z -> x \\ (z*x); fixes 1."""
     L._check(x)
-    ld = L._ld[x - 1]
-    return tuple(ld[row[x - 1] - 1] for row in L.rows)
+    return _perm(_formulas(L)["t"](bytes(range(L.order)), x - 1, None))
+
+
+def _preserves_products(products, t) -> bool:
+    """Does the 0-based bijection t preserve every product of the
+    ByteTable products?"""
+    return push(products.flat, t) == gather(products.rows, t)
 
 
 def is_automorphism(L, p) -> bool:
@@ -148,34 +184,31 @@ def is_automorphism(L, p) -> bool:
     if len(p) != L.order:
         raise ValueError("permutation degree %d does not match order %d" % (len(p), L.order))
     check_bijection(p, L.order)
-    t = zero_based(p)
+    return _preserves_products(product_bytes(L), zero_based(p))
+
+
+def _first_failure(L, families, passed):
+    """First (family, x, y, perm) of the named families, in inner_maps
+    order, whose map is not an automorphism, or None.  A map in passed is
+    skipped, and each one that passes is added: inner maps repeat a lot
+    (on Z64 all 8256 generators are the identity), and skipping only
+    passed ones keeps the first failure in scan order."""
     products = product_bytes(L)
-    return push(products.flat, t) == gather(products.rows, t)
-
-
-def _first_failure(L, generators, passed):
-    """First (x, y, perm) of the generators whose map is not an
-    automorphism, or None.  A permutation in passed is skipped, and each
-    one that passes is added: inner maps repeat a lot (on Z64 all 8256
-    generators are the identity), and skipping only passed ones keeps
-    the first failure in scan order."""
-    for x, y, p in generators:
+    for family, x, y, p in inner_maps(L, bytes(range(L.order)), families):
         if p not in passed:
-            if not is_automorphism(L, p):
-                return x, y, p
+            if not _preserves_products(products, p):
+                return family, x + 1, None if y is None else y + 1, _perm(p)
             passed.add(p)
     return None
 
 
 @memoized
 def _left_witness(L):
-    """The first (x, y, perm) of the left family, in ascending element
-    order, whose map is not an automorphism (None when there is none),
-    with the set of permutations that passed."""
-    n = L.order
+    """The first generator of the left family whose map is not an
+    automorphism (None when there is none), with the set of maps that
+    passed."""
     passed = set()
-    left = ((x, y, inner_l(L, x, y)) for x in range(1, n + 1) for y in range(1, n + 1))
-    return _first_failure(L, left, passed), passed
+    return _first_failure(L, "l", passed), passed
 
 
 @memoized
@@ -189,17 +222,8 @@ def inner_map_witness(L):
     """
     left, passed = _left_witness(L)
     if left is not None:
-        return ("l", *left)
-    n = L.order
-    passed = set(passed)
-    right = ((x, y, inner_r(L, x, y)) for x in range(1, n + 1) for y in range(1, n + 1))
-    witness = _first_failure(L, right, passed)
-    if witness is not None:
-        return ("r", *witness)
-    witness = _first_failure(L, ((x, None, inner_t(L, x)) for x in range(1, n + 1)), passed)
-    if witness is not None:
-        return ("t", *witness)
-    return None
+        return left
+    return _first_failure(L, "rt", set(passed))
 
 
 def is_automorphic(L) -> bool:
@@ -221,9 +245,6 @@ def moufang_l_iff_r_check(L) -> bool:
     """
     if not L.is_moufang():
         raise ValueError("l-iff-r comparison needs a Moufang table")
-    n = L.order
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            if is_automorphism(L, inner_l(L, x, y)) != is_automorphism(L, inner_r(L, x, y)):
-                return False
-    return True
+    products, over = product_bytes(L), bytes(range(L.order))
+    return all(_preserves_products(products, p) == _preserves_products(products, q)
+               for (_, _, _, p), (_, _, _, q) in zip(inner_maps(L, over, "l"), inner_maps(L, over, "r")))

@@ -31,7 +31,7 @@ from operator import eq
 from typing import NamedTuple
 
 from .errors import InternalCheckError, QuotientError
-from .innermaps import bracketings, column_bytes, product_bytes
+from .innermaps import bracketings, column_bytes, inner_maps, product_bytes
 from .table import LoopTable, memoized
 
 
@@ -176,8 +176,10 @@ def commutator_subloop(L) -> Subloop:
     return _make_subloop(L, _close(L, {c for row in L.commutators() for c in row}))
 
 
+@memoized
 def associator_subloop(L) -> Subloop:
-    """Subloop generated by all associator values, read off unequal bracketings."""
+    """Subloop generated by all associator values, read off unequal
+    bracketings; computed once per table, so callers must not mutate it."""
     rows, over = product_bytes(L).rows, bytes(range(L.order))
     pairs = set()
     for x in over:
@@ -252,28 +254,10 @@ def center(L) -> Subloop:
 
 
 def is_normal(L, H) -> bool:
-    """Invariance of H under the standard inner-mapping generators.
-
-    Checks the maps z -> (x*y) \\ (x*(y*z)), z -> ((z*x)*y) / (x*y) and
-    z -> x \\ (z*x) pointwise on H for all x, y.
-    """
-    rows, ld, rd = L.rows, L._ld, L._rd
-    hset = set(H.elements)
-    n = L.order
-    for x in range(1, n + 1):
-        rx = rows[x - 1]
-        for h in hset:
-            if ld[x - 1][rows[h - 1][x - 1] - 1] not in hset:
-                return False
-        for y in range(1, n + 1):
-            xy = rx[y - 1]
-            ry = rows[y - 1]
-            for h in hset:
-                if ld[xy - 1][rx[ry[h - 1] - 1] - 1] not in hset:
-                    return False
-                if rd[xy - 1][rows[rows[h - 1][x - 1] - 1][y - 1] - 1] not in hset:
-                    return False
-    return True
+    """No inner-mapping generator (innermaps.inner_maps) sends an element
+    of H outside H: deleting H's bytes from each image of H leaves nothing."""
+    over = bytes(h - 1 for h in H.elements)
+    return not any(p.translate(None, over) for _, _, _, p in inner_maps(L, over))
 
 
 class Quotient(NamedTuple):
@@ -286,8 +270,14 @@ def quotient(L, H) -> Quotient:
 
     Raises QuotientError when the cosets fail to partition the loop or
     when coset products depend on the chosen representatives; both
-    signal that H is not normal.  The projection is re-verified to be a
-    homomorphism before returning.
+    signal that H is not normal.
+
+    The second check also proves the projection a homomorphism: with ra,
+    rb the representatives of a, b, projection[a*b] is index[coset_of[a*b]]
+    and the product of the projections is qrows[index[ra]-1][index[rb]-1],
+    that is index[coset_of[ra*rb]]; index is a bijection, so the two agree
+    exactly when coset_of[a*b] == coset_of[ra*rb].  LoopTable keeps qrows
+    as given: the coset of 1 is H, whose least member 1 makes it coset 1.
     """
     rows = L.rows
     n = L.order
@@ -327,13 +317,16 @@ def quotient(L, H) -> Quotient:
     name = None
     if L.name:
         name = "%s/%s" % (L.name, "{%s}" % ",".join(map(str, hset)))
-    qtable = LoopTable(qrows, name=name)
     projection = tuple(index[coset_of[x]] for x in range(1, n + 1))
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            if projection[rows[a - 1][b - 1] - 1] != qtable.rows[projection[a - 1] - 1][projection[b - 1] - 1]:
-                raise InternalCheckError("quotient projection is not a homomorphism")
-    return Quotient(qtable, projection)
+    return Quotient(LoopTable(qrows, name=name), projection)
+
+
+@memoized
+def associator_quotient(L) -> Quotient | None:
+    """The quotient by the associator subloop, or None when that subloop
+    is not normal; computed once per table, so callers must not mutate it."""
+    A = associator_subloop(L)
+    return quotient(L, A) if is_normal(L, A) else None
 
 
 def restriction(L, elements, name=None):

@@ -200,8 +200,8 @@ def suite_bruck(inputs):
         # the quotient by the associator subloop is a group, so the group
         # expansion of [u*v,w] holds there; compare cosets, which is an
         # exact comparison whenever the table is associative
-        A = sl.associator_subloop(t)
-        proj = sl.quotient(t, A).projection if sl.is_normal(t, A) else None
+        q = sl.associator_quotient(t)
+        proj = None if q is None else q.projection
         for u in t.elements:
             for v in t.elements:
                 uv = rows[u - 1][v - 1]
@@ -406,11 +406,8 @@ def suite_induced_quotient(inputs, max_order=None) -> SuiteResult:
     """
     res = SuiteResult("induced-quotient-trivial")
     for name, t in inputs:
-        A = sl.associator_subloop(t)
-        if not sl.is_normal(t, A):
-            continue
-        q = sl.quotient(t, A)
-        if not q.table.is_associative():
+        q = sl.associator_quotient(t)
+        if q is None or not q.table.is_associative():
             continue
         if max_order is not None and t.order > max_order:
             res.notes.append("skipped %s" % name)
@@ -418,7 +415,7 @@ def suite_induced_quotient(inputs, max_order=None) -> SuiteResult:
         enum = enumerate_half_automorphisms(t)
         proj = q.projection
         crosschecked = 0
-        for m, kind in zip(enum.maps, per_orbit(enum, _induced_kind(A, q))):
+        for m, kind in zip(enum.maps, per_orbit(enum, _induced_kind(sl.associator_subloop(t), q))):
             if kind is None:
                 continue
             res.hypothesis_count += 1
@@ -487,21 +484,21 @@ def suite_commutator_d_set(inputs, max_order=None) -> SuiteResult:
     compositions (see _d_set_verdict)."""
     res = SuiteResult("commutator-d-set-central")
     for name, t in inputs:
+        tables = {t: t}  # one table per distinct set of rows, so memos are shared
         for elements in sl.three_generated(t):
-            # the whole loop is one of the sets; using t itself reuses its memo
-            sub = t if len(elements) == t.order else sl.restriction(t, elements)[0]
+            sub = sl.restriction(t, elements)[0]
+            sub = tables.setdefault(sub, sub)
             if not (sub.is_moufang() and is_left_automorphic(sub)):
                 continue
-            A = sl.associator_subloop(sub)
-            if not sl.is_normal(sub, A):
+            q = sl.associator_quotient(sub)
+            if q is None:
                 continue
-            q = sl.quotient(sub, A)
             if max_order is not None and sub.order > max_order:
                 label = name if sub is t else "%s!%s" % (name, ",".join(map(str, elements)))
                 res.notes.append("skipped %s" % label)
                 continue
             enum = enumerate_half_automorphisms(sub)
-            verdict = _d_set_verdict(sub, A, q, "%s sub %r" % (name, elements))
+            verdict = _d_set_verdict(sub, sl.associator_subloop(sub), q, "%s sub %r" % (name, elements))
             for value in per_orbit(enum, verdict):
                 if value is not None:
                     checks, violations = value

@@ -123,6 +123,15 @@ def random_loops():
 
 
 @pytest.fixture(scope="session")
+def reference_loops(relabeled_chein, random_loops):
+    """The loops whose three-generated sets the inner-map and normality
+    references are compared on: the catalog, two relabeled Chein loops
+    and the random loops."""
+    catalog_tables = tuple(catalog.builtin(key).table for key in catalog.catalog_keys())
+    return catalog_tables + (relabeled_chein("D16"), relabeled_chein("D24")) + random_loops
+
+
+@pytest.fixture(scope="session")
 def q1_enum(q1, get_enum):
     return get_enum("Q1", q1)
 

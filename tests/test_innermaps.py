@@ -177,17 +177,59 @@ def _witness_by_plain_scan(t):
     return None
 
 
-def test_witness_scan_skips_maps_that_passed(relabeled_chein, monkeypatch):
+def test_witness_scan_skips_maps_that_passed(relabeled_chein, monkeypatch, z256):
     tables = [catalog.builtin(key).table for key in catalog.catalog_keys()]
     for t in tables + [relabeled_chein("D24")]:
         assert inner_map_witness(t) == _witness_by_plain_scan(t), t.name
     calls = []
+    check = im._preserves_products
 
-    def counting(L, p):
+    def counting(products, p):
         calls.append(p)
-        return is_automorphism(L, p)
+        return check(products, p)
 
-    monkeypatch.setattr(im, "is_automorphism", counting)
+    monkeypatch.setattr(im, "_preserves_products", counting)
     z64 = catalog.make_cyclic(64)
     assert inner_map_witness(z64) is None
-    assert calls == [tuple(range(1, 65))]
+    assert calls == [bytes(range(64))]
+    calls.clear()
+    assert inner_map_witness(z256) is None
+    assert calls == [bytes(range(256))]
+
+
+def _reference_inner_maps(L):
+    """The tuple formulas that inner_l, inner_r and inner_t had before
+    the byte form, read pointwise off the rows and the division tables,
+    as (family, x, y, perm) in scan order."""
+    rows, n = L.rows, L.order
+    maps = []
+    for x in range(1, n + 1):
+        for y in range(1, n + 1):
+            rx, ry = rows[x - 1], rows[y - 1]
+            ld = L._ld[rx[y - 1] - 1]
+            maps.append(("l", x, y, tuple(ld[rx[ry[z] - 1] - 1] for z in range(n))))
+    for x in range(1, n + 1):
+        for y in range(1, n + 1):
+            rd = L._rd[rows[x - 1][y - 1] - 1]
+            maps.append(("r", x, y, tuple(rd[rows[rows[z][x - 1] - 1][y - 1] - 1] for z in range(n))))
+    for x in range(1, n + 1):
+        ld = L._ld[x - 1]
+        maps.append(("t", x, None, tuple(ld[row[x - 1] - 1] for row in L.rows)))
+    return maps
+
+
+def test_inner_maps_match_the_tuple_formulas(reference_loops):
+    """On every three-generated subloop, as a table of its own, the byte
+    generator and inner_l, inner_r and inner_t give the tuple formulas."""
+    tables = 0
+    for L in reference_loops:
+        for elements in sl.three_generated(L):
+            sub, _ = sl.restriction(L, elements)
+            reference = _reference_inner_maps(sub)
+            over = bytes(range(sub.order))
+            assert [(f, x + 1, None if y is None else y + 1, tuple(c + 1 for c in p))
+                    for f, x, y, p in im.inner_maps(sub, over)] == reference
+            public = {"l": inner_l, "r": inner_r, "t": lambda t, x, y: inner_t(t, x)}
+            assert [(f, x, y, public[f](sub, x, y)) for f, x, y, _ in reference] == reference
+            tables += 1
+    assert tables == 671

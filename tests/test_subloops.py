@@ -138,6 +138,41 @@ def test_is_normal(q1, s3):
     assert not is_normal(s3, h2)
 
 
+def _reference_is_normal(L, H):
+    """The pointwise check that is_normal made before it read the byte
+    inner maps: z -> (x*y) \\ (x*(y*z)), z -> ((z*x)*y) / (x*y) and
+    z -> x \\ (z*x) keep H inside H for all x, y."""
+    rows, ld, rd = L.rows, L._ld, L._rd
+    hset = set(H.elements)
+    n = L.order
+    for x in range(1, n + 1):
+        rx = rows[x - 1]
+        for h in hset:
+            if ld[x - 1][rows[h - 1][x - 1] - 1] not in hset:
+                return False
+        for y in range(1, n + 1):
+            xy = rx[y - 1]
+            ry = rows[y - 1]
+            for h in hset:
+                if ld[xy - 1][rx[ry[h - 1] - 1] - 1] not in hset:
+                    return False
+                if rd[xy - 1][rows[rows[h - 1][x - 1] - 1][y - 1] - 1] not in hset:
+                    return False
+    return True
+
+
+def test_is_normal_matches_the_pointwise_check(reference_loops, random_loops):
+    outcomes = {True: 0, False: 0}
+    for L in reference_loops:
+        for elements in three_generated(L):
+            H = Subloop(L, elements)
+            expected = _reference_is_normal(L, H)
+            assert is_normal(L, H) == expected, (L.name, elements)
+            if L in random_loops:
+                outcomes[expected] += 1
+    assert outcomes == {True: 40, False: 44}
+
+
 def test_quotient_of_q1_by_associators(q1):
     q = quotient(q1, associator_subloop(q1))
     assert q.table.order == 8

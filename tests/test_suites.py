@@ -17,6 +17,7 @@ from loopsmith.halfmorph import (
     d_set,
     enumerate_half_automorphisms,
     half_census,
+    induced_on_quotient,
     make_half_map,
     mask_pairs,
 )
@@ -303,3 +304,52 @@ def test_nucleus_absorption_matches_a_triple_walk_on_a_widened_nucleus(monkeypat
     assert got.check_count == 2 * (8 ** 4 + 16 ** 4 + 7 ** 4)  # 2 |N| n^3 with N the whole loop
     assert got.violations == want.violations
     assert {v.split(":")[0] for v in got.violations} == {"Q1", "random"}
+
+
+def test_a_non_normal_associator_subloop_is_skipped(monkeypatch, q1, phi1):
+    """No catalog or random loop has a non-normal associator subloop, so
+    normality is refused here on a fresh copy of Q1, whose memo is empty.
+    The quotient suites skip it, the Bruck expansion falls back to exact
+    comparison, and induced_on_quotient refuses the map."""
+    fresh = LoopTable(q1.rows, name="Q1")
+    monkeypatch.setattr(sl, "is_normal", lambda L, H: False)
+    assert sl.associator_quotient(fresh) is None
+    inputs = [("Q1", fresh)]
+    for suite in (suites.suite_quotient_homomorphism, suites.suite_induced_quotient,
+                  suite_commutator_d_set):
+        res = suite(inputs)
+        assert (res.hypothesis_count, res.check_count, res.violations) == (0, 0, []), res.name
+    expansion = {r.name: r for r in suite_bruck(inputs)}["bruck-commutator-expansion"]
+    comm = fresh.commutators()
+
+    def unequal(u, v, w):
+        ut = comm[u - 1][w - 1]
+        rhs = fresh.mul(fresh.mul(ut, comm[ut - 1][v - 1]), comm[v - 1][w - 1])
+        return comm[fresh.mul(u, v) - 1][w - 1] != rhs
+
+    triples = [(u, v, w) for u in fresh.elements for v in fresh.elements for w in fresh.elements]
+    assert len(expansion.violations) == sum(unequal(*uvw) for uvw in triples) == 1344
+    with pytest.raises(ValueError, match="associator subloop of the domain is not normal"):
+        induced_on_quotient(make_half_map(fresh, fresh, phi1.images))
+
+
+def test_commutator_d_set_searches_each_distinct_subtable_once(monkeypatch):
+    """Three-generated sets of one loop with equal restricted rows share
+    one table, and so one search; the whole loop is the loop itself."""
+    searched = []
+
+    def recording(L):
+        searched.append(L)
+        return enumerate_half_automorphisms(L)
+
+    monkeypatch.setattr(suites, "enumerate_half_automorphisms", recording)
+    objects = rows = 0
+    for key in catalog.catalog_keys():
+        t = catalog.builtin(key).table
+        searched.clear()
+        suite_commutator_d_set([(key, t)], max_order=20)
+        assert len({id(L) for L in searched}) == len({L.rows for L in searched}), key
+        assert (t in searched) == any(L is t for L in searched), key
+        objects += len({id(L) for L in searched})
+        rows += len(searched)
+    assert (objects, rows) == (82, 153)

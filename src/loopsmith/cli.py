@@ -17,19 +17,12 @@ import sys
 import time
 
 from . import catalog as cat
-from . import subloops as sl
 from .errors import InternalCheckError, LoopError, LoopFileError
-from .halfmorph import (
-    HalfKind,
-    classify,
-    enumerate_half_automorphisms,
-    half_census,
-    half_maps_form_group_check,
-    per_orbit,
-    verify_main_theorem,
-)
-from .innermaps import is_automorphic, is_left_automorphic
-from .suites import run_theorem_suites
+
+# Each command imports the other modules it runs where it runs them, so
+# validate loads none of them and analyze without the census loads neither
+# halfmorph nor suites (tests/test_records.py checks both).
+#
 # validate is unused here; it stays bound because the benchmark's test of
 # its tracer (loopbench/test_loopbench.py) checks that this binding is wrapped
 from .table import validate  # noqa: F401
@@ -100,6 +93,9 @@ class AnalysisReport:
 
 def analyze_table(table, name=None, max_half_order=20) -> AnalysisReport:
     """One-stop structural summary of a loop."""
+    from . import subloops as sl
+    from .innermaps import is_automorphic, is_left_automorphic
+
     name = name or table.name or "loop"
     report = AnalysisReport(name=name, order=table.order)
     t0 = time.perf_counter()
@@ -126,6 +122,8 @@ def analyze_table(table, name=None, max_half_order=20) -> AnalysisReport:
     t3 = time.perf_counter()
     report.elapsed["nilpotency"] = t3 - t2
     if table.order <= max_half_order:
+        from .halfmorph import half_census
+
         census = {kind.value: count for kind, count in half_census(table).counts}
         census["total"] = sum(census.values())
         report.half_census = census
@@ -211,6 +209,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_halfautos(args) -> int:
+    from .halfmorph import (HalfKind, classify, enumerate_half_automorphisms,
+                            half_maps_form_group_check, per_orbit)
+
     if args.limit is not None and args.limit < 1:
         print("--limit must be at least 1, got %d" % args.limit, file=sys.stderr)
         return EXIT_INPUT
@@ -267,6 +268,10 @@ def cmd_halfautos(args) -> int:
 
 
 def cmd_checktheorem(args) -> int:
+    from .halfmorph import verify_main_theorem
+    from .innermaps import is_automorphic
+    from .suites import run_theorem_suites
+
     status = EXIT_OK
     if args.catalog:
         named = [(e.key, e.table) for e in cat.entries()]

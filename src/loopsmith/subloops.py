@@ -221,7 +221,13 @@ def nucleus_right(L) -> Subloop:
 
 @memoized
 def nucleus(L) -> Subloop:
-    """Intersection of the three one-sided nuclei."""
+    """Intersection of the three one-sided nuclei.
+
+    In a group every triple associates, so every element lies in all
+    three nuclei and the nucleus is the whole loop, which needs no scan.
+    """
+    if L.is_associative():
+        return Subloop(L, tuple(L.elements))
     members = set(nucleus_left(L).elements) & set(nucleus_middle(L).elements) \
         & set(nucleus_right(L).elements)
     return _make_subloop(L, members)

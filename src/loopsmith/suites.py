@@ -242,8 +242,10 @@ def suite_bruck(inputs):
                 if cube not in nuc:
                     r_cubes.violations.append("%s: %d cubed lands outside the nucleus" % (name, u))
 
+        tables = {t: t}  # one table per distinct set of rows, so memos are shared
         for elements in sl.three_generated(t):
             sub, _ = sl.restriction(t, elements)
+            sub = tables.setdefault(sub, sub)
             inner = set(sl.associator_subloop(sub).elements)
             central = set(sl.center(sub).elements)
             r_3gen.check_count += 1

@@ -352,7 +352,35 @@ class LoopTable:
 
     @memoized
     def is_diassociative(self) -> bool:
-        """True when every subloop generated by two elements is a group."""
-        from .subloops import Subloop, two_generated
+        """True when every subloop generated by two elements is a group.
 
-        return all(Subloop(self, H).is_group for H in two_generated(self))
+        A group is diassociative: each of its subloops is a subgroup.
+        Otherwise the pairs x <= y of elements other than 1 are walked as
+        a cover.  A pair whose two elements lie in a subloop already found
+        to be a group is skipped; any other pair is closed, and its
+        closure is either a group, whose pairs are then all covered, or
+        the answer False.
+
+        This is exact.  Every two-generated subloop is <x, y> for some
+        such pair, since 1 lies in every subloop and <x, y> = <y, x>.  A
+        skipped pair lies in a group G, so <x, y> is a product-closed
+        subset of G, where every triple associates: a group.  A pair
+        that is closed is decided by its own closure.
+        """
+        if self.is_associative():
+            return True
+        from .subloops import _close, _make_subloop
+
+        n = self.order
+        covered = [0] * (n + 1)  # bit y of covered[x]: x and y lie in a group found so far
+        for x in range(2, n + 1):
+            for y in range(x, n + 1):
+                if covered[x] >> y & 1:
+                    continue
+                H = _make_subloop(self, _close(self, (x, y)))
+                if not H.is_group:
+                    return False
+                mask = sum(1 << h for h in H.elements)
+                for h in H.elements:
+                    covered[h] |= mask
+        return True

@@ -13,6 +13,7 @@ import tracemalloc
 import pytest
 
 from loopsmith import catalog
+from loopsmith import subloops as sl
 from loopsmith.innermaps import bracketings, column_bytes, product_bytes
 from loopsmith.subloops import (
     Subloop,
@@ -120,3 +121,20 @@ def test_group_at_the_order_cap_holds_no_cubic_table(z256):
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("key", ["Z16", "D16", "Q8"])
+def test_groups_answer_diassociativity_and_the_nucleus_without_a_scan(monkeypatch, key):
+    """In a group every subloop is a subgroup and every element lies in
+    all three nuclei, so once is_associative holds neither question
+    closes a set or compares a bracketing."""
+    t = LoopTable(catalog.builtin(key).table.rows)
+    assert t.is_associative()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group was scanned")
+
+    monkeypatch.setattr(sl, "bracketings", refuse)
+    monkeypatch.setattr(sl, "_close", refuse)
+    assert t.is_diassociative()
+    assert nucleus(t).elements == tuple(t.elements)

@@ -191,14 +191,14 @@ def test_halfautos_classifies_once_per_searched_map(monkeypatch, capsys):
     """The kind and witnesses read only the masks, which a composed map
     shares with its source, so classify runs once per searched map."""
     calls = 0
-    classify = cli.classify
+    classify = halfmorph.classify
 
     def counting(m):
         nonlocal calls
         calls += 1
         return classify(m)
 
-    monkeypatch.setattr(cli, "classify", counting)
+    monkeypatch.setattr(halfmorph, "classify", counting)
     assert main(["halfautos", "--json", "Q2"]) == 0
     maps = json.loads(capsys.readouterr().out)["maps"]
     enum = halfmorph.enumerate_half_automorphisms(builtin("Q2").table)

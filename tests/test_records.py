@@ -1,8 +1,11 @@
-"""The package's records: what importing them costs, and the constructor
-contracts they keep without dataclasses."""
+"""The package's records and import graph: what importing them costs,
+which modules each command loads, and the constructor contracts the
+records keep without dataclasses."""
 
 from __future__ import annotations
 
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import loopsmith
 from loopsmith import catalog
 from loopsmith.catalog import CatalogEntry
 from loopsmith.cli import AnalysisReport
@@ -28,6 +32,80 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     out = subprocess.run(
         [sys.executable, "-c", "import loopsmith.cli, sys; "
          "print(sorted({'dataclasses', 'inspect', 'dis', 'ast'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def _modules_loaded_by(argv):
+    """The loopsmith submodules that running the CLI on argv imports, in a
+    fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    script = ("import json, sys\n"
+              "from loopsmith.cli import main\n"
+              "assert main(%r) == 0\n"
+              "print(json.dumps([m for m in sys.modules if m.startswith('loopsmith.')]))\n" % (argv,))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def test_validate_loads_no_structure_or_search_module(tmp_path):
+    path = tmp_path / "q2.loop"
+    path.write_text(catalog.write_loop_file(catalog.builtin("Q2").table), encoding="utf-8")
+    loaded = _modules_loaded_by(["validate", "--json", str(path)])
+    assert "loopsmith.table" in loaded
+    assert not loaded & {"loopsmith.halfmorph", "loopsmith.suites", "loopsmith.subloops",
+                         "loopsmith.innermaps"}
+
+
+def test_analyze_without_the_census_loads_no_search_or_suite_module(tmp_path):
+    path = tmp_path / "m16.loop"
+    table = catalog.make_chein(catalog.make_dihedral(16))
+    assert table.order == 32
+    path.write_text(catalog.write_loop_file(table), encoding="utf-8")
+    loaded = _modules_loaded_by(["analyze", "--json", str(path)])
+    assert {"loopsmith.subloops", "loopsmith.innermaps"} <= loaded
+    assert not loaded & {"loopsmith.halfmorph", "loopsmith.suites"}
+
+
+# the package's names, by the submodule that defines them
+PACKAGE_NAMES = {
+    "errors": ("HalfMapError", "InternalCheckError", "LoopError", "LoopFileError", "QuotientError",
+               "TableValidationError", "TheoremViolation"),
+    "table": ("ElementOrder", "LoopTable", "MoufangFlags", "ValidationReport", "relabel", "validate"),
+    "subloops": ("Subloop", "associator_subloop", "center", "commutant", "commutative_nilpotency_class",
+                 "commutator_subloop", "generate_subloop", "hall_3prime_subgroup", "is_normal", "nucleus",
+                 "nucleus_left", "nucleus_middle", "nucleus_right", "quotient", "restriction",
+                 "sylow_subloop"),
+    "innermaps": ("cycles_str", "inner_l", "inner_r", "inner_t", "is_automorphic", "is_automorphism",
+                  "is_left_automorphic", "inner_map_witness", "moufang_l_iff_r_check", "perm_from_cycles"),
+    "halfmorph": ("GGTriple", "HalfClass", "HalfEnumeration", "HalfKind", "HalfMap", "SearchStats",
+                  "TheoremReport", "classify", "d_set", "enumerate_half_automorphisms", "find_gg_triples",
+                  "half_maps_form_group_check", "induced_on_quotient", "is_semi_isomorphism",
+                  "make_half_map", "verify_main_theorem"),
+    "catalog": ("CatalogEntry", "builtin", "catalog_keys", "check_expected", "entries", "make_chein",
+                "make_cyclic", "make_dihedral", "make_quaternion8", "make_symmetric3", "parse_loop_file",
+                "write_loop_file"),
+}
+
+
+def test_package_names_are_the_submodules_own_objects():
+    listed = dir(loopsmith)
+    for module, names in PACKAGE_NAMES.items():
+        sub = importlib.import_module("loopsmith." + module)
+        for name in names:
+            assert getattr(loopsmith, name) is getattr(sub, name), name
+            assert name in listed, name
+    assert sorted(loopsmith.__all__) == sorted(n for names in PACKAGE_NAMES.values() for n in names)
+    with pytest.raises(AttributeError):
+        loopsmith.no_such_name
+
+
+def test_importing_the_package_loads_no_submodule():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", "import loopsmith, sys; "
+         "print(sorted(m for m in sys.modules if m.startswith('loopsmith.')))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
 

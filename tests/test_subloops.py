@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -287,10 +288,45 @@ def test_two_generated_matches_closing_every_pair(q1, q2, chein12, chein32, rela
         assert two_generated(t) == _closures_of_combinations(t, (1, 2)), t
 
 
-def test_diassociativity_reads_the_two_generated_sets(q2, chein32):
+def test_diassociativity_of_q2_and_chein32(q2, chein32):
     assert chein32.order == 32
     assert not q2.is_diassociative()
     assert chein32.is_diassociative()
+
+
+def _lattice_diassociative(t):
+    """Reference: every subloop of the two-generated lattice is a group."""
+    return all(Subloop(t, H).is_group for H in two_generated(t))
+
+
+def test_pair_cover_matches_the_two_generated_lattice(reference_loops):
+    opposites = tuple(LoopTable([list(c) for c in zip(*t.rows)]) for t in reference_loops)
+    verdicts = Counter()
+    for t in reference_loops + opposites:
+        expected = _lattice_diassociative(t)
+        assert t.is_diassociative() == expected, t
+        verdicts[expected] += 1
+    # 28 loops and their opposites are diassociative: 24 groups and M(S3,2),
+    # Q1 and the two Chein loops, which are Moufang; Q2 and the 40 random
+    # loops are not, nor are their opposites
+    assert verdicts == {True: 56, False: 82}
+
+
+def test_pair_cover_closes_fewer_sets_than_the_lattice(monkeypatch, relabeled_chein):
+    rows = relabeled_chein("D24").rows
+    calls = []
+
+    def counting(L, seed, closed=(1,)):
+        calls.append(seed)
+        return _close(L, seed, closed)
+
+    monkeypatch.setattr(sl, "_close", counting)
+    assert LoopTable(rows).is_diassociative()
+    cover = len(calls)
+    two_generated(LoopTable(rows))
+    lattice = len(calls) - cover
+    # 149 closures against the lattice's 801
+    assert cover < 160 < 801 == lattice, (cover, lattice)
 
 
 def test_each_lattice_set_is_rechecked_once(monkeypatch):

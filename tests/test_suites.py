@@ -353,3 +353,27 @@ def test_commutator_d_set_searches_each_distinct_subtable_once(monkeypatch):
         objects += len({id(L) for L in searched})
         rows += len(searched)
     assert (objects, rows) == (82, 153)
+
+
+def test_bruck_restricts_to_one_table_per_distinct_row_set(monkeypatch):
+    """The associator-central check of suite_bruck shares one table among
+    the three-generated sets of a loop whose restricted rows are equal;
+    the whole loop is the loop itself."""
+    checked = []
+    center = sl.center
+
+    def recording(L):
+        checked.append(L)
+        return center(L)
+
+    monkeypatch.setattr(sl, "center", recording)
+    objects = calls = 0
+    for key in catalog.catalog_keys():
+        t = catalog.builtin(key).table
+        checked.clear()
+        suite_bruck([(key, t)])
+        assert len({id(L) for L in checked}) == len({L.rows for L in checked}), key
+        assert (t in checked) == any(L is t for L in checked), key
+        objects += len({id(L) for L in checked})
+        calls += len(checked)
+    assert (objects, calls) == (74, 123)

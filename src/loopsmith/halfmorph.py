@@ -25,11 +25,11 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import HalfMapError, InternalCheckError, TheoremViolation
-from .innermaps import (byte_table, check_bijection, column_bytes, cycles_str, gather,
+from .innermaps import (_sandwiches, check_bijection, column_bytes, cycles_str, gather,
                         inner_map_witness, is_automorphism, is_left_automorphic, product_bytes,
                         push, translate_rows, zero_based)
 from .subloops import associator_quotient, associator_subloop
-from .table import LoopTable, memoized
+from .table import LoopTable, _commuting, memoized
 
 
 class HalfMap:
@@ -314,12 +314,6 @@ def _complete_enumeration(L):
     return _search(L, None)
 
 
-def _commuting(L):
-    """For each element, the number of elements it commutes with."""
-    rows = L.rows
-    return [sum(r[y] == rows[y][x] for y in range(L.order)) for x, r in enumerate(rows)]
-
-
 def _generation_order(L, first=None):
     """Every element once, as (c, a, b) with c = a*b for a and b listed
     before c, or (c, 0, 0) when c is a generator; (1, 0, 0) comes first.
@@ -597,15 +591,6 @@ def is_semi_isomorphism(m: HalfMap) -> bool:
     domain = _sandwiches(m.domain)[:1 if m.domain.is_flexible() else 2]
     return all(push(d.flat, t) == gather(c.rows, t)
                for d, c in zip(domain, _sandwiches(m.codomain)))
-
-
-@memoized
-def _sandwiches(L):
-    """The byte tables of (u*v)*u and of u*(v*u), entry [u-1][v-1].  Each
-    reads row u, then column u, of the rows or the columns."""
-    rng = range(L.order)
-    return tuple(byte_table([[a[a[u][v] - 1][u] for v in rng] for u in rng])
-                 for a in (L.rows, tuple(zip(*L.rows))))
 
 
 class GGTriple(NamedTuple):

@@ -114,6 +114,16 @@ def column_bytes(L) -> ByteTable:
     return byte_table(tuple(zip(*L.rows)))
 
 
+@memoized
+def _sandwiches(L):
+    """The byte tables of (u*v)*u and of u*(v*u), entry [u-1][v-1], built
+    once per table; equal exactly when L is flexible.  Each reads row u,
+    then column u, of the rows or the columns."""
+    rng = range(L.order)
+    return tuple(byte_table([[a[a[u][v] - 1][u] for v in rng] for u in rng])
+                 for a in (L.rows, tuple(zip(*L.rows))))
+
+
 def bracketings(rows, x, y, over) -> tuple:
     """z -> x*(y*z) and z -> (x*y)*z over the 0-based elements over, as
     bytes, for 0-based x, y and the rows of product_bytes; on column_bytes

@@ -20,19 +20,19 @@ it is closed under division too: x = g*h gives g = x/h, and x = h*g
 gives g = h\\x, so each of g and x lies in the subloop that the other
 generates with H.
 
-Associativity (is_group, LoopTable.is_associative), the nuclei and the
-associator subloop compare the bracketings of pairs (innermaps.bracketings).
+Associativity compares the bracketings of pairs (innermaps.bracketings):
+once per table over every pair in _association, which is_associative, the
+nuclei and the associator subloop read, and over a subset in is_group.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from operator import eq
 from typing import NamedTuple
 
 from .errors import InternalCheckError, QuotientError
 from .innermaps import bracketings, column_bytes, inner_maps, product_bytes
-from .table import LoopTable, memoized
+from .table import LoopTable, _commuting, memoized
 
 
 class Subloop:
@@ -40,11 +40,13 @@ class Subloop:
     Memoized results hand the same Subloop to every caller, so treat it as
     immutable."""
 
+    __slots__ = ("parent", "elements")
+
     def __init__(self, parent: LoopTable, elements: tuple):
         self.parent = parent
         self.elements = elements
 
-    @cached_property
+    @property
     def is_group(self) -> bool:
         return _associative_on(self.parent, self.elements)
 
@@ -176,61 +178,68 @@ def commutator_subloop(L) -> Subloop:
     return _make_subloop(L, _close(L, {c for row in L.commutators() for c in row}))
 
 
+class Association(NamedTuple):
+    """The elements of the triples (x, y, z) with x*(y*z) != (x*y)*z."""
+
+    first: set   # every x of such a triple
+    second: set  # every y
+    third: set   # every z
+    values: set  # every associator (x*(y*z)) \ ((x*y)*z)
+
+
 @memoized
-def associator_subloop(L) -> Subloop:
-    """Subloop generated by all associator values, read off unequal
-    bracketings; computed once per table, so callers must not mutate it."""
+def _association(L) -> Association:
+    """The one pass over the pairs (x, y) that compares their bracketings,
+    computed once per table, so callers must not mutate it.
+
+    The z of a pair are the nonzero bytes of p XOR q, for its bracketings
+    p: z -> x*(y*z) and q: z -> (x*y)*z.  Its associator values are
+    p(z) \\ q(z), that is v \\ s(v) over every v for s = maketrans(p, q),
+    since p is a bijection; few pairs have distinct s.
+    """
     rows, over = product_bytes(L).rows, bytes(range(L.order))
-    pairs = set()
+    first, second, sends, moved = set(), set(), set(), 0
     for x in over:
         for y in over:
             p, q = bracketings(rows, x, y, over)
             if p != q:
-                pairs.update(zip(p, q))
-    return _make_subloop(L, _close(L, {L._ld[p][q] for p, q in pairs}))
+                first.add(x + 1)
+                second.add(y + 1)
+                moved |= int.from_bytes(p, "big") ^ int.from_bytes(q, "big")
+                sends.add(bytes.maketrans(p, q))
+    third = {z + 1 for z, c in enumerate(moved.to_bytes(L.order, "big")) if c}
+    return Association(first, second, third, {L._ld[v][s[v]] for s in sends for v in over})
+
+
+@memoized
+def associator_subloop(L) -> Subloop:
+    """Subloop generated by all associator values; computed once per
+    table, so callers must not mutate it."""
+    return _make_subloop(L, _close(L, _association(L).values))
 
 
 # -- nuclei, commutant, center ----------------------------------------
 
 
-def _left_nucleus(L, rows):
-    """Elements a whose pair (a, x) associates for every x, on rows."""
-    over = bytes(range(L.order))
-    return _make_subloop(L, [a + 1 for a in over
-                             if all(eq(*bracketings(rows, a, x, over)) for x in over)])
-
-
 def nucleus_left(L) -> Subloop:
     """Elements a with (a, x, y) = 1 for all x, y."""
-    return _left_nucleus(L, product_bytes(L).rows)
+    return _make_subloop(L, set(L.elements) - _association(L).first)
 
 
 def nucleus_middle(L) -> Subloop:
     """Elements a with (x, a, y) = 1 for all x, y."""
-    rows, over = product_bytes(L).rows, bytes(range(L.order))
-    return _make_subloop(L, [a + 1 for a in over
-                             if all(eq(*bracketings(rows, x, a, over)) for x in over)])
+    return _make_subloop(L, set(L.elements) - _association(L).second)
 
 
 def nucleus_right(L) -> Subloop:
-    """Elements a with (x, y, a) = 1 for all x, y: the left nucleus of the
-    opposite loop x o y = y*x, whose rows are L's columns, since
-    (x*y)*a = x*(y*a) reads a o (y o x) = (a o y) o x."""
-    return _left_nucleus(L, column_bytes(L).rows)
+    """Elements a with (x, y, a) = 1 for all x, y."""
+    return _make_subloop(L, set(L.elements) - _association(L).third)
 
 
 @memoized
 def nucleus(L) -> Subloop:
-    """Intersection of the three one-sided nuclei.
-
-    In a group every triple associates, so every element lies in all
-    three nuclei and the nucleus is the whole loop, which needs no scan.
-    """
-    if L.is_associative():
-        return Subloop(L, tuple(L.elements))
-    members = set(nucleus_left(L).elements) & set(nucleus_middle(L).elements) \
-        & set(nucleus_right(L).elements)
-    return _make_subloop(L, members)
+    """Intersection of the three one-sided nuclei."""
+    return _make_subloop(L, set(L.elements).difference(*_association(L)[:3]))
 
 
 class Commutant(NamedTuple):
@@ -241,12 +250,7 @@ class Commutant(NamedTuple):
 @memoized
 def commutant(L) -> Commutant:
     """Elements commuting with everything; returned with a closure flag."""
-    rows = L.rows
-    n = L.order
-    members = frozenset(
-        a for a in range(1, n + 1)
-        if all(rows[a - 1][x - 1] == rows[x - 1][a - 1] for x in range(1, n + 1))
-    )
+    members = frozenset(a for a, count in enumerate(_commuting(L), 1) if count == L.order)
     return Commutant(members, is_closed(L, members))
 
 
@@ -261,7 +265,11 @@ def center(L) -> Subloop:
 
 def is_normal(L, H) -> bool:
     """No inner-mapping generator (innermaps.inner_maps) sends an element
-    of H outside H: deleting H's bytes from each image of H leaves nothing."""
+    of H outside H: deleting H's bytes from each image of H leaves nothing.
+
+    Every family is needed.  An order-8 loop, a central extension of Z4 by
+    Z2, has two subloops of order 2 that its r and t maps keep and some l
+    map moves; in the opposite loop, some r map moves them instead."""
     over = bytes(h - 1 for h in H.elements)
     return not any(p.translate(None, over) for _, _, _, p in inner_maps(L, over))
 

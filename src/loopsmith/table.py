@@ -5,8 +5,9 @@ two-sided identity.  ``rows[x-1][y-1]`` holds the product x*y.  Left and
 right division are read off the rows and columns once at construction
 time, so all later queries are table lookups.
 
-The one word table is commutators(); associativity questions compare
-the two bracketings of a pair (innermaps.bracketings) instead.
+The one word table is commutators().  Commutation and association are
+each read in one pass per table, _commuting and subloops._association,
+and the flags, nuclei and commutant are views of those passes.
 """
 
 from __future__ import annotations
@@ -142,6 +143,13 @@ def memoized(fn):
         return memo[key]
 
     return cached
+
+
+@memoized
+def _commuting(L) -> tuple:
+    """The number of elements y with x*y == y*x, at [x-1] for each x."""
+    rows = L.rows
+    return tuple(sum(r[y] == rows[y][x] for y in range(L.order)) for x, r in enumerate(rows))
 
 
 def _swap_labels(n, a, b):
@@ -295,29 +303,20 @@ class LoopTable:
 
     # -- global properties ---------------------------------------------
 
-    @memoized
     def is_commutative(self) -> bool:
-        rows = self.rows
-        n = self.order
-        return all(rows[x][y] == rows[y][x] for x in range(n) for y in range(x + 1, n))
+        return min(_commuting(self)) == self.order
 
-    @memoized
     def is_flexible(self) -> bool:
         """(x*y)*x == x*(y*x) for all x, y."""
-        rows = self.rows
-        n = self.order
-        for x in range(n):
-            rx = rows[x]
-            for y in range(n):
-                if rows[rx[y] - 1][x] != rx[rows[y][x] - 1]:
-                    return False
-        return True
+        from .innermaps import _sandwiches
 
-    @memoized
+        left, right = _sandwiches(self)
+        return left.flat == right.flat
+
     def is_associative(self) -> bool:
-        from .subloops import _associative_on
+        from .subloops import _association
 
-        return _associative_on(self, self.elements)
+        return not _association(self).first
 
     @memoized
     def moufang_report(self) -> MoufangFlags:

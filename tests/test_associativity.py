@@ -18,6 +18,8 @@ from loopsmith.innermaps import bracketings, column_bytes, product_bytes
 from loopsmith.subloops import (
     Subloop,
     associator_subloop,
+    center,
+    commutant,
     nucleus,
     nucleus_left,
     nucleus_middle,
@@ -123,18 +125,45 @@ def test_group_at_the_order_cap_holds_no_cubic_table(z256):
     assert peak < 40 * 2 ** 20, peak
 
 
+def test_the_association_readers_share_one_pass_over_the_pairs(monkeypatch, q1):
+    t = LoopTable(q1.rows)  # a fresh memo, whatever other tests read from the fixture
+    readers = (nucleus_left, nucleus_middle, nucleus_right, nucleus, center, associator_subloop)
+    expected = [reader(q1).elements for reader in readers]
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return bracketings(*args)
+
+    monkeypatch.setattr(sl, "bracketings", counted)
+    assert not t.is_associative()
+    assert [reader(t).elements for reader in readers] == expected
+    assert len(calls) == len(set(calls)) == t.order ** 2
+
+
 @pytest.mark.parametrize("key", ["Z16", "D16", "Q8"])
 def test_groups_answer_diassociativity_and_the_nucleus_without_a_scan(monkeypatch, key):
     """In a group every subloop is a subgroup and every element lies in
-    all three nuclei, so once is_associative holds neither question
-    closes a set or compares a bracketing."""
+    all three nuclei, so once is_associative holds no question below
+    compares a bracketing, and only the associator subloop closes a set:
+    the closure of no element."""
     t = LoopTable(catalog.builtin(key).table.rows)
     assert t.is_associative()
 
     def refuse(*args, **kwargs):
         raise AssertionError("a group was scanned")
 
+    def close_nothing(L, seed, *rest):
+        if seed:
+            refuse()
+        return close(L, seed, *rest)
+
+    close = sl._close
     monkeypatch.setattr(sl, "bracketings", refuse)
-    monkeypatch.setattr(sl, "_close", refuse)
+    monkeypatch.setattr(sl, "_close", close_nothing)
     assert t.is_diassociative()
-    assert nucleus(t).elements == tuple(t.elements)
+    everything = tuple(t.elements)
+    for reader in (nucleus_left, nucleus_middle, nucleus_right, nucleus):
+        assert reader(t).elements == everything, reader.__name__
+    assert center(t).elements == tuple(sorted(commutant(t).elements))
+    assert associator_subloop(t).elements == (1,)

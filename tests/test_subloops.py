@@ -34,7 +34,8 @@ from loopsmith.subloops import (
     three_generated,
     two_generated,
 )
-from loopsmith.table import LoopTable, relabel
+from loopsmith.innermaps import inner_maps
+from loopsmith.table import LoopTable, _commuting, relabel
 
 
 def test_generate_subloop_chain_on_q1(q1):
@@ -172,6 +173,45 @@ def test_is_normal_matches_the_pointwise_check(reference_loops, random_loops):
             if L in random_loops:
                 outcomes[expected] += 1
     assert outcomes == {True: 40, False: 44}
+
+
+def test_is_normal_needs_every_family():
+    """A central extension of Z4 by Z2 whose subloops {1, 3} and {1, 7}
+    are kept by every r and t map but moved by some l map; in the
+    opposite loop some r map moves them and every l and t map keeps them.
+    A check that skips either two-parameter family calls them normal."""
+    rows = [(1, 2, 3, 4, 5, 6, 7, 8), (2, 3, 8, 1, 6, 7, 4, 5), (3, 8, 1, 6, 7, 4, 5, 2),
+            (4, 5, 6, 7, 8, 1, 2, 3), (5, 6, 7, 8, 1, 2, 3, 4), (6, 7, 4, 5, 2, 3, 8, 1),
+            (7, 4, 5, 2, 3, 8, 1, 6), (8, 1, 2, 3, 4, 5, 6, 7)]
+    loop = LoopTable(rows)
+    opposite = LoopTable([list(c) for c in zip(*rows)])
+    for L, moving in ((loop, "l"), (opposite, "r")):
+        for g in (3, 7):
+            H = generate_subloop(L, (g,))
+            assert H.elements == (1, g)
+            over = bytes(h - 1 for h in H.elements)
+            kept = {family: not any(p.translate(None, over) for _, _, _, p in inner_maps(L, over, family))
+                    for family in "lrt"}
+            assert kept == {family: family != moving for family in "lrt"}, (moving, g)
+            assert not is_normal(L, H)
+            assert not _reference_is_normal(L, H)
+            with pytest.raises(QuotientError):
+                quotient(L, H)
+
+
+def test_commutation_readers_match_a_plain_pair_loop(random_loops):
+    catalog_tables = [catalog.builtin(key).table for key in catalog.catalog_keys()]
+    opposites = [LoopTable([list(c) for c in zip(*t.rows)]) for t in random_loops]
+    outcomes = set()
+    for t in (*catalog_tables, *random_loops, *opposites):
+        counts = tuple(sum(t.mul(x, y) == t.mul(y, x) for y in t.elements) for x in t.elements)
+        members = frozenset(x for x in t.elements if all(t.mul(x, y) == t.mul(y, x) for y in t.elements))
+        commutative = all(t.mul(x, y) == t.mul(y, x) for x in t.elements for y in t.elements)
+        assert _commuting(t) == counts
+        assert commutant(t) == (members, is_closed(t, members))
+        assert t.is_commutative() == commutative
+        outcomes.add(commutative)
+    assert outcomes == {True, False}
 
 
 def test_quotient_of_q1_by_associators(q1):
@@ -405,13 +445,6 @@ def test_is_group_matches_an_all_triples_check(q1, q2, relabeled_chein):
         assert Subloop(t, H).is_group == expected, H
         outcomes.add(expected)
     assert outcomes == {True, False}
-
-
-def test_is_group_is_computed_on_first_read(q1):
-    h = generate_subloop(q1, (2, 3, 9))
-    assert "is_group" not in vars(h)
-    assert not h.is_group
-    assert vars(h)["is_group"] is False
 
 
 @pytest.mark.parametrize("key", catalog.catalog_keys() + ("M(D16,2)", "M(D24,2)"))

@@ -21,13 +21,14 @@ one translate turns each byte into the pair's digit.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import islice
 from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import HalfMapError, InternalCheckError, TheoremViolation
 from .innermaps import (_sandwiches, check_bijection, column_bytes, cycles_str, gather,
                         inner_map_witness, is_automorphism, is_left_automorphic, product_bytes,
-                        push, translate_rows, zero_based)
+                        push, zero_based)
 from .subloops import associator_quotient, associator_subloop
 from .table import LoopTable, _commuting, memoized
 
@@ -289,12 +290,14 @@ def enumerate_half_automorphisms(L, limit=None) -> HalfEnumeration:
       automorphism is found changes only the work: an image with none is
       searched directly.
 
-    With limit set, the same procedure stops after that many maps and the
-    result is flagged incomplete; such results must not feed census
-    claims.  The limited result holds the first maps found, sorted: those
-    of the first subtree in generation order, then the later subtrees in
+    The search yields the maps one at a time, in the order it finds them:
+    the first subtree in generation order, then the later subtrees in
     ascending t(g), each composed one in the order of its
-    representative's maps.  They need not be the least maps in
+    representative's maps.  With limit set, the result holds the first
+    limit maps yielded, sorted, and the search does no work past the last
+    of them, so stats count the work up to it.  Such a result is flagged
+    incomplete whenever it holds limit maps, even if no map is left out,
+    and must not feed census claims.  Its maps need not be the least in
     image-tuple order, and beyond the first subtree they need not be the
     maps a plain depth-first search finds first.  In either case the
     result's sources name, for each map, the map found directly that it
@@ -351,10 +354,31 @@ def _generation_order(L, first=None):
 
 
 def _search(L, limit):
+    counts = [0] * len(SearchStats._fields)
+    found = []
+    origin = []  # per map in found, the index in found of the map found directly that it comes from
+    for m, source in islice(_half_maps(L, counts), limit):
+        found.append(m)
+        origin.append(source)
+    ranked = sorted(range(len(found)), key=lambda j: found[j].images)
+    position = [0] * len(found)
+    for i, j in enumerate(ranked):
+        position[j] = i
+    return HalfEnumeration(tuple(found[j] for j in ranked), limit is None or len(found) < limit,
+                           SearchStats(*counts), tuple(position[origin[j]] for j in ranked))
+
+
+def _half_maps(L, counts):
+    """Yield each half-map of L, in the order the search finds it, with
+    the index in this sequence of the map found directly that it comes
+    from (see enumerate_half_automorphisms).  counts holds the SearchStats
+    fields in order and is up to date at each map yielded, so a caller
+    that stops pulling reads the work done so far."""
     n = L.order
     if n == 1:
-        return HalfEnumeration((make_half_map(L, L, (1,)),), limit is None or 1 < limit,
-                               SearchStats(0, 0, 1, 0, 0, 0, 0))
+        counts[2] += 1  # leaves
+        yield make_half_map(L, L, (1,)), 0
+        return
     mul = [[0] * (n + 1)]
     for r in L.rows:
         mul.append([0] + list(r))
@@ -365,72 +389,47 @@ def _search(L, limit):
     order = _generation_order(L)
     g = order[1][0]
     commuting = _commuting(L)
-    found = []
-    origin = []  # per map in found, the index in found of the map found directly that it comes from
-    representatives = []  # per representative w: (generation order led by w, indices in found of its subtree)
-    nodes = prunes = leaves = rejected = compositions = lookup_nodes = 0
-
-    def keep(images):
-        nonlocal leaves, rejected
-        leaves += 1
-        try:
-            m = make_half_map(L, L, images)
-        except HalfMapError:
-            rejected += 1
-            return False
-        origin.append(len(found))
-        found.append(m)
-        return limit is not None and len(found) >= limit
-
-    hits = []
-
-    def first_automorphism(images):
-        if HalfMap(L, L, images).hom != full:
-            return False
-        hits.append(images)
-        return True
-
+    yielded = 0  # the number of maps yielded so far
+    lookup = [0, 0]  # images tried and refused by the automorphism lookups
+    representatives = []  # per representative w: (generation order led by w, (index, map) per map of its subtree)
     for image in range(2, n + 1):
         if commuting[image - 1] != commuting[g - 1]:
             continue
-        hits.clear()
-        for w_order, subtree in representatives:
-            tried, _ = _dfs(mul, col, w_order, image, True, first_automorphism)
-            lookup_nodes += tried
-            if hits:
-                break
-        if hits:
-            alpha = hits[0]
+        hit = next(((alpha, subtree) for w_order, subtree in representatives
+                    for alpha in _dfs(mul, col, w_order, image, True, lookup)
+                    if HalfMap(L, L, alpha).hom == full), None)
+        counts[6] = lookup[0]  # lookup_nodes
+        if hit is None:
+            subtree = []
+            representatives.append((_generation_order(L, image), subtree))
+            counts[4] += 1  # representatives
+            for images in _dfs(mul, col, order, image, False, counts):  # adds to nodes and prunes
+                counts[2] += 1  # leaves
+                try:
+                    m = make_half_map(L, L, images)
+                except HalfMapError:
+                    counts[3] += 1  # rejected
+                    continue
+                subtree.append((yielded, m))
+                yield m, yielded
+                yielded += 1
+        else:
+            alpha, subtree = hit
             if not is_automorphism(L, alpha):
                 raise InternalCheckError("the automorphism lookup returned %s, which is not an automorphism"
                                          % cycles_str(alpha))
-            take = subtree if limit is None else subtree[:limit - len(found)]
-            found.extend([_compose(alpha, found[j]) for j in take])
-            origin.extend(take)
-            compositions += len(take)
-        else:
-            start = len(found)
-            tried, refused = _dfs(mul, col, order, image, False, keep)
-            nodes += tried
-            prunes += refused
-            representatives.append((_generation_order(L, image), range(start, len(found))))
-        if limit is not None and len(found) >= limit:
-            break
-    ranked = sorted(range(len(found)), key=lambda j: found[j].images)
-    position = [0] * len(found)
-    for i, j in enumerate(ranked):
-        position[j] = i
-    stats = SearchStats(nodes, prunes, leaves, rejected, len(representatives), compositions, lookup_nodes)
-    return HalfEnumeration(tuple(found[j] for j in ranked), limit is None or len(found) < limit, stats,
-                           tuple(position[origin[j]] for j in ranked))
+            for j, s in subtree:
+                counts[5] += 1  # compositions
+                yield _compose(alpha, s), j
+            yielded += len(subtree)
 
 
-def _dfs(mul, col, order, image, hom, leaf):
-    """Depth-first search along a generation order with order[1] mapped
-    to image, calling leaf(images) at every complete assignment until it
-    returns True.  With hom set, a product takes only t(a)*t(b) and the
-    pruning rule asks the forward law alone.  Returns the images tried
-    and the images the pruning rule refused.
+def _dfs(mul, col, order, image, hom, tally):
+    """Yield every complete assignment of a depth-first search along a
+    generation order with order[1] mapped to image.  With hom set, a
+    product takes only t(a)*t(b) and the pruning rule asks the forward
+    law alone.  Each image tried adds 1 to tally[0], and each image the
+    pruning rule refuses 1 to tally[1].
 
     mul and col are the table and its transpose, padded so that
     mul[x][y] = x*y = col[y][x] with 1-based labels.
@@ -441,8 +440,6 @@ def _dfs(mul, col, order, image, hom, leaf):
     free = [True] * (n + 1)
     img[1] = 1
     free[1] = False
-    nodes = prunes = 0
-    stopped = False
 
     def consistent(k, x):
         w = img[x]
@@ -460,9 +457,8 @@ def _dfs(mul, col, order, image, hom, leaf):
         return True
 
     def dfs(k):
-        nonlocal nodes, prunes, stopped
         if k == n:
-            stopped = leaf(tuple(img[1:]))
+            yield tuple(img[1:])
             return
         x, a, b = order[k]
         if a:
@@ -476,20 +472,17 @@ def _dfs(mul, col, order, image, hom, leaf):
         for w in candidates:
             if not free[w]:
                 continue
-            nodes += 1
+            tally[0] += 1
             img[x] = w
             free[w] = False
             if consistent(k, x):
-                dfs(k + 1)
+                yield from dfs(k + 1)
             else:
-                prunes += 1
+                tally[1] += 1
             free[w] = True
-            if stopped:
-                break
         img[x] = 0
 
-    dfs(1)
-    return nodes, prunes
+    return dfs(1)
 
 
 def _compose(alpha, s):
@@ -627,9 +620,9 @@ def find_gg_triples(m: HalfMap, limit: int | None = None) -> list:
 
 @memoized
 def _noncommuting(L):
-    """The pair mask of the pairs whose commutator is not 1."""
-    digits = (b"".join(b"0" if c == 1 else b"1" for c in row) for row in L.commutators())
-    return pull_mask(translate_rows(digits), L.elements)
+    """The pair mask of the pairs (x, y) with x*y != y*x."""
+    full = (1 << L.order * L.order) - 1
+    return full & ~_agreement(int.from_bytes(product_bytes(L).flat, "big"), column_bytes(L).flat)
 
 
 def d_set(m: HalfMap) -> frozenset:

@@ -31,7 +31,8 @@ from operator import eq
 from typing import NamedTuple
 
 from .errors import InternalCheckError, QuotientError
-from .innermaps import bracketings, column_bytes, inner_maps, product_bytes
+from .innermaps import (bracketings, byte_table, column_bytes, gather, inner_maps, product_bytes, push,
+                        zero_based)
 from .table import LoopTable, _commuting, memoized
 
 
@@ -286,12 +287,16 @@ def quotient(L, H) -> Quotient:
     when coset products depend on the chosen representatives; both
     signal that H is not normal.
 
-    The second check also proves the projection a homomorphism: with ra,
-    rb the representatives of a, b, projection[a*b] is index[coset_of[a*b]]
-    and the product of the projections is qrows[index[ra]-1][index[rb]-1],
-    that is index[coset_of[ra*rb]]; index is a bijection, so the two agree
-    exactly when coset_of[a*b] == coset_of[ra*rb].  LoopTable keeps qrows
-    as given: the coset of 1 is H, whose least member 1 makes it coset 1.
+    The second check compares projection[a*b] with the product of the
+    projections over every pair at once, as bytes, so it also proves the
+    projection a homomorphism.  Pair by pair it is representative
+    independence: with ra, rb the representatives of a, b, projection[a*b]
+    is index[coset_of[a*b]] and the product of the projections is
+    qrows[index[ra]-1][index[rb]-1], that is index[coset_of[ra*rb]]; index
+    is a bijection, so the two agree exactly when coset_of[a*b] ==
+    coset_of[ra*rb].  Only on a mismatch are the pairs walked, to name the
+    first that fails.  LoopTable keeps qrows as given: the coset of 1 is H,
+    whose least member 1 makes it coset 1.
     """
     rows = L.rows
     n = L.order
@@ -319,19 +324,20 @@ def quotient(L, H) -> Quotient:
     for i, a in enumerate(reps):
         for j, b in enumerate(reps):
             qrows[i][j] = index[coset_of[rows[a - 1][b - 1]]]
-    # representative independence
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            ra, rb = coset_of[a], coset_of[b]
-            if coset_of[rows[a - 1][b - 1]] != coset_of[rows[ra - 1][rb - 1]]:
-                raise QuotientError(
-                    "coset product ill defined: (%d,%d) vs representatives (%d,%d)"
-                    % (a, b, ra, rb)
-                )
+    projection = tuple(index[coset_of[x]] for x in range(1, n + 1))
+    p = zero_based(projection)
+    if push(product_bytes(L).flat, p) != gather(byte_table(qrows).rows, p):
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                ra, rb = coset_of[a], coset_of[b]
+                if coset_of[rows[a - 1][b - 1]] != coset_of[rows[ra - 1][rb - 1]]:
+                    raise QuotientError(
+                        "coset product ill defined: (%d,%d) vs representatives (%d,%d)"
+                        % (a, b, ra, rb)
+                    )
     name = None
     if L.name:
         name = "%s/%s" % (L.name, "{%s}" % ",".join(map(str, hset)))
-    projection = tuple(index[coset_of[x]] for x in range(1, n + 1))
     return Quotient(LoopTable(qrows, name=name), projection)
 
 

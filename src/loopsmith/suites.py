@@ -20,7 +20,6 @@ from .halfmorph import (
     find_gg_triples,
     half_census,
     half_maps_form_group_check,
-    induced_on_quotient,
     is_semi_isomorphism,
     make_half_map,
     mask_pairs,
@@ -120,26 +119,24 @@ def suite_lagrange(inputs) -> SuiteResult:
 
 def suite_quotient_homomorphism(inputs) -> SuiteResult:
     """Projections onto quotients by normal derived subloops are
-    homomorphisms with the expected kernel."""
+    homomorphisms with the expected kernel.
+
+    sl.quotient raises QuotientError unless the projection preserves
+    every product (see its docstring), so each quotient built here counts
+    n*n product checks and the kernel check."""
     res = SuiteResult("quotient-projection")
     for name, t in inputs:
-        for label, H in (("commutator", sl.commutator_subloop(t)),
-                         ("associator", sl.associator_subloop(t))):
-            if not sl.is_normal(t, H):
+        C = sl.commutator_subloop(t)
+        for label, H, q in (("commutator", C, sl.quotient(t, C) if sl.is_normal(t, C) else None),
+                            ("associator", sl.associator_subloop(t), sl.associator_quotient(t))):
+            if q is None:
                 continue
             res.hypothesis_count += 1
-            q = sl.quotient(t, H)  # raises on any ill-definedness
             hset = set(H.elements)
             kernel = {x for x in t.elements if q.projection[x - 1] == 1}
             res.check_count += t.order * t.order + 1
             if kernel != hset:
                 res.violations.append("%s: %s quotient kernel %r != %r" % (name, label, kernel, hset))
-            for a in t.elements:
-                for b in t.elements:
-                    if q.projection[t.rows[a - 1][b - 1] - 1] != \
-                            q.table.rows[q.projection[a - 1] - 1][q.projection[b - 1] - 1]:
-                        res.violations.append("%s: %s projection breaks at (%d,%d)" % (name, label, a, b))
-                        break
     return res
 
 
@@ -402,9 +399,7 @@ def suite_induced_quotient(inputs, max_order=None) -> SuiteResult:
     associator subloop setwise.
 
     Induced images are computed in place once per searched map and their
-    kind copied to its compositions (see _induced_kind); the first three
-    maps per loop are cross-checked against the full quotient-pushdown
-    operation.
+    kind copied to its compositions (see _induced_kind).
     """
     res = SuiteResult("induced-quotient-trivial")
     for name, t in inputs:
@@ -415,8 +410,6 @@ def suite_induced_quotient(inputs, max_order=None) -> SuiteResult:
             res.notes.append("skipped %s" % name)
             continue
         enum = enumerate_half_automorphisms(t)
-        proj = q.projection
-        crosschecked = 0
         for m, kind in zip(enum.maps, per_orbit(enum, _induced_kind(sl.associator_subloop(t), q))):
             if kind is None:
                 continue
@@ -425,10 +418,6 @@ def suite_induced_quotient(inputs, max_order=None) -> SuiteResult:
             if kind is False:
                 res.violations.append("%s: %s has no well-defined quotient image" % (name, m.cycles()))
                 continue
-            if crosschecked < 3:
-                crosschecked += 1
-                if induced_on_quotient(m).images != coset_images(m, proj, proj):
-                    res.violations.append("%s: quotient pushdown of %s disagrees with the in-place images" % (name, m.cycles()))
             if kind is HalfKind.PROPER_HALF:
                 res.violations.append("%s: induced image of %s is proper" % (name, m.cycles()))
     return res

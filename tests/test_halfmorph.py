@@ -145,7 +145,7 @@ def _relabeled(L, seed):
 
 
 def test_law_masks_match_a_pairwise_recomputation(q2, q2_enum, chein12, get_enum, phi1, nonflex5,
-                                                  z256):
+                                                  z256, random_loops):
     half = q2_enum.maps + get_enum("M(S3,2)", chein12).maps + (phi1,)
     maps = list(half)
     # into a relabeled copy of the domain: half-maps moved along the
@@ -156,6 +156,8 @@ def test_law_masks_match_a_pairwise_recomputation(q2, q2_enum, chein12, get_enum
         rng = random.Random(seed)
         maps += [HalfMap(L, copy, tuple(rng.sample(L.elements, L.order))) for _ in range(5)]
     maps += [HalfMap(nonflex5, nonflex5, (1, *rest)) for rest in permutations(range(2, 6))]
+    rng = random.Random("random-loops")
+    maps += [HalfMap(L, L, (1, *rng.sample(L.elements[1:], L.order - 1))) for L in random_loops for _ in range(2)]
     z1 = catalog.make_cyclic(1)
     maps.append(HalfMap(z1, z1, (1,)))
     # at the order cap: x -> 3x is an automorphism, a transposition fixing 1 is not
@@ -193,8 +195,8 @@ def test_law_masks_match_a_pairwise_recomputation(q2, q2_enum, chein12, get_enum
         assert list(mask_pairs(m.anti & ~m.hom, n)) == anti_only
         L = m.domain
         triples = [GGTriple(x, y, z) for x in L.elements
-                   for y in L.elements if (x, y) in hom_only and L.commutator(x, y) != 1
-                   for z in L.elements if (x, z) in anti_only and L.commutator(x, z) != 1]
+                   for y in L.elements if (x, y) in hom_only and L.mul(x, y) != L.mul(y, x)
+                   for z in L.elements if (x, z) in anti_only and L.mul(x, z) != L.mul(z, x)]
         assert find_gg_triples(m) == triples
 
 
@@ -225,12 +227,22 @@ def test_enumeration_on_z4():
 def test_enumeration_limit(get_enum):
     # the first maps found in generation order, sorted: not necessarily
     # the least maps in image-tuple order; reaching the limit, even on
-    # the one map of Z1, leaves the result incomplete
-    for key, limit in (("Q2", 5), ("M(S3,2)", 40), ("Z1", 1)):
+    # the one map of Z1, leaves the result incomplete.  The counters stop
+    # at the last map taken: inside a subtree searched directly (Q2 at 5
+    # and 9, M(S3,2) at 40), on its last map (M(S3,2) at 108), or one map
+    # into a composed subtree (M(S3,2) at 109, Q1 at 1537)
+    for key, limit, stats in (("Q2", 5, (37, 14, 4, 0, 1, 1, 15)),
+                              ("Q2", 9, (60, 24, 5, 0, 2, 4, 38)),
+                              ("M(S3,2)", 40, (377, 39, 40, 0, 1, 0, 0)),
+                              ("M(S3,2)", 108, (1019, 108, 108, 0, 1, 0, 0)),
+                              ("M(S3,2)", 109, (1019, 108, 108, 0, 1, 1, 11)),
+                              ("Q1", 1537, (6039, 0, 1536, 0, 1, 1, 15)),
+                              ("Z1", 1, (0, 0, 1, 0, 0, 0, 0))):
         t = catalog.builtin(key).table
         enum = enumerate_half_automorphisms(t, limit=limit)
         images = [m.images for m in enum.maps]
         assert not enum.complete
+        assert enum.stats == SearchStats(*stats)
         assert len(images) == limit
         assert images == sorted(images)
         assert set(images) <= {m.images for m in get_enum(key, t).maps}
@@ -397,16 +409,17 @@ def test_lookup_goes_past_a_leaf_that_is_no_automorphism(monkeypatch, q2, q2_enu
     its hom mask is full; a proper half-map offered first is passed over."""
     proper = next(m.images for m in q2_enum.maps if classify(m).kind is HalfKind.PROPER_HALF)
     dfs = halfmorph._dfs
-    answers = []
+    passed_over = []
 
-    def offering_a_proper_map_first(mul, col, order, image, hom, leaf):
+    def offering_a_proper_map_first(mul, col, order, image, hom, tally):
         if hom:
-            answers.append(leaf(proper))
-        return dfs(mul, col, order, image, hom, leaf)
+            yield proper
+            passed_over.append(image)  # reached only when the lookup asks for the next assignment
+        yield from dfs(mul, col, order, image, hom, tally)
 
     monkeypatch.setattr(halfmorph, "_dfs", offering_a_proper_map_first)
     enum = enumerate_half_automorphisms(LoopTable(q2.rows))
-    assert answers and not any(answers)
+    assert passed_over
     assert [m.images for m in enum.maps] == [m.images for m in q2_enum.maps]
 
 
@@ -865,9 +878,13 @@ def test_gg_triples_limit_and_phi2(phi1, phi2):
     for limit in (0, -3):
         with pytest.raises(ValueError, match="at least 1"):
             find_gg_triples(phi1, limit=limit)
+    # Q2 is not Moufang: its commutator word [3, 5] is 1 although 3*5 != 5*3,
+    # and the triples follow the products
+    q2 = phi2.domain
+    assert q2.commutator(3, 5) == 1 and q2.mul(3, 5) != q2.mul(5, 3)
     triples = find_gg_triples(phi2)
-    assert len(triples) == 8
-    assert triples[0] == GGTriple(5, 3, 7)
+    assert len(triples) == 16
+    assert triples[0] == GGTriple(3, 5, 7)
 
 
 def test_gg_triples_empty_for_trivial_maps(q2):

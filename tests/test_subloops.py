@@ -214,6 +214,50 @@ def test_commutation_readers_match_a_plain_pair_loop(random_loops):
     assert outcomes == {True, False}
 
 
+def _reference_quotient_error(L, H):
+    """The QuotientError message of the partition and pointwise
+    representative checks that quotient made before its byte comparison,
+    or None when both pass."""
+    rows = L.rows
+    n = L.order
+    hset = sorted(set(H.elements))
+    coset_of = [0] * (n + 1)
+    for x in range(1, n + 1):
+        if coset_of[x]:
+            continue
+        block = sorted(rows[x - 1][h - 1] for h in hset)
+        if x not in block:
+            return "coset of %d does not contain it: %r" % (x, block)
+        for y in block:
+            if coset_of[y]:
+                return "cosets overlap: %d lies in the blocks of %d and %d" % (y, coset_of[y], x)
+        for y in block:
+            coset_of[y] = block[0]
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            ra, rb = coset_of[a], coset_of[b]
+            if coset_of[rows[a - 1][b - 1]] != coset_of[rows[ra - 1][rb - 1]]:
+                return "coset product ill defined: (%d,%d) vs representatives (%d,%d)" % (a, b, ra, rb)
+    return None
+
+
+def test_quotient_names_the_pair_of_the_pointwise_check(reference_loops):
+    ill_defined = 0
+    for L in reference_loops:
+        for elements in three_generated(L):
+            H = Subloop(L, elements)
+            if is_normal(L, H):
+                continue
+            try:
+                quotient(L, H)
+                got = None
+            except QuotientError as e:
+                got = str(e)
+            assert got == _reference_quotient_error(L, H), (L.name, elements)
+            ill_defined += got is not None and got.startswith("coset product")
+    assert ill_defined > 0
+
+
 def test_quotient_of_q1_by_associators(q1):
     q = quotient(q1, associator_subloop(q1))
     assert q.table.order == 8

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import islice
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .errors import HalfMapError, InternalCheckError, TheoremViolation
-from .innermaps import (_sandwiches, check_bijection, column_bytes, cycles_str, gather,
-                        inner_map_witness, is_automorphism, is_left_automorphic, product_bytes,
-                        push, zero_based)
+from .innermaps import (_agreement, _sandwiches, check_bijection, column_bytes, cycles_str, gather,
+                        inner_map_witness, is_automorphism, is_left_automorphic, noncommuting,
+                        product_bytes, push, zero_based)
 from .subloops import associator_quotient, associator_subloop
 from .table import LoopTable, _commuting, memoized
 
@@ -40,17 +40,20 @@ class HalfMap:
     the forward and the reversed law.  The map is a half-morphism exactly
     when hom | anti has all n*n bits set.  The masks are computed from
     the tables unless both are given, as the search does for a map whose
-    masks are known to equal another map's.  Maps compare and hash by
-    domain, codomain and images; treat them as immutable.
+    masks are known to equal another map's.  source is None except on a
+    map the search composed, alpha o s, where it is s (see per_orbit).
+    Maps compare and hash by domain, codomain and images; treat them as
+    immutable.
     """
 
-    __slots__ = ("domain", "codomain", "images", "hom", "anti")
+    __slots__ = ("domain", "codomain", "images", "hom", "anti", "source")
 
     def __init__(self, domain: LoopTable, codomain: LoopTable, images: tuple,
-                 hom: int | None = None, anti: int | None = None):
+                 hom: int | None = None, anti: int | None = None, source: HalfMap | None = None):
         self.domain = domain
         self.codomain = codomain
         self.images = images
+        self.source = source
         if hom is None or anti is None:
             t = zero_based(images)
             got = int.from_bytes(push(product_bytes(domain).flat, t), "big")
@@ -86,16 +89,6 @@ class HalfMap:
         """The least pair obeying neither law, or None."""
         n = self.domain.order
         return next(mask_pairs(~(self.hom | self.anti) & ((1 << n * n) - 1), n), None)
-
-
-_EQ = b"1" + b"0" * 255  # byte 0 to digit "1", every other byte to "0"
-
-
-def _agreement(got, gathered):
-    """The pair mask of the pairs where the int of pushed bytes and the
-    gathered bytes, both in gather order, agree."""
-    diff = got ^ int.from_bytes(gathered, "big")
-    return int(diff.to_bytes(len(gathered), "big").translate(_EQ), 2)
 
 
 def mask_pairs(mask, n):
@@ -202,33 +195,28 @@ class SearchStats(NamedTuple):
     lookup_nodes: int
 
 
-class HalfEnumeration:
-    """Half-maps in image-tuple order.  sources[i] is the index in maps of
-    the map that the search found directly and composed into maps[i] with
-    an automorphism; a map found directly is its own source.  Given
-    without sources, every map is its own source.  stats is None unless
-    the search made the enumeration."""
+class HalfEnumeration(NamedTuple):
+    """Half-maps in image-tuple order.  stats is None unless the search
+    made the enumeration."""
 
-    __slots__ = ("maps", "complete", "stats", "sources")
-
-    def __init__(self, maps: tuple, complete: bool, stats: SearchStats | None = None,
-                 sources: tuple | None = None):
-        self.maps = maps
-        self.complete = complete
-        self.stats = stats
-        self.sources = tuple(range(len(maps))) if sources is None else sources
+    maps: tuple
+    complete: bool
+    stats: SearchStats | None = None
 
 
 def per_orbit(enum, fn) -> list:
-    """[fn(m) for m in enum.maps], with fn called once per map found
-    directly and its value copied to the maps composed from it.
+    """[fn(m) for m in enum.maps], with fn called once per map whose source
+    is None and its value copied along m.source to the maps composed from
+    it.
 
-    The caller vouches that fn(alpha o s) == fn(s) for every automorphism
-    alpha of the domain and every half-map s.
+    Every source must itself be a map of the enumeration.  Every search
+    result meets this, limited or complete, because a subtree is searched
+    before any subtree is composed from it.  The caller vouches that
+    fn(alpha o s) == fn(s) for every automorphism alpha of the domain and
+    every half-map s.
     """
-    maps, sources = enum.maps, enum.sources
-    values = [fn(m) if i == s else None for i, (m, s) in enumerate(zip(maps, sources))]
-    return [values[s] for s in sources]
+    values = {id(m): fn(m) for m in enum.maps if m.source is None}
+    return [values[id(m.source or m)] for m in enum.maps]
 
 
 def enumerate_half_automorphisms(L, limit=None) -> HalfEnumeration:
@@ -299,11 +287,11 @@ def enumerate_half_automorphisms(L, limit=None) -> HalfEnumeration:
     incomplete whenever it holds limit maps, even if no map is left out,
     and must not feed census claims.  Its maps need not be the least in
     image-tuple order, and beyond the first subtree they need not be the
-    maps a plain depth-first search finds first.  In either case the
-    result's sources name, for each map, the map found directly that it
-    was composed from (see per_orbit).  A complete result is
-    kept in the table's memo and returned to every later call without a
-    limit; a limited result is never stored.
+    maps a plain depth-first search finds first.  In either case each
+    composed map's source is the map found directly that it was composed
+    from, and that map is in the result (see per_orbit).  A complete
+    result is kept in the table's memo and returned to every later call
+    without a limit; a limited result is never stored.
     """
     if limit is None:
         return _complete_enumeration(L)
@@ -355,29 +343,19 @@ def _generation_order(L, first=None):
 
 def _search(L, limit):
     counts = [0] * len(SearchStats._fields)
-    found = []
-    origin = []  # per map in found, the index in found of the map found directly that it comes from
-    for m, source in islice(_half_maps(L, counts), limit):
-        found.append(m)
-        origin.append(source)
-    ranked = sorted(range(len(found)), key=lambda j: found[j].images)
-    position = [0] * len(found)
-    for i, j in enumerate(ranked):
-        position[j] = i
-    return HalfEnumeration(tuple(found[j] for j in ranked), limit is None or len(found) < limit,
-                           SearchStats(*counts), tuple(position[origin[j]] for j in ranked))
+    maps = tuple(sorted(islice(_half_maps(L, counts), limit), key=attrgetter("images")))
+    return HalfEnumeration(maps, limit is None or len(maps) < limit, SearchStats(*counts))
 
 
 def _half_maps(L, counts):
-    """Yield each half-map of L, in the order the search finds it, with
-    the index in this sequence of the map found directly that it comes
-    from (see enumerate_half_automorphisms).  counts holds the SearchStats
-    fields in order and is up to date at each map yielded, so a caller
-    that stops pulling reads the work done so far."""
+    """Yield each half-map of L in the order the search finds it (see
+    enumerate_half_automorphisms).  counts holds the SearchStats fields in
+    order and is up to date at each map yielded, so a caller that stops
+    pulling reads the work done so far."""
     n = L.order
     if n == 1:
         counts[2] += 1  # leaves
-        yield make_half_map(L, L, (1,)), 0
+        yield make_half_map(L, L, (1,))
         return
     mul = [[0] * (n + 1)]
     for r in L.rows:
@@ -389,9 +367,8 @@ def _half_maps(L, counts):
     order = _generation_order(L)
     g = order[1][0]
     commuting = _commuting(L)
-    yielded = 0  # the number of maps yielded so far
     lookup = [0, 0]  # images tried and refused by the automorphism lookups
-    representatives = []  # per representative w: (generation order led by w, (index, map) per map of its subtree)
+    representatives = []  # per representative w: (generation order led by w, the maps of its subtree)
     for image in range(2, n + 1):
         if commuting[image - 1] != commuting[g - 1]:
             continue
@@ -410,18 +387,18 @@ def _half_maps(L, counts):
                 except HalfMapError:
                     counts[3] += 1  # rejected
                     continue
-                subtree.append((yielded, m))
-                yield m, yielded
-                yielded += 1
+                subtree.append(m)
+                yield m
         else:
             alpha, subtree = hit
             if not is_automorphism(L, alpha):
                 raise InternalCheckError("the automorphism lookup returned %s, which is not an automorphism"
                                          % cycles_str(alpha))
-            for j, s in subtree:
+            # alpha o s carries the masks of s (the mask transport in enumerate_half_automorphisms)
+            at = (0, *alpha)
+            for s in subtree:
                 counts[5] += 1  # compositions
-                yield _compose(alpha, s), j
-            yielded += len(subtree)
+                yield HalfMap(L, L, tuple(map(at.__getitem__, s.images)), s.hom, s.anti, s)
 
 
 def _dfs(mul, col, order, image, hom, tally):
@@ -483,14 +460,6 @@ def _dfs(mul, col, order, image, hom, tally):
         img[x] = 0
 
     return dfs(1)
-
-
-def _compose(alpha, s):
-    """alpha o s for an automorphism alpha, given as images, and a
-    half-map s, carrying the masks of s (see the mask transport in
-    enumerate_half_automorphisms)."""
-    at = (0, *alpha)
-    return HalfMap(s.domain, s.codomain, tuple(map(at.__getitem__, s.images)), s.hom, s.anti)
 
 
 def half_maps_form_group_check(L, enumeration=None) -> bool:
@@ -601,9 +570,9 @@ def find_gg_triples(m: HalfMap, limit: int | None = None) -> list:
         raise ValueError("limit must be at least 1")
     n = m.domain.order
     row = (1 << n) - 1
-    noncommuting = _noncommuting(m.domain)
-    hom_only = m.hom & ~m.anti & noncommuting
-    anti_only = m.anti & ~m.hom & noncommuting
+    pairs = noncommuting(m.domain)
+    hom_only = m.hom & ~m.anti & pairs
+    anti_only = m.anti & ~m.hom & pairs
     out = []
     for x in range(1, n + 1):
         ys = hom_only >> (x - 1) * n & row
@@ -616,13 +585,6 @@ def find_gg_triples(m: HalfMap, limit: int | None = None) -> list:
                 if limit is not None and len(out) >= limit:
                     return out
     return out
-
-
-@memoized
-def _noncommuting(L):
-    """The pair mask of the pairs (x, y) with x*y != y*x."""
-    full = (1 << L.order * L.order) - 1
-    return full & ~_agreement(int.from_bytes(product_bytes(L).flat, "big"), column_bytes(L).flat)
 
 
 def d_set(m: HalfMap) -> frozenset:
@@ -724,9 +686,11 @@ def half_census(L) -> HalfCensus:
     """Kind counts over the complete enumeration of L and its proper
     maps, classified once per table and held immutable.
 
-    The kind is classified per searched map and copied (per_orbit): it
-    reads only the masks, and alpha o s carries the masks of s (the mask
-    transport in enumerate_half_automorphisms)."""
+    The kind is classified once per map whose source is None and copied
+    along m.source (per_orbit): it reads only the masks, and alpha o s
+    carries the masks of s (the mask transport in
+    enumerate_half_automorphisms).  verify_main_theorem and the
+    main-theorem suite both read this census."""
     counts = dict.fromkeys(HalfKind, 0)
     proper = []
     enum = enumerate_half_automorphisms(L)

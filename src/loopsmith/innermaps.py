@@ -114,6 +114,24 @@ def column_bytes(L) -> ByteTable:
     return byte_table(tuple(zip(*L.rows)))
 
 
+_EQ = b"1" + b"0" * 255  # byte 0 to digit "1", every other byte to "0"
+
+
+def _agreement(got, gathered):
+    """The pair mask of the pairs where the int of pushed bytes and the
+    gathered bytes, both in gather order, agree."""
+    diff = got ^ int.from_bytes(gathered, "big")
+    return int(diff.to_bytes(len(gathered), "big").translate(_EQ), 2)
+
+
+@memoized
+def noncommuting(L) -> int:
+    """The pair mask of the pairs (x, y) with x*y != y*x, built once per
+    table: the package's one comparison of x*y with y*x."""
+    full = (1 << L.order * L.order) - 1
+    return full & ~_agreement(int.from_bytes(product_bytes(L).flat, "big"), column_bytes(L).flat)
+
+
 @memoized
 def _sandwiches(L):
     """The byte tables of (u*v)*u and of u*(v*u), entry [u-1][v-1], built

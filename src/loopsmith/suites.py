@@ -25,7 +25,6 @@ from .halfmorph import (
     mask_pairs,
     per_orbit,
     pull_mask,
-    verify_main_theorem,
 )
 from .innermaps import bracketings, is_automorphic, is_left_automorphic, product_bytes, translate_rows
 
@@ -259,19 +258,19 @@ def suite_bruck(inputs):
 
 def suite_main_theorem(inputs, max_order=None) -> SuiteResult:
     """Zero proper half-morphisms on loops that are Moufang with all
-    inner maps automorphisms; runs the full driver on every input."""
+    inner maps automorphisms; reads the census of every input."""
     res = SuiteResult("main-theorem")
     for name, t in inputs:
         if max_order is not None and t.order > max_order:
             res.notes.append("skipped %s (order %d above threshold)" % (name, t.order))
             continue
-        report = verify_main_theorem(t, name=name)
-        res.check_count += report.total
-        if report.hypotheses_hold:
+        census = dict(half_census(t).counts)
+        res.check_count += sum(census.values())
+        if t.is_moufang() and is_automorphic(t):
             res.hypothesis_count += 1
-            if report.census[HalfKind.PROPER_HALF]:
+            if census[HalfKind.PROPER_HALF]:
                 res.violations.append(
-                    "%s: %d proper maps despite both hypotheses" % (name, report.census[HalfKind.PROPER_HALF])
+                    "%s: %d proper maps despite both hypotheses" % (name, census[HalfKind.PROPER_HALF])
                 )
     return res
 

@@ -6,8 +6,9 @@ right division are read off the rows and columns once at construction
 time, so all later queries are table lookups.
 
 The one word table is commutators().  Commutation and association are
-each read in one pass per table, _commuting and subloops._association,
-and the flags, nuclei and commutant are views of those passes.
+each read in one pass per table, innermaps.noncommuting (one pair mask,
+which _commuting counts row by row) and subloops._association, and the
+flags, nuclei, commutant and witness triples are views of those passes.
 """
 
 from __future__ import annotations
@@ -147,9 +148,13 @@ def memoized(fn):
 
 @memoized
 def _commuting(L) -> tuple:
-    """The number of elements y with x*y == y*x, at [x-1] for each x."""
-    rows = L.rows
-    return tuple(sum(r[y] == rows[y][x] for y in range(L.order)) for x, r in enumerate(rows))
+    """The number of elements y with x*y == y*x, at [x-1] for each x: n
+    less the bits set in row x of innermaps.noncommuting."""
+    from .innermaps import noncommuting
+
+    n = L.order
+    mask, row = noncommuting(L), (1 << n) - 1
+    return tuple(n - (mask >> x * n & row).bit_count() for x in range(n))
 
 
 def _swap_labels(n, a, b):

@@ -4,6 +4,7 @@ derived witness machinery around them."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import permutations
 from operator import itemgetter
 
@@ -519,9 +520,10 @@ TRANSPORT_CHECK = [*catalog.catalog_keys(), "M(Q8,2)", "M(D16,2)", "M(D16,2) rel
 
 @pytest.mark.parametrize("key", TRANSPORT_CHECK)
 def test_sources_name_a_searched_map_one_automorphism_away(key, chein, relabeled_chein, get_enum):
-    """Every map points to a map the search found directly, with the same
-    masks, and differs from it by an automorphism on the left; copying a
-    per-map value along sources gives what evaluating every map gives."""
+    """Every map's m.source or m is a map of the enumeration that the
+    search found directly, with the same masks, and differs from it by an
+    automorphism on the left; copying a per-map value along m.source
+    gives what evaluating every map gives."""
     if key in catalog.catalog_keys():
         t = catalog.builtin(key).table
     elif key.endswith("relabeled"):
@@ -530,15 +532,17 @@ def test_sources_name_a_searched_map_one_automorphism_away(key, chein, relabeled
         t = chein(key[2:key.index(",")])
     enum = get_enum(key, t)
     n = t.order
-    for m, s in zip(enum.maps, enum.sources):
-        source = enum.maps[s]
-        assert enum.sources[s] == s
+    inside = {id(m) for m in enum.maps}
+    for m in enum.maps:
+        source = m.source or m
+        assert id(source) in inside
+        assert source.source is None
         assert (source.hom, source.anti) == (m.hom, m.anti)
         inverse = [0] * n
         for x, v in enumerate(source.images, 1):
             inverse[v - 1] = x
         assert is_automorphism(t, tuple(m.images[x - 1] for x in inverse)), m.images
-    searched = sum(i == s for i, s in enumerate(enum.sources))
+    searched = sum(m.source is None for m in enum.maps)
     assert searched == enum.stats.leaves - enum.stats.rejected
     functions = [classify, is_semi_isomorphism, d_set, lambda m: find_gg_triples(m, limit=1)]
     A = sl.associator_subloop(t)
@@ -554,9 +558,27 @@ def test_sources_name_a_searched_map_one_automorphism_away(key, chein, relabeled
 def test_limited_search_sources_point_inside_the_result(q1):
     for limit in (1, 5, 1600):
         enum = enumerate_half_automorphisms(q1, limit=limit)
-        assert len(enum.sources) == len(enum.maps) == limit
-        assert all(enum.sources[s] == s for s in enum.sources)
-        assert sum(i == s for i, s in enumerate(enum.sources)) == enum.stats.leaves - enum.stats.rejected
+        assert len(enum.maps) == limit
+        inside = {id(m) for m in enum.maps}
+        assert all(id(m.source) in inside and m.source.source is None
+                   for m in enum.maps if m.source is not None)
+        assert sum(m.source is None for m in enum.maps) == enum.stats.leaves - enum.stats.rejected
+        assert per_orbit(enum, classify) == [classify(m) for m in enum.maps]
+
+
+def test_search_holds_no_index_lists_beside_the_maps(q1):
+    """A composed map names its source itself, so the search keeps no
+    per-map lists beside the maps while they are alive: on a fresh copy
+    of Q1 the traced peak stays under 6.5 MiB."""
+    t = LoopTable(q1.rows)  # a fresh memo, whatever other tests read from the fixture
+    tracemalloc.start()
+    try:
+        enum = enumerate_half_automorphisms(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(enum.maps) == 21504
+    assert peak < 6.5 * 2 ** 20, peak
 
 
 def _generated_automorphisms(L, anti):

@@ -17,7 +17,8 @@ import loopsmith
 from loopsmith import catalog
 from loopsmith.catalog import CatalogEntry
 from loopsmith.cli import AnalysisReport
-from loopsmith.halfmorph import HalfClass, HalfEnumeration, HalfKind, HalfMap, TheoremReport, make_half_map
+from loopsmith.halfmorph import (HalfClass, HalfEnumeration, HalfKind, HalfMap, TheoremReport, make_half_map,
+                                 per_orbit)
 from loopsmith.subloops import HallResult, Subloop, SylowResult
 from loopsmith.suites import SuiteResult
 from loopsmith.table import LoopTable, ValidationReport
@@ -185,9 +186,20 @@ def test_half_maps_compare_and_hash_by_domain_codomain_and_images(q2):
     assert m != images
 
 
-def test_enumeration_without_sources_makes_every_map_its_own(q2_enum):
-    enum = HalfEnumeration(q2_enum.maps, True)
-    assert enum.sources == tuple(range(len(q2_enum.maps)))
+def test_enumeration_without_sources_makes_every_map_its_own(q2, q2_enum):
+    """A hand-built map, or one from make_half_map, names no source, so
+    per_orbit evaluates every such map; the search's own maps keep the
+    sources it gave them."""
+    hand = tuple(HalfMap(q2, q2, m.images) for m in q2_enum.maps)
+    assert all(m.source is None for m in hand)
+    assert all(make_half_map(q2, q2, m.images).source is None for m in q2_enum.maps)
+    enum = HalfEnumeration(hand, True)
     assert enum.stats is None
-    assert HalfEnumeration((), False).sources == ()
-    assert HalfEnumeration(q2_enum.maps, True, q2_enum.stats, q2_enum.sources).sources == q2_enum.sources
+    seen = []
+    assert per_orbit(enum, seen.append) == [None] * len(hand)
+    assert seen == list(hand)
+    assert HalfEnumeration((), False) == ((), False, None)
+    again = HalfEnumeration(q2_enum.maps, True, q2_enum.stats)
+    assert again == q2_enum
+    assert [m.source for m in again.maps] == [m.source for m in q2_enum.maps]
+    assert any(m.source is not None for m in again.maps)

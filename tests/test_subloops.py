@@ -34,7 +34,7 @@ from loopsmith.subloops import (
     three_generated,
     two_generated,
 )
-from loopsmith.innermaps import inner_maps
+from loopsmith.innermaps import inner_maps, noncommuting
 from loopsmith.table import LoopTable, _commuting, relabel
 
 
@@ -207,6 +207,9 @@ def test_commutation_readers_match_a_plain_pair_loop(random_loops):
         counts = tuple(sum(t.mul(x, y) == t.mul(y, x) for y in t.elements) for x in t.elements)
         members = frozenset(x for x in t.elements if all(t.mul(x, y) == t.mul(y, x) for y in t.elements))
         commutative = all(t.mul(x, y) == t.mul(y, x) for x in t.elements for y in t.elements)
+        mask = sum(1 << (x - 1) * t.order + (y - 1)
+                   for x in t.elements for y in t.elements if t.mul(x, y) != t.mul(y, x))
+        assert noncommuting(t) == mask
         assert _commuting(t) == counts
         assert commutant(t) == (members, is_closed(t, members))
         assert t.is_commutative() == commutative

@@ -9,9 +9,11 @@ import pytest
 
 from loopsmith import catalog, suites
 from loopsmith import subloops as sl
+from loopsmith.errors import TheoremViolation
 from loopsmith.halfmorph import (
     HalfEnumeration,
     HalfKind,
+    HalfMap,
     classify,
     coset_images,
     d_set,
@@ -20,6 +22,7 @@ from loopsmith.halfmorph import (
     induced_on_quotient,
     make_half_map,
     mask_pairs,
+    verify_main_theorem,
 )
 from loopsmith.innermaps import is_left_automorphic
 from loopsmith.table import LoopTable, relabel
@@ -127,7 +130,7 @@ def test_q1_battery_accounting(q1_battery):
 def _searched(L):
     """The number of maps that the search of L found directly."""
     enum = enumerate_half_automorphisms(L)
-    return sum(i == s for i, s in enumerate(enum.sources))
+    return sum(m.source is None for m in enum.maps)
 
 
 @pytest.mark.parametrize("key, semi, cosets", [("Q2", 0, 19), ("M(S3,2)", 108, 148)])
@@ -243,18 +246,19 @@ def test_commutator_d_set_matches_pair_walk_on_a_shrunken_center(monkeypatch, q1
     The derived subloop is widened to the whole loop, because with the
     true one no [d, g] leaves even the shrunken center.
 
-    The sample is built by hand, so every map is its own source and the
-    suite evaluates each one.  It must not carry the search's sources:
-    the shrunken center is not characteristic, so a verdict copied from
-    s to alpha o s could differ from the one a pair walk gives."""
+    The sample is built by hand from fresh maps, so no map names a source
+    and the suite evaluates each one.  It must not carry the search's
+    sources: the shrunken center is not characteristic, so a verdict
+    copied from s to alpha o s could differ from the one a pair walk
+    gives."""
     center = sl.center
 
     def shrunken(L):
         H = center(L)
         return sl.Subloop(L, H.elements[:-1] if len(H) > 1 else H.elements)
 
-    sample = HalfEnumeration(q1_enum.maps[::128], True)
-    assert sample.sources == tuple(range(len(sample.maps)))
+    sample = HalfEnumeration(tuple(HalfMap(q1, q1, m.images) for m in q1_enum.maps[::128]), True)
+    assert all(m.source is None for m in sample.maps)
     monkeypatch.setattr(sl, "center", shrunken)
     monkeypatch.setattr(sl, "commutator_subloop", lambda L: sl.Subloop(L, tuple(L.elements)))
     monkeypatch.setattr(suites, "enumerate_half_automorphisms",
@@ -304,6 +308,19 @@ def test_nucleus_absorption_matches_a_triple_walk_on_a_widened_nucleus(monkeypat
     assert got.check_count == 2 * (8 ** 4 + 16 ** 4 + 7 ** 4)  # 2 |N| n^3 with N the whole loop
     assert got.violations == want.violations
     assert {v.split(":")[0] for v in got.violations} == {"Q1", "random"}
+
+
+def test_main_theorem_suite_records_a_violation_instead_of_raising(monkeypatch, q2):
+    """Q2 is automorphic but not Moufang; declared Moufang, its 8 proper
+    maps contradict the theorem.  The suite reads the census and records
+    that as a violation, where verify_main_theorem raises."""
+    copy = LoopTable(q2.rows, name="Q2-copy")
+    monkeypatch.setattr(LoopTable, "is_moufang", lambda self: True)
+    res = suites.suite_main_theorem([("Q2-copy", copy)])
+    assert (res.hypothesis_count, res.check_count) == (1, 16)
+    assert res.violations == ["Q2-copy: 8 proper maps despite both hypotheses"]
+    with pytest.raises(TheoremViolation, match="Q2-copy"):
+        verify_main_theorem(copy)
 
 
 def test_a_non_normal_associator_subloop_is_skipped(monkeypatch, q1, phi1):

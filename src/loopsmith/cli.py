@@ -112,7 +112,7 @@ def analyze_table(table, name=None, max_half_order=20) -> AnalysisReport:
     report.elapsed["flags"] = t1 - t0
     so = report.subloop_orders
     so["nucleus"] = len(sl.nucleus(table))
-    so["commutant"] = len(sl.commutant(table).elements)
+    so["commutant"] = len(sl.commutant(table))
     so["center"] = len(sl.center(table))
     so["commutator_subloop"] = len(sl.commutator_subloop(table))
     so["associator_subloop"] = len(sl.associator_subloop(table))
@@ -273,12 +273,12 @@ def cmd_checktheorem(args) -> int:
     from .suites import run_theorem_suites
 
     status = EXIT_OK
+    if args.catalog == bool(args.paths):
+        print("checktheorem needs paths or --catalog, not both", file=sys.stderr)
+        return EXIT_INPUT
     if args.catalog:
         named = [(e.key, e.table) for e in cat.entries()]
     else:
-        if not args.paths:
-            print("checktheorem needs paths or --catalog", file=sys.stderr)
-            return EXIT_INPUT
         named = []
         for path in args.paths:
             try:
@@ -303,8 +303,8 @@ def cmd_checktheorem(args) -> int:
                 {
                     "name": name,
                     "order": t.order,
-                    "moufang": r.moufang if r else t.is_moufang(),
-                    "automorphic": r.automorphic if r else is_automorphic(t),
+                    "moufang": t.is_moufang(),
+                    "automorphic": is_automorphic(t),
                     "hypotheses_hold": r.hypotheses_hold if r else None,
                     "proper_half_maps": len(r.proper_maps) if r else None,
                     "enumerated": r is not None,

@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 from .errors import HalfMapError, InternalCheckError, TheoremViolation
 from .innermaps import (_agreement, _sandwiches, check_bijection, column_bytes, cycles_str, gather,
-                        inner_map_witness, is_automorphism, is_left_automorphic, noncommuting,
-                        product_bytes, push, zero_based)
+                        inner_map_witness, is_automorphism, noncommuting, product_bytes, push,
+                        zero_based)
 from .subloops import associator_quotient, associator_subloop
 from .table import LoopTable, _commuting, memoized
 
@@ -546,13 +546,13 @@ def half_maps_form_group_check(L, enumeration=None) -> bool:
 def is_semi_isomorphism(m: HalfMap) -> bool:
     """t((u*v)*u) = (t(u)*t(v))*t(u) for all u, v.
 
-    On a non-flexible domain the two bracketings of u*v*u differ, so the
-    mirrored bracketing t(u*(v*u)) = t(u)*(t(v)*t(u)) is required too.
+    The domain must be flexible, so that u*v*u has one bracketing, as
+    every Moufang loop is; raises ValueError otherwise.
     """
+    if not m.domain.is_flexible():
+        raise ValueError("semi-isomorphism check needs a flexible domain")
     t = zero_based(m.images)
-    domain = _sandwiches(m.domain)[:1 if m.domain.is_flexible() else 2]
-    return all(push(d.flat, t) == gather(c.rows, t)
-               for d, c in zip(domain, _sandwiches(m.codomain)))
+    return push(_sandwiches(m.domain)[0].flat, t) == gather(_sandwiches(m.codomain)[0].rows, t)
 
 
 class GGTriple(NamedTuple):
@@ -642,20 +642,18 @@ class TheoremReport:
     """The main-theorem verdict on one loop.  Each report owns its census
     dict and proper_maps list, so a caller may change them."""
 
-    __slots__ = ("name", "order", "moufang", "left_automorphic", "automorphic", "automorphic_witness",
-                 "hypotheses_hold", "complete", "total", "census", "proper_maps")
+    __slots__ = ("name", "order", "moufang", "automorphic", "automorphic_witness", "hypotheses_hold",
+                 "total", "census", "proper_maps")
 
-    def __init__(self, name: str, order: int, moufang: bool, left_automorphic: bool, automorphic: bool,
-                 automorphic_witness: str | None, hypotheses_hold: bool, complete: bool, total: int,
+    def __init__(self, name: str, order: int, moufang: bool, automorphic: bool,
+                 automorphic_witness: str | None, hypotheses_hold: bool, total: int,
                  census: dict, proper_maps: list | None = None):
         self.name = name
         self.order = order
         self.moufang = moufang
-        self.left_automorphic = left_automorphic
         self.automorphic = automorphic
         self.automorphic_witness = automorphic_witness
         self.hypotheses_hold = hypotheses_hold
-        self.complete = complete
         self.total = total
         self.census = census
         self.proper_maps = [] if proper_maps is None else proper_maps
@@ -668,7 +666,7 @@ class TheoremReport:
         ]
         if self.automorphic_witness:
             parts.append("witness=%s" % self.automorphic_witness)
-        parts.append("maps=%d%s" % (self.total, "" if self.complete else "+ (incomplete)"))
+        parts.append("maps=%d" % self.total)
         parts.append(
             "census=" + ",".join("%s:%d" % (k.value, v) for k, v in sorted(
                 self.census.items(), key=lambda kv: kv[0].value))
@@ -718,19 +716,16 @@ def verify_main_theorem(L, name=None) -> TheoremReport:
         family, x, y, perm = witness
         label = "%s[%d]" % (family, x) if y is None else "%s[%d,%d]" % (family, x, y)
         witness_text = "%s = %s is not an automorphism" % (label, cycles_str(perm))
-    enumeration = enumerate_half_automorphisms(L)
     counts, proper = half_census(L)
     hypotheses = moufang and automorphic
     report = TheoremReport(
         name=name,
         order=L.order,
         moufang=moufang,
-        left_automorphic=is_left_automorphic(L),
         automorphic=automorphic,
         automorphic_witness=witness_text,
         hypotheses_hold=hypotheses,
-        complete=enumeration.complete,
-        total=len(enumeration.maps),
+        total=sum(count for _, count in counts),
         census=dict(counts),
         proper_maps=list(proper),
     )

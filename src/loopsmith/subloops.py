@@ -57,14 +57,6 @@ class Subloop:
     def __contains__(self, x):
         return x in set(self.elements)
 
-    def as_table(self, name=None):
-        """Relabelled copy of this subloop as a loop in its own right.
-
-        Returns (table, old_to_new).  Elements are renamed by sorted
-        position, so 1 stays 1.
-        """
-        return restriction(self.parent, self.elements, name=name)
-
 
 def is_closed(L, elements) -> bool:
     """Independent re-check: closed under product and both divisions, has 1."""
@@ -243,21 +235,16 @@ def nucleus(L) -> Subloop:
     return _make_subloop(L, set(L.elements).difference(*_association(L)[:3]))
 
 
-class Commutant(NamedTuple):
-    elements: frozenset
-    closed: bool  # the set need not be a subloop in general
-
-
 @memoized
-def commutant(L) -> Commutant:
-    """Elements commuting with everything; returned with a closure flag."""
-    members = frozenset(a for a, count in enumerate(_commuting(L), 1) if count == L.order)
-    return Commutant(members, is_closed(L, members))
+def commutant(L) -> frozenset:
+    """Elements commuting with everything, as a set: it need not be a
+    subloop in general."""
+    return frozenset(a for a, count in enumerate(_commuting(L), 1) if count == L.order)
 
 
 def center(L) -> Subloop:
-    """Commutant intersected with the nucleus; always a subloop."""
-    members = commutant(L).elements & set(nucleus(L).elements)
+    """The commutant intersected with the nucleus; always a subloop."""
+    members = commutant(L) & set(nucleus(L).elements)
     return _make_subloop(L, members)
 
 
@@ -368,7 +355,6 @@ def restriction(L, elements, name=None):
 
 class SylowResult(NamedTuple):
     subloop: Subloop | None  # present only when an exact p-part subloop was found
-    best: Subloop            # largest p-power-order subloop encountered
     target: int              # exact p-part of the loop order
     capped: bool = False
 
@@ -399,18 +385,14 @@ def sylow_subloop(L, p) -> SylowResult:
         raise ValueError("p must be prime, got %r" % (p,))
     n = L.order
     target = _p_part(n, p)
-    trivial = generate_subloop(L, ())
     if target == 1:
-        return SylowResult(trivial, trivial, target)
+        return SylowResult(generate_subloop(L, ()), target)
     orders = [L.element_order(x).order for x in L.elements]
     # _p_part(0, p) would never return; order 0 only marks a broken table
     pelems = [x for x, k in zip(L.elements, orders) if k >= 1 and _p_part(k, p) == k]
-    best = trivial
     full = generate_subloop(L, pelems)
     if len(full) == target:
-        return SylowResult(full, full, target)
-    if _p_part(len(full), p) == len(full) and len(full) > len(best):
-        best = full
+        return SylowResult(full, target)
     tried = 0
     capped = False
     from itertools import combinations
@@ -423,29 +405,23 @@ def sylow_subloop(L, p) -> SylowResult:
                 break
             H = generate_subloop(L, seed)
             if len(H) == target:
-                return SylowResult(H, H, target, capped)
-            if _p_part(len(H), p) == len(H) and len(H) > len(best):
-                best = H
+                return SylowResult(H, target)
         if capped:
             break
-    return SylowResult(None, best, target, capped)
+    return SylowResult(None, target, capped)
 
 
 class HallResult(NamedTuple):
     subloop: Subloop | None  # closure when its order matches the 3'-part of |L|
     target: int
-    in_nucleus: bool
-    is_group: bool
 
 
 def hall_3prime_subgroup(L) -> HallResult:
     """Closure of all elements of left order coprime to 3.
 
     The closure is returned when its order equals the 3'-part of the
-    loop order.  Containment in the nucleus and associativity are
-    reported as diagnostics rather than required: they hold in the
-    well-behaved cases but fail for some tables that still carry an
-    exact 3'-part subloop.
+    loop order.  It need not lie in the nucleus or be a group: both
+    fail for some tables that still carry an exact 3'-part subloop.
     """
     n = L.order
     target = n
@@ -454,10 +430,7 @@ def hall_3prime_subgroup(L) -> HallResult:
     # order 0 only marks a broken table, and 0 % 3 == 0 leaves it out
     members = [x for x in L.elements if L.element_order(x).order % 3]
     H = generate_subloop(L, members)
-    in_nuc = set(H.elements) <= set(nucleus(L).elements)
-    if len(H) == target:
-        return HallResult(H, target, in_nuc, H.is_group)
-    return HallResult(None, target, in_nuc, H.is_group)
+    return HallResult(H if len(H) == target else None, target)
 
 
 def commutative_nilpotency_class(L) -> int | None:

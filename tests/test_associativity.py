@@ -165,5 +165,5 @@ def test_groups_answer_diassociativity_and_the_nucleus_without_a_scan(monkeypatc
     everything = tuple(t.elements)
     for reader in (nucleus_left, nucleus_middle, nucleus_right, nucleus):
         assert reader(t).elements == everything, reader.__name__
-    assert center(t).elements == tuple(sorted(commutant(t).elements))
+    assert center(t).elements == tuple(sorted(commutant(t)))
     assert associator_subloop(t).elements == (1,)

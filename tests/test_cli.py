@@ -248,6 +248,33 @@ def test_checktheorem_requires_input(capsys):
     assert "needs paths or --catalog" in capsys.readouterr().err
 
 
+def test_checktheorem_refuses_paths_with_catalog(capsys):
+    assert main(["checktheorem", "--catalog", "no/such/file.loop"]) == 2
+    captured = capsys.readouterr()
+    assert "needs paths or --catalog, not both" in captured.err
+    assert captured.out == ""
+
+
+def test_checktheorem_json_reports_a_skipped_loop(capsys):
+    assert main(["checktheorem", "--json", "--max-half-order", "8", "Q1", "Q2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    q1, q2 = payload["loops"]
+    assert q1 == {"name": "Q1", "order": 16, "enumerated": False, "hypotheses_hold": None,
+                  "proper_half_maps": None, "moufang": True, "automorphic": False}
+    assert q2 == {"name": "Q2", "order": 8, "enumerated": True, "hypotheses_hold": False,
+                  "proper_half_maps": 8, "moufang": False, "automorphic": True}
+    notes = {s["name"]: s["notes"] for s in payload["suites"] if s["notes"]}
+    assert notes == {
+        "main-theorem": ["skipped Q1 (order 16 above threshold)"],
+        "half-maps-form-group": ["skipped Q1"],
+        "semi-isomorphism": ["skipped Q1"],
+        "proper-half-witness-triples": ["skipped Q1"],
+        "induced-quotient-trivial": ["skipped Q1"],
+        "commutator-d-set-central": ["skipped Q1"],
+    }
+    assert payload["ok"] is True
+
+
 def test_checktheorem_respects_enumeration_threshold(capsys):
     assert main(["checktheorem", "--max-half-order", "4", "S3"]) == 0
     out = capsys.readouterr().out

@@ -859,22 +859,10 @@ def test_semi_isomorphism(phi1, phi2, q1):
 def test_semi_isomorphism_on_a_non_flexible_loop(nonflex5):
     L = nonflex5
     assert not L.is_flexible()
-    mul = L.mul
-    # the loop itself, then a relabeled copy as codomain
+    # refused on the loop itself and towards a relabeled copy
     for C in (L, _relabeled(L, 5)[0]):
-        cmul = C.mul
-        outcomes = set()
-        for rest in permutations(range(2, 6)):
-            t = (1, *rest)
-
-            def sandwich(u, v):
-                return (t[mul(mul(u, v), u) - 1] == cmul(cmul(t[u - 1], t[v - 1]), t[u - 1])
-                        and t[mul(u, mul(v, u)) - 1] == cmul(t[u - 1], cmul(t[v - 1], t[u - 1])))
-
-            expected = all(sandwich(u, v) for u in L.elements for v in L.elements)
-            assert is_semi_isomorphism(HalfMap(L, C, t)) == expected
-            outcomes.add(expected)
-        assert outcomes == {True, False}
+        with pytest.raises(ValueError, match="flexible"):
+            is_semi_isomorphism(HalfMap(L, C, tuple(range(1, 6))))
 
 
 def test_gg_triples_phi1(phi1, q1):
@@ -937,7 +925,7 @@ def test_verify_main_theorem_on_group(s3):
     assert report.hypotheses_hold
     assert report.moufang and report.automorphic
     assert report.automorphic_witness is None
-    assert report.complete and report.total == 12
+    assert report.total == 12
     assert report.census[HalfKind.ISOMORPHISM] == 6
     assert report.census[HalfKind.ANTI_ISOMORPHISM] == 6
     assert report.census[HalfKind.PROPER_HALF] == 0
@@ -948,7 +936,7 @@ def test_verify_main_theorem_on_group(s3):
 def test_verify_main_theorem_on_q1(q1):
     report = verify_main_theorem(q1, name="Q1")
     assert report.moufang
-    assert report.left_automorphic
+    assert is_left_automorphic(q1)
     assert not report.automorphic
     assert not report.hypotheses_hold
     assert "t[2]" in report.automorphic_witness

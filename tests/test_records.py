@@ -115,7 +115,7 @@ def test_importing_the_package_loads_no_submodule():
     lambda: SuiteResult("s"),
     lambda: AnalysisReport("a", 1),
     lambda: CatalogEntry("c", catalog.make_cyclic(1)),
-    lambda: TheoremReport("t", 1, True, True, True, None, True, True, 1, {}),
+    lambda: TheoremReport("t", 1, True, True, None, True, 1, {}),
 ])
 def test_default_lists_and_dicts_are_fresh_per_instance(make):
     first, second = make(), make()
@@ -146,20 +146,18 @@ def test_constructors_keep_their_positional_order_keywords_and_defaults():
     c = CatalogEntry(key="c", table=z1)
     assert (c.expected, c.featured_half_map) == ({}, None)
 
-    t = TheoremReport("t", 1, True, False, True, "w", False, True, 1, {}, ["m"])
-    assert (t.name, t.order, t.moufang, t.left_automorphic, t.automorphic, t.automorphic_witness,
-            t.hypotheses_hold, t.complete, t.total, t.census, t.proper_maps) == \
-        ("t", 1, True, False, True, "w", False, True, 1, {}, ["m"])
-    assert TheoremReport(name="t", order=1, moufang=True, left_automorphic=True, automorphic=True,
-                         automorphic_witness=None, hypotheses_hold=True, complete=True, total=1,
-                         census={}).proper_maps == []
+    t = TheoremReport("t", 1, True, False, "w", False, 1, {}, ["m"])
+    assert (t.name, t.order, t.moufang, t.automorphic, t.automorphic_witness, t.hypotheses_hold,
+            t.total, t.census, t.proper_maps) == ("t", 1, True, False, "w", False, 1, {}, ["m"])
+    assert TheoremReport(name="t", order=1, moufang=True, automorphic=True, automorphic_witness=None,
+                         hypotheses_hold=True, total=1, census={}).proper_maps == []
 
     H = Subloop(z1, (1,))
     assert (H.parent, H.elements, H.is_group) == (z1, (1,), True)
     assert Subloop(parent=z1, elements=(1,)).elements == (1,)
-    assert SylowResult(None, H, 2).capped is False
-    assert not SylowResult(subloop=None, best=H, target=2, capped=True).exact
-    assert HallResult(H, 1, True, True).in_nucleus
+    assert SylowResult(None, 2).capped is False
+    assert not SylowResult(subloop=None, target=2, capped=True).exact
+    assert HallResult(H, 1).subloop is H
     assert ValidationReport(True, True, 1, []).is_loop
     assert HalfClass(HalfKind.PROPER_HALF, 1, 2, (1, 2), None).trivial is False
 

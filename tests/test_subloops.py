@@ -73,14 +73,6 @@ def test_restriction_refuses_non_closed_sets(q1):
         restriction(q1, (1, 2, 3))
 
 
-def test_subloop_as_table(q2):
-    h = generate_subloop(q2, (3, 4))
-    table, mapping = h.as_table(name="inner")
-    assert table.order == 4
-    assert table.name == "inner"
-    assert sorted(mapping) == list(h.elements)
-
-
 def test_commutator_and_associator_subloops():
     q1 = catalog.builtin("Q1").table
     q2 = catalog.builtin("Q2").table
@@ -117,10 +109,10 @@ def test_commutant_and_center():
     q2 = catalog.builtin("Q2").table
     s3 = catalog.builtin("S3").table
     z6 = catalog.make_cyclic(6)
-    assert commutant(q1) == (frozenset({1, 4}), True)
-    assert commutant(q2) == (frozenset({1, 2}), True)
-    assert commutant(s3).elements == frozenset({1})
-    assert commutant(z6).elements == frozenset(range(1, 7))
+    assert commutant(q1) == frozenset({1, 4})
+    assert commutant(q2) == frozenset({1, 2})
+    assert commutant(s3) == frozenset({1})
+    assert commutant(z6) == frozenset(range(1, 7))
     assert center(q1).elements == (1, 4)
     assert center(q2).elements == (1, 2)
     assert center(s3).elements == (1,)
@@ -211,7 +203,7 @@ def test_commutation_readers_match_a_plain_pair_loop(random_loops):
                    for x in t.elements for y in t.elements if t.mul(x, y) != t.mul(y, x))
         assert noncommuting(t) == mask
         assert _commuting(t) == counts
-        assert commutant(t) == (members, is_closed(t, members))
+        assert commutant(t) == members
         assert t.is_commutative() == commutative
         outcomes.add(commutative)
     assert outcomes == {True, False}
@@ -308,12 +300,13 @@ def test_sylow_on_s3(s3):
 
 
 def test_hall_3prime_on_z12():
-    r = hall_3prime_subgroup(catalog.make_cyclic(12))
+    z12 = catalog.make_cyclic(12)
+    r = hall_3prime_subgroup(z12)
     assert r.target == 4
     assert r.subloop is not None
     assert r.subloop.elements == (1, 4, 7, 10)
-    assert r.in_nucleus
-    assert r.is_group
+    assert set(r.subloop.elements) <= set(nucleus(z12).elements)
+    assert r.subloop.is_group
 
 
 def test_hall_3prime_when_closure_overshoots(s3, chein12):
@@ -331,8 +324,8 @@ def test_hall_3prime_on_three_prime_loops(q1):
     r = hall_3prime_subgroup(q1)
     assert r.target == 16
     assert r.subloop is not None and len(r.subloop) == 16
-    assert not r.in_nucleus
-    assert not r.is_group
+    assert not set(r.subloop.elements) <= set(nucleus(q1).elements)
+    assert not r.subloop.is_group
 
 
 def test_nilpotency_goldens():

@@ -278,7 +278,7 @@ def check_expected(entry) -> list:
         elif prop == "automorphic":
             actual = is_automorphic(t)
         elif prop == "proper_half_exists":
-            actual = bool(half_census(t).proper_maps)
+            actual = bool(half_census(t).proper)
         else:
             problems.append("%s: no recomputation rule" % prop)
             continue

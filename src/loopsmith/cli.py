@@ -210,7 +210,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_halfautos(args) -> int:
     from .halfmorph import (HalfKind, classify, enumerate_half_automorphisms,
-                            half_maps_form_group_check, per_orbit)
+                            half_maps_form_group_check, orbit_maps, weighted_maps)
 
     if args.limit is not None and args.limit < 1:
         print("--limit must be at least 1, got %d" % args.limit, file=sys.stderr)
@@ -224,15 +224,17 @@ def cmd_halfautos(args) -> int:
     census = {kind.value: 0 for kind in HalfKind}
     listing = []
     # the kind and witnesses read only the masks, which alpha o s shares with s
-    for m, cls in zip(enum.maps, per_orbit(enum, classify)):
-        census[cls.kind.value] += 1
-        listing.append({
+    for s, alphas in weighted_maps(enum):
+        cls = classify(s)
+        census[cls.kind.value] += 1 + len(alphas)
+        listing += [{
             "cycles": m.cycles(),
             "images": list(m.images),
             "kind": cls.kind.value,
             "witness_hom": list(cls.witness_hom) if cls.witness_hom else None,
             "witness_anti": list(cls.witness_anti) if cls.witness_anti else None,
-        })
+        } for m in orbit_maps(s, alphas)]
+    listing.sort(key=lambda item: item["images"])
     group_ok = None
     if enum.complete:
         group_ok = half_maps_form_group_check(entry.table, enum)
@@ -268,7 +270,7 @@ def cmd_halfautos(args) -> int:
 
 
 def cmd_checktheorem(args) -> int:
-    from .halfmorph import verify_main_theorem
+    from .halfmorph import HalfKind, verify_main_theorem
     from .innermaps import is_automorphic
     from .suites import run_theorem_suites
 
@@ -306,7 +308,7 @@ def cmd_checktheorem(args) -> int:
                     "moufang": t.is_moufang(),
                     "automorphic": is_automorphic(t),
                     "hypotheses_hold": r.hypotheses_hold if r else None,
-                    "proper_half_maps": len(r.proper_maps) if r else None,
+                    "proper_half_maps": r.census[HalfKind.PROPER_HALF] if r else None,
                     "enumerated": r is not None,
                 }
                 for (name, t), r in zip(named, reports)

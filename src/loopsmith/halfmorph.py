@@ -21,14 +21,16 @@ one translate turns each byte into the pair's digit.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import islice
-from operator import attrgetter, itemgetter
+from functools import cached_property
+from itertools import islice, repeat
+from math import prod
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import HalfMapError, InternalCheckError, TheoremViolation
-from .innermaps import (_agreement, _sandwiches, check_bijection, column_bytes, cycles_str, gather,
-                        inner_map_witness, is_automorphism, noncommuting, product_bytes, push,
-                        zero_based)
+from .innermaps import (_agreement, _preserves_products, _sandwiches, check_bijection, column_bytes,
+                        cycles_str, gather, inner_map_witness, is_automorphism, noncommuting,
+                        product_bytes, push, zero_based)
 from .subloops import associator_quotient, associator_subloop
 from .table import LoopTable, _commuting, memoized
 
@@ -41,7 +43,7 @@ class HalfMap:
     when hom | anti has all n*n bits set.  The masks are computed from
     the tables unless both are given, as the search does for a map whose
     masks are known to equal another map's.  source is None except on a
-    map the search composed, alpha o s, where it is s (see per_orbit).
+    composed map, alpha o s, where it is s (see weighted_maps).
     Maps compare and hash by domain, codomain and images; treat them as
     immutable.
     """
@@ -81,9 +83,6 @@ class HalfMap:
 
     def cycles(self) -> str:
         return cycles_str(self.images)
-
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
 
     def broken_pair(self):
         """The least pair obeying neither law, or None."""
@@ -196,27 +195,61 @@ class SearchStats(NamedTuple):
 
 
 class HalfEnumeration(NamedTuple):
-    """Half-maps in image-tuple order.  stats is None unless the search
-    made the enumeration."""
+    """Half-maps in image-tuple order.  maps is a HalfMaps for a complete
+    search and a tuple otherwise.  stats is None unless the search made
+    the enumeration."""
 
-    maps: tuple
+    maps: tuple | HalfMaps
     complete: bool
     stats: SearchStats | None = None
 
 
-def per_orbit(enum, fn) -> list:
-    """[fn(m) for m in enum.maps], with fn called once per map whose source
-    is None and its value copied along m.source to the maps composed from
-    it.
+class HalfMaps:
+    """The maps of a complete search as it holds them: per representative
+    the pair (its subtree's maps, found directly, and one automorphism
+    alpha per subtree composed from them).  len() builds no map; the
+    first read lists every map in image-tuple order and keeps the list."""
 
-    Every source must itself be a map of the enumeration.  Every search
-    result meets this, limited or complete, because a subtree is searched
-    before any subtree is composed from it.  The caller vouches that
-    fn(alpha o s) == fn(s) for every automorphism alpha of the domain and
-    every half-map s.
-    """
-    values = {id(m): fn(m) for m in enum.maps if m.source is None}
-    return [values[id(m.source or m)] for m in enum.maps]
+    def __init__(self, subtrees: tuple):
+        self.subtrees = subtrees
+
+    def __len__(self):
+        return sum(len(maps) * (1 + len(alphas)) for maps, alphas in self.subtrees)
+
+    def __getitem__(self, i):
+        return self._listing[i]
+
+    def __iter__(self):
+        return iter(self._listing)
+
+    @cached_property
+    def _listing(self):
+        return tuple(sorted((m for maps, alphas in self.subtrees for s in maps for m in orbit_maps(s, alphas)),
+                            key=attrgetter("images")))
+
+
+def orbit_maps(s, alphas):
+    """s, then each alpha o s, built with the masks of s (the mask
+    transport in enumerate_half_automorphisms) and s as source."""
+    yield s
+    yield from map(_compose, alphas, repeat(s))
+
+
+def _compose(alpha, s):
+    at = (0, *alpha)
+    return HalfMap(s.domain, s.codomain, tuple(map(at.__getitem__, s.images)), s.hom, s.anti, s)
+
+
+def weighted_maps(enum):
+    """The pairs (s, alphas), one per map s that enum holds as found
+    directly, standing for the 1 + len(alphas) maps of orbit_maps(s,
+    alphas).  A listed enumeration, limited or built by hand, pairs each
+    of its maps with ().  A value computed once on s holds for each
+    alpha o s when fn(alpha o s) == fn(s) for every automorphism alpha and
+    half-map s; each caller says why."""
+    if enum.maps.__class__ is HalfMaps:
+        return ((s, alphas) for maps, alphas in enum.maps.subtrees for s in maps)
+    return ((m, ()) for m in enum.maps)
 
 
 def enumerate_half_automorphisms(L, limit=None) -> HalfEnumeration:
@@ -242,8 +275,8 @@ def enumerate_half_automorphisms(L, limit=None) -> HalfEnumeration:
     of w's subtree.  alpha is found by the same depth-first search in a
     hom-law-only mode, along a generation order that lists w first with
     t(w) = w' fixed: a product takes only t(a)*t(b), the pruning rule
-    asks the forward law alone, a complete assignment counts when its hom
-    mask is full, and the search stops at the first one.
+    asks the forward law alone, a complete assignment counts when it
+    preserves every product, and the search stops at the first one.
     innermaps.is_automorphism checks alpha again; a refusal raises
     InternalCheckError.
 
@@ -278,20 +311,21 @@ def enumerate_half_automorphisms(L, limit=None) -> HalfEnumeration:
       automorphism is found changes only the work: an image with none is
       searched directly.
 
-    The search yields the maps one at a time, in the order it finds them:
-    the first subtree in generation order, then the later subtrees in
-    ascending t(g), each composed one in the order of its
-    representative's maps.  With limit set, the result holds the first
-    limit maps yielded, sorted, and the search does no work past the last
-    of them, so stats count the work up to it.  Such a result is flagged
-    incomplete whenever it holds limit maps, even if no map is left out,
-    and must not feed census claims.  Its maps need not be the least in
-    image-tuple order, and beyond the first subtree they need not be the
-    maps a plain depth-first search finds first.  In either case each
-    composed map's source is the map found directly that it was composed
-    from, and that map is in the result (see per_orbit).  A complete
-    result is kept in the table's memo and returned to every later call
-    without a limit; a limited result is never stored.
+    The search finds the maps in this order: the first subtree in
+    generation order, then the later subtrees in ascending t(g), each
+    composed one in the order of its representative's maps.  A complete
+    result holds them as HalfMaps: the maps found directly and one
+    automorphism per composed subtree, building no composed map until a
+    caller lists them.  It is kept in the table's memo and returned to
+    every later call without a limit.  With limit set, the result lists
+    the first limit maps found, sorted, and the search does no work past
+    the last of them, so stats count the work up to it.  Such a result is
+    flagged incomplete whenever it holds limit maps, even if no map is
+    left out, must not feed census claims, and is never stored.  Its maps
+    need not be the least in image-tuple order, and beyond the first
+    subtree they need not be the maps a plain depth-first search finds
+    first.  Each composed map it lists names as source the map found
+    directly that it was composed from, and that map is in the result.
     """
     if limit is None:
         return _complete_enumeration(L)
@@ -343,19 +377,31 @@ def _generation_order(L, first=None):
 
 def _search(L, limit):
     counts = [0] * len(SearchStats._fields)
-    maps = tuple(sorted(islice(_half_maps(L, counts), limit), key=attrgetter("images")))
+    found = _half_maps(L, counts)
+    if limit is None:
+        subtrees = {}  # id of a representative's list of maps -> (that list, the automorphisms composing from it)
+        for alpha, maps in found:
+            subtrees.setdefault(id(maps), (maps, []))[1].extend([alpha] if alpha else ())
+        maps = HalfMaps(tuple((tuple(maps), tuple(alphas)) for maps, alphas in subtrees.values()))
+    else:
+        listed = (m for alpha, maps in found
+                  for m in (maps[-1:] if alpha is None else map(_compose, repeat(alpha), maps)))
+        maps = tuple(sorted(islice(listed, limit), key=attrgetter("images")))
+    counts[5] = len(maps) - counts[2] + counts[3]  # compositions: the maps not found directly
     return HalfEnumeration(maps, limit is None or len(maps) < limit, SearchStats(*counts))
 
 
 def _half_maps(L, counts):
-    """Yield each half-map of L in the order the search finds it (see
-    enumerate_half_automorphisms).  counts holds the SearchStats fields in
-    order and is up to date at each map yielded, so a caller that stops
-    pulling reads the work done so far."""
+    """Run the search of L (see enumerate_half_automorphisms), yielding
+    pairs (alpha, maps) with maps the list of maps found directly in a
+    representative's subtree: (None, maps) when maps[-1] was just found,
+    and (alpha, maps), maps complete, for the composed subtree alpha o maps.
+    counts holds the SearchStats fields in order, all but compositions up
+    to date at each pair yielded."""
     n = L.order
     if n == 1:
         counts[2] += 1  # leaves
-        yield make_half_map(L, L, (1,))
+        yield None, [make_half_map(L, L, (1,))]
         return
     mul = [[0] * (n + 1)]
     for r in L.rows:
@@ -363,7 +409,7 @@ def _half_maps(L, counts):
     col = [[0] * (n + 1)]  # col[x][y] = y*x
     for c in zip(*L.rows):
         col.append([0] + list(c))
-    full = (1 << n * n) - 1
+    products = product_bytes(L)
     order = _generation_order(L)
     g = order[1][0]
     commuting = _commuting(L)
@@ -374,7 +420,7 @@ def _half_maps(L, counts):
             continue
         hit = next(((alpha, subtree) for w_order, subtree in representatives
                     for alpha in _dfs(mul, col, w_order, image, True, lookup)
-                    if HalfMap(L, L, alpha).hom == full), None)
+                    if _preserves_products(products, zero_based(alpha))), None)
         counts[6] = lookup[0]  # lookup_nodes
         if hit is None:
             subtree = []
@@ -388,17 +434,13 @@ def _half_maps(L, counts):
                     counts[3] += 1  # rejected
                     continue
                 subtree.append(m)
-                yield m
+                yield None, subtree
         else:
             alpha, subtree = hit
             if not is_automorphism(L, alpha):
                 raise InternalCheckError("the automorphism lookup returned %s, which is not an automorphism"
                                          % cycles_str(alpha))
-            # alpha o s carries the masks of s (the mask transport in enumerate_half_automorphisms)
-            at = (0, *alpha)
-            for s in subtree:
-                counts[5] += 1  # compositions
-                yield HalfMap(L, L, tuple(map(at.__getitem__, s.images)), s.hom, s.anti, s)
+            yield alpha, subtree
 
 
 def _dfs(mul, col, order, image, hom, tally):
@@ -463,81 +505,94 @@ def _dfs(mul, col, order, image, hom, tally):
 
 
 def half_maps_form_group_check(L, enumeration=None) -> bool:
-    """The complete set of half-morphisms of a loop is a group under
+    """The complete set S of half-morphisms of a loop is a group under
     composition.
 
-    The maps are bijections of 1..n, so they lie in the symmetric group,
-    and the check computes G, the subgroup of it that they generate, by
-    Dimino's coset enumeration (G. Butler, Fundamental Algorithms for
-    Permutation Groups, LNCS 559, 1991).  Write xy for x after y.  The
-    maps are walked in their given order; each one not yet in G becomes
-    the next generator s, and G grows from H, the group generated by the
-    earlier generators, to the group generated by H and s:
-    U = H u Hs, then for each coset representative r in turn (s first)
-    and each generator g so far, if rg lies outside U, U takes the whole
-    coset H(rg) and rg becomes a representative.  Every element that
-    joins U is checked against the set of maps, and the check fails at
-    the first one outside it.
-
-    Why U ends as the group generated by H and s.  U is a union of right
-    cosets of the group H, and distinct cosets are disjoint, so a coset
-    added for rg outside U is new element by element.  When the walk
-    ends, rg lies in U for every representative r and generator g, and
-    also for r = 1, since an earlier generator lies in H and s in Hs.
-    So for x = hr in U, xg = h(rg) = hh'r' lies in the coset Hr' inside
-    U.  U contains 1 and is closed under composition with every
-    generator on the right, so it holds every product of generators; in
-    a finite group every inverse is such a product, so U is the whole
-    group generated.
-
-    Why the verdict is right.  If the maps form a group, every product of
-    maps is a map, so no element is ever refused and the result is True.
-    If the walk ends without a refusal, G lies in the set, and every map
-    either was in G when its turn came or became a generator, so the set
-    equals G, a group: the result is True exactly then.
+    S, a finite set of permutations, lies in the group <S> it generates,
+    so S is a group exactly when |<S>| = |S|; |S| is len(maps), whose
+    maps are distinct (the disjoint subtrees in
+    enumerate_half_automorphisms).  <S> is generated by the maps of
+    weighted_maps with their alphas: each alpha o s is a product of two of
+    them, and each alpha, an automorphism, is a half-map and so in S.  A
+    listed enumeration gives its maps.
     """
     if enumeration is None:
         enumeration = enumerate_half_automorphisms(L)
     if not enumeration.complete:
         raise ValueError("group check needs a complete enumeration")
-    images = [m.images for m in enumeration.maps]
-    index = {a: i for i, a in enumerate(images)}
-    inside = bytearray(len(images))  # inside[index[a]] is 1 when a is in G
-    group = []  # the elements of G, held as the maps' own image tuples
+    pairs = list(weighted_maps(enumeration))
+    alphas = {id(alphas): alphas for _, alphas in pairs}.values()  # one tuple per subtree
+    generators = [s.images for s, _ in pairs] + [alpha for found in alphas for alpha in found]
+    return _group_order(generators, L.order) == len(enumeration.maps)
 
-    def join(coset):
-        """Add the elements of a coset new to G; False at the first that
-        is not a map."""
-        for c in coset:
-            i = index.get(c)
-            if i is None:
-                return False
-            inside[i] = 1
-            group.append(images[i])
-        return True
 
-    if not join([tuple(range(1, L.order + 1))]):
-        return False
-    generators = []  # one getter per generator g: x -> xg
-    for a in images:
-        if inside[index[a]]:
-            continue
-        H = group[:]
-        generators.append(itemgetter(*[x - 1 for x in a]))
-        if not join(map(generators[-1], H)):
-            return False
-        representatives = [a]
-        for r in representatives:
-            for g in generators:
-                e = g(r)
-                i = index.get(e)
-                if i is None:
-                    return False
-                if not inside[i]:
-                    if not join(map(itemgetter(*[x - 1 for x in e]), H)):
-                        return False
-                    representatives.append(images[i])
-    return True
+def _group_order(generators, n) -> int:
+    """The order of the group that the image tuples generate in the
+    symmetric group on 1..n, by deterministic Schreier-Sims with base
+    1, ..., n (C. C. Sims, 1970; A. Seress, Permutation Group Algorithms,
+    2003, section 4.2).  A permutation is the 256-byte translate table of
+    its 0-based images; p.translate(q) is p, then q.
+
+    Level k has T_k, the strong generators fixing the points below k, and
+    the orbit of k under G_k = <T_k>: each point b with u_b^-1 for some u_b
+    in G_k taking k to b.  Sifting p from level k: at each level j >= k
+    where p moves j to some b, p becomes p, then u_b^-1; it stops with the
+    residue (j, p) at the first b outside the orbit.  Each given generator
+    is sifted from level 0.  A residue (j, p) joins T_i for i <= j, and the
+    levels j, ..., 0 are rebuilt: level k recomputes its orbit and sifts
+    from level k+1 each Schreier generator u_b, s, u_s(b)^-1 (b in the
+    orbit, s in T_k); a residue restarts the rebuild at its level.  Each
+    residue grows an orbit, so this ends.
+
+    Then every level has sifted its Schreier generators to the identity
+    against the final levels above it.  If those hold G_(k+1) as products
+    of their u_b, as for k = n-1, then G_(k+1), which fixes k and lies in
+    G_k, holds the Schreier generators, which generate the stabilizer of
+    k in G_k (Schreier's lemma): it is that stabilizer, and |G_k| is the
+    orbit length of k times |G_(k+1)|.  Each strong generator is a product
+    of given ones, and each given one is its residue, or the identity,
+    then u_b's; so G_0 is the group they generate, of order the product
+    of the orbit lengths.
+    """
+    ident = bytes(range(256))
+    strong = []  # (level, permutation)
+    orbits = [{k: ident} for k in range(n)]  # orbits[k][b]: the inverse of u_b
+
+    def sift(p, k):
+        for j in range(k, n):
+            b = p[j]
+            if b != j:
+                inverse = orbits[j].get(b)
+                if inverse is None:
+                    return j, p
+                p = p.translate(inverse)
+        return None
+
+    def rebuild(k):
+        """Recompute level k; the first residue of its Schreier generators."""
+        gens = [s for j, s in strong if j >= k]
+        orbit = orbits[k] = {k: ident}
+        points = [k]
+        for b in points:
+            for s in gens:
+                c = s[b]
+                if c not in orbit:
+                    orbit[c] = bytes.maketrans(s, ident).translate(orbit[b])
+                    points.append(c)
+        for b in points:
+            u = bytes.maketrans(orbit[b], ident)
+            for s in gens:
+                residue = sift(u.translate(s).translate(orbit[s[b]]), k + 1)
+                if residue:
+                    return residue
+        return None
+
+    for images in generators:
+        residue = sift(bytes(x - 1 for x in images) + ident[n:], 0)
+        while residue:
+            strong.append(residue)  # then rebuild levels j, ..., 0 up to the first new residue
+            residue = next(filter(None, map(rebuild, range(residue[0], -1, -1))), None)
+    return prod(map(len, orbits))
 
 
 # -- derived maps and special laws ------------------------------------
@@ -638,9 +693,13 @@ def coset_images(m: HalfMap, domain_projection, codomain_projection) -> tuple:
 # -- main theorem driver ----------------------------------------------
 
 
+PROPER_SHOWN = 3  # proper maps a TheoremReport keeps to name
+
+
 class TheoremReport:
-    """The main-theorem verdict on one loop.  Each report owns its census
-    dict and proper_maps list, so a caller may change them."""
+    """The main-theorem verdict on one loop: census counts each kind, and
+    proper_maps holds at most PROPER_SHOWN proper maps found directly.
+    Each report owns its census dict and proper_maps list."""
 
     __slots__ = ("name", "order", "moufang", "automorphic", "automorphic_witness", "hypotheses_hold",
                  "total", "census", "proper_maps")
@@ -676,7 +735,7 @@ class TheoremReport:
 
 class HalfCensus(NamedTuple):
     counts: tuple          # (HalfKind, count) pairs in HalfKind order
-    proper_maps: tuple     # the proper maps, in map order
+    proper: tuple          # the pairs (s, alphas) of weighted_maps whose s is proper
 
 
 @memoized
@@ -684,18 +743,18 @@ def half_census(L) -> HalfCensus:
     """Kind counts over the complete enumeration of L and its proper
     maps, classified once per table and held immutable.
 
-    The kind is classified once per map whose source is None and copied
-    along m.source (per_orbit): it reads only the masks, and alpha o s
-    carries the masks of s (the mask transport in
+    The kind is classified once per map found directly and counted
+    1 + len(alphas) times (weighted_maps): it reads only the masks, and
+    alpha o s carries the masks of s (the mask transport in
     enumerate_half_automorphisms).  verify_main_theorem and the
     main-theorem suite both read this census."""
     counts = dict.fromkeys(HalfKind, 0)
     proper = []
-    enum = enumerate_half_automorphisms(L)
-    for m, cls in zip(enum.maps, per_orbit(enum, classify)):
-        counts[cls.kind] += 1
-        if cls.kind is HalfKind.PROPER_HALF:
-            proper.append(m)
+    for s, alphas in weighted_maps(enumerate_half_automorphisms(L)):
+        kind = classify(s).kind
+        counts[kind] += 1 + len(alphas)
+        if kind is HalfKind.PROPER_HALF:
+            proper.append((s, alphas))
     return HalfCensus(tuple(counts.items()), tuple(proper))
 
 
@@ -727,11 +786,11 @@ def verify_main_theorem(L, name=None) -> TheoremReport:
         hypotheses_hold=hypotheses,
         total=sum(count for _, count in counts),
         census=dict(counts),
-        proper_maps=list(proper),
+        proper_maps=[s for s, _ in proper[:PROPER_SHOWN]],
     )
     if hypotheses and proper:
         raise TheoremViolation(
             "%s is automorphic Moufang yet carries proper half-morphisms: %s"
-            % (name, ", ".join(m.cycles() for m in proper[:3]))
+            % (name, ", ".join(m.cycles() for m in report.proper_maps))
         )
     return report

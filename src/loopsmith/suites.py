@@ -23,8 +23,9 @@ from .halfmorph import (
     is_semi_isomorphism,
     make_half_map,
     mask_pairs,
-    per_orbit,
+    orbit_maps,
     pull_mask,
+    weighted_maps,
 )
 from .innermaps import bracketings, is_automorphic, is_left_automorphic, product_bytes, translate_rows
 
@@ -294,9 +295,10 @@ def suite_semi_isomorphism(inputs, max_order=None) -> SuiteResult:
     """Every half-morphism of a Moufang table preserves x*y*x products:
     t((u*v)*u) = (t(u)*t(v))*t(u).
 
-    Checked once per searched map s and copied to each alpha o s
-    (per_orbit): with t = alpha o s, t((u*v)*u) = alpha(s((u*v)*u)) and
-    (t(u)*t(v))*t(u) = alpha((s(u)*s(v))*s(u)), and alpha is injective."""
+    Checked once per searched map s and counted for each alpha o s
+    (weighted_maps): with t = alpha o s, t((u*v)*u) = alpha(s((u*v)*u))
+    and (t(u)*t(v))*t(u) = alpha((s(u)*s(v))*s(u)), and alpha is
+    injective."""
     res = SuiteResult("semi-isomorphism")
     for name, t in inputs:
         if not t.is_moufang():
@@ -304,12 +306,12 @@ def suite_semi_isomorphism(inputs, max_order=None) -> SuiteResult:
         if max_order is not None and t.order > max_order:
             res.notes.append("skipped %s" % name)
             continue
-        enum = enumerate_half_automorphisms(t)
         res.hypothesis_count += 1
-        for m, ok in zip(enum.maps, per_orbit(enum, is_semi_isomorphism)):
-            res.check_count += 1
-            if not ok:
-                res.violations.append("%s: map %s breaks the sandwich law" % (name, m.cycles()))
+        for s, alphas in weighted_maps(enumerate_half_automorphisms(t)):
+            res.check_count += 1 + len(alphas)
+            if not is_semi_isomorphism(s):
+                res.violations += ["%s: map %s breaks the sandwich law" % (name, m.cycles())
+                                   for m in orbit_maps(s, alphas)]
     return res
 
 
@@ -318,8 +320,8 @@ def suite_gg_witness(inputs, max_order=None) -> SuiteResult:
     triple: an element that fails to commute with a forward-only partner
     and a reversed-only partner.
 
-    The triple search runs once per searched map s and its answer is
-    copied to each alpha o s (per_orbit): properness and the search read
+    The triple search runs once per searched map s and its answer holds
+    for each alpha o s (weighted_maps): properness and the search read
     only the domain and the masks, and alpha o s carries the masks of s.
     A map is proper, as classify says, when neither of its masks is
     full."""
@@ -330,17 +332,15 @@ def suite_gg_witness(inputs, max_order=None) -> SuiteResult:
         if max_order is not None and t.order > max_order:
             res.notes.append("skipped %s" % name)
             continue
-        enum = enumerate_half_automorphisms(t)
         full = (1 << t.order * t.order) - 1
-        witnessed = per_orbit(enum, lambda m: None if full in (m.hom, m.anti)
-                              else bool(find_gg_triples(m, limit=1)))
-        for m, ok in zip(enum.maps, witnessed):
-            if ok is None:
+        for s, alphas in weighted_maps(enumerate_half_automorphisms(t)):
+            if full in (s.hom, s.anti):
                 continue
-            res.hypothesis_count += 1
-            res.check_count += 1
-            if not ok:
-                res.violations.append("%s: proper map %s has no witness triple" % (name, m.cycles()))
+            res.hypothesis_count += 1 + len(alphas)
+            res.check_count += 1 + len(alphas)
+            if not find_gg_triples(s, limit=1):
+                res.violations += ["%s: proper map %s has no witness triple" % (name, m.cycles())
+                                   for m in orbit_maps(s, alphas)]
     return res
 
 
@@ -356,8 +356,8 @@ def suite_odd_order_trivial(inputs, max_order=None) -> SuiteResult:
         census = half_census(t)
         res.hypothesis_count += 1
         res.check_count += sum(count for _, count in census.counts)
-        for m in census.proper_maps:
-            res.violations.append("%s: odd order yet proper map %s" % (name, m.cycles()))
+        res.violations += ["%s: odd order yet proper map %s" % (name, m.cycles())
+                           for pair in census.proper for m in orbit_maps(*pair)]
     return res
 
 
@@ -369,10 +369,10 @@ def _induced_kind(A, q):
     induced map, classified once per distinct image tuple.
 
     The value on alpha o s equals the value on s for every automorphism
-    alpha, so per_orbit may copy it: A is characteristic, so alpha(A) = A
-    and alpha induces an automorphism alpha' of the quotient; s is well
-    defined on cosets exactly when alpha o s is, and the map that
-    alpha o s induces is alpha' o s', which has the kind of s'.
+    alpha, so weighted_maps may count it for both: A is characteristic, so
+    alpha(A) = A and alpha induces an automorphism alpha' of the quotient;
+    s is well defined on cosets exactly when alpha o s is, and alpha o s
+    induces alpha' o s', which has the kind of s'.
     """
     aset = set(A.elements)
     proj = q.projection
@@ -398,7 +398,7 @@ def suite_induced_quotient(inputs, max_order=None) -> SuiteResult:
     associator subloop setwise.
 
     Induced images are computed in place once per searched map and their
-    kind copied to its compositions (see _induced_kind).
+    kind counted for its compositions (see _induced_kind).
     """
     res = SuiteResult("induced-quotient-trivial")
     for name, t in inputs:
@@ -408,17 +408,17 @@ def suite_induced_quotient(inputs, max_order=None) -> SuiteResult:
         if max_order is not None and t.order > max_order:
             res.notes.append("skipped %s" % name)
             continue
-        enum = enumerate_half_automorphisms(t)
-        for m, kind in zip(enum.maps, per_orbit(enum, _induced_kind(sl.associator_subloop(t), q))):
+        induced = _induced_kind(sl.associator_subloop(t), q)
+        for s, alphas in weighted_maps(enumerate_half_automorphisms(t)):
+            kind = induced(s)
             if kind is None:
                 continue
-            res.hypothesis_count += 1
-            res.check_count += 1
-            if kind is False:
-                res.violations.append("%s: %s has no well-defined quotient image" % (name, m.cycles()))
-                continue
-            if kind is HalfKind.PROPER_HALF:
-                res.violations.append("%s: induced image of %s is proper" % (name, m.cycles()))
+            res.hypothesis_count += 1 + len(alphas)
+            res.check_count += 1 + len(alphas)
+            text = {False: "%s: %s has no well-defined quotient image",
+                    HalfKind.PROPER_HALF: "%s: induced image of %s is proper"}.get(kind)
+            if text:
+                res.violations += [text % (name, m.cycles()) for m in orbit_maps(s, alphas)]
     return res
 
 
@@ -428,7 +428,7 @@ def _d_set_verdict(sub, A, q, where):
     prefix of violation lines.  Its value is None outside the hypothesis,
     else the check count and the violations.
 
-    per_orbit may copy it from s to alpha o s: the hypothesis is
+    weighted_maps may count it for s and each alpha o s: the hypothesis is
     _induced_kind's; the d-set and the anti mask read only the masks,
     which alpha o s carries; the center is characteristic and
     alpha([a, b]) = [alpha(a), alpha(b)], so the central-pair pull mask of
@@ -470,7 +470,7 @@ def suite_commutator_d_set(inputs, max_order=None) -> SuiteResult:
     against reversed-only elements are central, and every pair obeying
     the reversed law has a central commutator on both sides of the map.
 
-    Each verdict is computed once per searched map and copied to its
+    Each verdict is computed once per searched map and counted for its
     compositions (see _d_set_verdict)."""
     res = SuiteResult("commutator-d-set-central")
     for name, t in inputs:
@@ -487,14 +487,14 @@ def suite_commutator_d_set(inputs, max_order=None) -> SuiteResult:
                 label = name if sub is t else "%s!%s" % (name, ",".join(map(str, elements)))
                 res.notes.append("skipped %s" % label)
                 continue
-            enum = enumerate_half_automorphisms(sub)
             verdict = _d_set_verdict(sub, sl.associator_subloop(sub), q, "%s sub %r" % (name, elements))
-            for value in per_orbit(enum, verdict):
+            for s, alphas in weighted_maps(enumerate_half_automorphisms(sub)):
+                value = verdict(s)
                 if value is not None:
                     checks, violations = value
-                    res.hypothesis_count += 1
-                    res.check_count += checks
-                    res.violations.extend(violations)
+                    res.hypothesis_count += 1 + len(alphas)
+                    res.check_count += checks * (1 + len(alphas))
+                    res.violations += violations * (1 + len(alphas))
     return res
 
 

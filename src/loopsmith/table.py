@@ -234,16 +234,6 @@ class LoopTable:
         self._check(x, y)
         return self._ld[x - 1][y - 1]
 
-    def rdiv(self, y, x):
-        """y / x, the unique z with z*x = y."""
-        self._check(x, y)
-        return self._rd[x - 1][y - 1]
-
-    def left_inverse(self, x):
-        """The unique a with a*x = 1."""
-        self._check(x)
-        return self._rd[x - 1][0]
-
     def right_inverse(self, x):
         """The unique b with x*b = 1."""
         self._check(x)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 from itertools import permutations
+from math import factorial
 from operator import itemgetter
 
 import pytest
@@ -18,6 +19,8 @@ from loopsmith.halfmorph import (
     HalfEnumeration,
     HalfKind,
     HalfMap,
+    HalfMaps,
+    PROPER_SHOWN,
     SearchStats,
     classify,
     d_set,
@@ -29,12 +32,15 @@ from loopsmith.halfmorph import (
     is_semi_isomorphism,
     make_half_map,
     mask_pairs,
-    per_orbit,
+    orbit_maps,
     pull_mask,
     verify_main_theorem,
+    weighted_maps,
+    _group_order,
 )
 from loopsmith.innermaps import (is_automorphic, is_automorphism, is_left_automorphic, perm_from_cycles,
                                  translate_rows)
+from loopsmith.suites import run_theorem_suites
 from loopsmith.table import LoopTable, relabel
 
 
@@ -69,7 +75,7 @@ def test_half_map_basics(phi1):
     assert phi1.apply(5) == 8
     assert phi1.apply(2) == 2
     assert phi1.cycles() == "(5,8)"
-    assert not phi1.is_identity()
+    assert phi1.images != tuple(range(1, 17))
 
 
 def test_classify_phi1(phi1):
@@ -147,7 +153,7 @@ def _relabeled(L, seed):
 
 def test_law_masks_match_a_pairwise_recomputation(q2, q2_enum, chein12, get_enum, phi1, nonflex5,
                                                   z256, random_loops):
-    half = q2_enum.maps + get_enum("M(S3,2)", chein12).maps + (phi1,)
+    half = (*q2_enum.maps, *get_enum("M(S3,2)", chein12).maps, phi1)
     maps = list(half)
     # into a relabeled copy of the domain: half-maps moved along the
     # relabeling, and seeded bijections that need not be half-maps
@@ -214,7 +220,7 @@ def test_enumeration_census_q2(q2_enum):
 def test_enumeration_is_sorted_and_fixes_identity(q2_enum):
     images = [m.images for m in q2_enum.maps]
     assert images == sorted(images)
-    assert q2_enum.maps[0].is_identity()
+    assert q2_enum.maps[0].images == tuple(range(1, 9))
     assert all(m.images[0] == 1 for m in q2_enum.maps)
 
 
@@ -522,8 +528,9 @@ TRANSPORT_CHECK = [*catalog.catalog_keys(), "M(Q8,2)", "M(D16,2)", "M(D16,2) rel
 def test_sources_name_a_searched_map_one_automorphism_away(key, chein, relabeled_chein, get_enum):
     """Every map's m.source or m is a map of the enumeration that the
     search found directly, with the same masks, and differs from it by an
-    automorphism on the left; copying a per-map value along m.source
-    gives what evaluating every map gives."""
+    automorphism on the left; the weighted walk stands for every map
+    once, and a per-map value computed on s holds for each map that s
+    stands for."""
     if key in catalog.catalog_keys():
         t = catalog.builtin(key).table
     elif key.endswith("relabeled"):
@@ -551,8 +558,10 @@ def test_sources_name_a_searched_map_one_automorphism_away(key, chein, relabeled
         functions.append(suites._induced_kind(A, q))
         if t.is_moufang() and is_left_automorphic(t):
             functions.append(suites._d_set_verdict(t, A, q, key))
+    pairs = list(weighted_maps(enum))
+    assert sorted(m.images for pair in pairs for m in orbit_maps(*pair)) == [m.images for m in enum.maps]
     for fn in functions:
-        assert per_orbit(enum, fn) == [fn(m) for m in enum.maps], fn
+        assert all(fn(m) == fn(s) for s, alphas in pairs for m in orbit_maps(s, alphas)), fn
 
 
 def test_limited_search_sources_point_inside_the_result(q1):
@@ -563,7 +572,7 @@ def test_limited_search_sources_point_inside_the_result(q1):
         assert all(id(m.source) in inside and m.source.source is None
                    for m in enum.maps if m.source is not None)
         assert sum(m.source is None for m in enum.maps) == enum.stats.leaves - enum.stats.rejected
-        assert per_orbit(enum, classify) == [classify(m) for m in enum.maps]
+        assert list(weighted_maps(enum)) == [(m, ()) for m in enum.maps]
 
 
 def test_search_holds_no_index_lists_beside_the_maps(q1):
@@ -579,6 +588,76 @@ def test_search_holds_no_index_lists_beside_the_maps(q1):
         tracemalloc.stop()
     assert len(enum.maps) == 21504
     assert peak < 6.5 * 2 ** 20, peak
+
+
+def test_theorem_and_suites_build_only_the_searched_maps_of_q1(monkeypatch, q1):
+    """The census and every suite count a composed map through the map it
+    was composed from, so on a fresh copy of Q1 the main-theorem driver
+    and all seventeen suites build only the 1536 maps found directly,
+    none composed, and trace a peak under 4 MiB."""
+    t = LoopTable(q1.rows, name="Q1")  # a fresh memo, whatever other tests read from the fixture
+    tracemalloc.start()
+    try:
+        report = verify_main_theorem(t)
+        results = run_theorem_suites([("Q1", t)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.total, report.census[HalfKind.PROPER_HALF]) == (21504, 18816)
+    assert not any(r.violations for r in results)
+    assert peak < 4 * 2 ** 20, peak
+
+    built = []
+    init = HalfMap.__init__
+
+    def recording(self, domain, *args, **kwargs):
+        init(self, domain, *args, **kwargs)
+        if domain is t:
+            built.append(self.source)
+
+    t = LoopTable(q1.rows, name="Q1")
+    monkeypatch.setattr(HalfMap, "__init__", recording)
+    verify_main_theorem(t)
+    run_theorem_suites([("Q1", t)])
+    assert len(built) == 1536 and built.count(None) == 1536
+
+
+def test_complete_enumeration_holds_searched_maps_and_one_automorphism_per_composed_subtree(q1, q1_enum):
+    maps = q1_enum.maps
+    assert isinstance(maps, HalfMaps)
+    (found, alphas), = maps.subtrees
+    stats = q1_enum.stats
+    assert len(found) == stats.leaves - stats.rejected == 1536
+    assert all(m.source is None for m in found)
+    assert len(alphas) == 13 and all(is_automorphism(q1, alpha) for alpha in alphas)
+    assert len(maps) == stats.leaves + stats.compositions == 21504
+    # a listing builds each composed map once and hands the same objects to every read
+    assert maps[0] is next(iter(maps)) and list(maps)[-1] is maps[-1]
+
+
+def test_group_order_of_the_symmetric_groups():
+    assert _group_order([(1,)], 1) == 1
+    for n in range(2, 8):
+        transposition = (2, 1, *range(3, n + 1))
+        cycle = (*range(2, n + 1), 1)
+        assert _group_order([transposition, cycle], n) == factorial(n), n
+    assert _group_order([], 5) == 1
+
+
+def test_group_order_of_the_half_maps(q1, q1_enum, q2, q2_enum):
+    assert _group_order([m.images for m in q2_enum.maps], 8) == 16
+    assert _group_order([m.images for m in q1_enum.maps], 16) == 21504
+    found, alphas = q1_enum.maps.subtrees[0]
+    assert _group_order([m.images for m in found] + list(alphas), 16) == 21504
+    assert half_maps_form_group_check(q1, q1_enum)
+
+
+def test_group_order_matches_the_breadth_first_closure(chein12, get_enum):
+    rest = [m.images for m in get_enum("M(S3,2)", chein12).maps][1:]
+    rng = random.Random("group-order")
+    for _ in range(20):
+        seeds = rng.sample(rest, rng.randint(1, 3))
+        assert _group_order(seeds, chein12.order) == len(_generated(seeds)), seeds
 
 
 def _generated_automorphisms(L, anti):
@@ -801,7 +880,7 @@ def test_group_check_matches_the_breadth_first_closure(key, chein, get_enum):
     t = catalog.builtin(key).table if key in catalog.catalog_keys() else chein(key[2:key.index(",")])
     maps = get_enum(key, t).maps
     identity, rest = maps[0], list(maps[1:])
-    assert identity.is_identity()
+    assert identity.images == tuple(range(1, t.order + 1))
     subsets = [maps, rest]
     if rest:
         rng = random.Random("group-check-" + key)
@@ -911,7 +990,7 @@ def test_d_set(phi1, phi2, q2):
 def test_induced_on_quotient(phi1, phi2):
     down = induced_on_quotient(phi1)
     assert down.domain.order == 8
-    assert down.is_identity()
+    assert down.images == tuple(range(1, 9))
     assert classify(down).kind is HalfKind.BOTH
 
     down = induced_on_quotient(phi2)
@@ -942,7 +1021,9 @@ def test_verify_main_theorem_on_q1(q1):
     assert "t[2]" in report.automorphic_witness
     assert report.total == 21504
     assert report.census[HalfKind.PROPER_HALF] == 18816
-    assert len(report.proper_maps) == 18816
+    # the report names the first few proper maps and counts the rest
+    assert len(report.proper_maps) == PROPER_SHOWN == 3
+    assert all(classify(m).kind is HalfKind.PROPER_HALF for m in report.proper_maps)
 
 
 def test_theorem_report_is_a_copy_and_violations_raise_on_every_call(monkeypatch, q2):
@@ -952,7 +1033,7 @@ def test_theorem_report_is_a_copy_and_violations_raise_on_every_call(monkeypatch
     first.proper_maps.clear()
     again = verify_main_theorem(copy)
     assert again.census[HalfKind.PROPER_HALF] == 8
-    assert len(again.proper_maps) == 8
+    assert len(again.proper_maps) == PROPER_SHOWN
 
     # Q2 is automorphic but not Moufang; declaring it Moufang makes its
     # proper maps contradict the theorem, on the first and later calls

@@ -18,7 +18,7 @@ from loopsmith import catalog
 from loopsmith.catalog import CatalogEntry
 from loopsmith.cli import AnalysisReport
 from loopsmith.halfmorph import (HalfClass, HalfEnumeration, HalfKind, HalfMap, TheoremReport, make_half_map,
-                                 per_orbit)
+                                 weighted_maps)
 from loopsmith.subloops import HallResult, Subloop, SylowResult
 from loopsmith.suites import SuiteResult
 from loopsmith.table import LoopTable, ValidationReport
@@ -186,16 +186,15 @@ def test_half_maps_compare_and_hash_by_domain_codomain_and_images(q2):
 
 def test_enumeration_without_sources_makes_every_map_its_own(q2, q2_enum):
     """A hand-built map, or one from make_half_map, names no source, so
-    per_orbit evaluates every such map; the search's own maps keep the
-    sources it gave them."""
+    the weighted walk of a hand-built enumeration gives every map once,
+    standing for itself alone; the search's own maps keep the sources it
+    gave them."""
     hand = tuple(HalfMap(q2, q2, m.images) for m in q2_enum.maps)
     assert all(m.source is None for m in hand)
     assert all(make_half_map(q2, q2, m.images).source is None for m in q2_enum.maps)
     enum = HalfEnumeration(hand, True)
     assert enum.stats is None
-    seen = []
-    assert per_orbit(enum, seen.append) == [None] * len(hand)
-    assert seen == list(hand)
+    assert list(weighted_maps(enum)) == [(m, ()) for m in hand]
     assert HalfEnumeration((), False) == ((), False, None)
     again = HalfEnumeration(q2_enum.maps, True, q2_enum.stats)
     assert again == q2_enum

@@ -158,6 +158,24 @@ def test_per_map_work_runs_once_per_searched_map(monkeypatch, key, semi, cosets)
     assert semi < len(enumerate_half_automorphisms(t).maps)
 
 
+@pytest.mark.parametrize("key, verdict, suite, text", [
+    ("M(S3,2)", "is_semi_isomorphism", "suite_semi_isomorphism", "%s: map %s breaks the sandwich law"),
+    ("Q1", "find_gg_triples", "suite_gg_witness", "%s: proper map %s has no witness triple"),
+])
+def test_a_failing_verdict_names_every_map_it_stands_for(monkeypatch, key, verdict, suite, text):
+    """A verdict computed once on a searched map counts for the maps
+    composed from it, so a failing one gives one violation line per map,
+    each naming its own map, as a map-by-map walk does."""
+    t = catalog.builtin(key).table
+    monkeypatch.setattr(suites, verdict, lambda *args, **kwargs: False)
+    res = getattr(suites, suite)([(key, t)])
+    maps = enumerate_half_automorphisms(t).maps
+    want = [text % (key, m.cycles()) for m in maps
+            if verdict == "is_semi_isomorphism" or classify(m).kind is HalfKind.PROPER_HALF]
+    assert len(want) == res.check_count > _searched(t)
+    assert sorted(res.violations) == sorted(want)
+
+
 def _counts(results):
     return [(r.name, r.hypothesis_count, r.check_count, len(r.violations)) for r in results]
 

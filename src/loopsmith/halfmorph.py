@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
-from itertools import islice, repeat
-from math import prod
+from math import inf, prod
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -42,20 +41,17 @@ class HalfMap:
     the forward and the reversed law.  The map is a half-morphism exactly
     when hom | anti has all n*n bits set.  The masks are computed from
     the tables unless both are given, as the search does for a map whose
-    masks are known to equal another map's.  source is None except on a
-    composed map, alpha o s, where it is s (see weighted_maps).
-    Maps compare and hash by domain, codomain and images; treat them as
-    immutable.
+    masks are known to equal another map's.  Maps compare and hash by
+    domain, codomain and images; treat them as immutable.
     """
 
-    __slots__ = ("domain", "codomain", "images", "hom", "anti", "source")
+    __slots__ = ("domain", "codomain", "images", "hom", "anti")
 
     def __init__(self, domain: LoopTable, codomain: LoopTable, images: tuple,
-                 hom: int | None = None, anti: int | None = None, source: HalfMap | None = None):
+                 hom: int | None = None, anti: int | None = None):
         self.domain = domain
         self.codomain = codomain
         self.images = images
-        self.source = source
         if hom is None or anti is None:
             t = zero_based(images)
             got = int.from_bytes(push(product_bytes(domain).flat, t), "big")
@@ -195,26 +191,24 @@ class SearchStats(NamedTuple):
 
 
 class HalfEnumeration(NamedTuple):
-    """Half-maps in image-tuple order.  maps is a HalfMaps for a complete
-    search and a tuple otherwise.  stats is None unless the search made
-    the enumeration."""
+    """Half-maps in image-tuple order.  stats is None unless the search
+    made the enumeration."""
 
-    maps: tuple | HalfMaps
+    maps: HalfMaps
     complete: bool
     stats: SearchStats | None = None
 
 
 class HalfMaps:
-    """The maps of a complete search as it holds them: per representative
-    the pair (its subtree's maps, found directly, and one automorphism
-    alpha per subtree composed from them).  len() builds no map; the
-    first read lists every map in image-tuple order and keeps the list."""
+    """Half-maps held as entries (maps, alphas): each s in maps stands for
+    s and each alpha o s (orbit_maps).  len() builds no map; the first
+    read lists every map in image-tuple order and keeps the list."""
 
-    def __init__(self, subtrees: tuple):
-        self.subtrees = subtrees
+    def __init__(self, entries: tuple):
+        self.entries = entries
 
     def __len__(self):
-        return sum(len(maps) * (1 + len(alphas)) for maps, alphas in self.subtrees)
+        return sum(len(maps) * (1 + len(alphas)) for maps, alphas in self.entries)
 
     def __getitem__(self, i):
         return self._listing[i]
@@ -224,32 +218,26 @@ class HalfMaps:
 
     @cached_property
     def _listing(self):
-        return tuple(sorted((m for maps, alphas in self.subtrees for s in maps for m in orbit_maps(s, alphas)),
+        return tuple(sorted((m for maps, alphas in self.entries for s in maps for m in orbit_maps(s, alphas)),
                             key=attrgetter("images")))
 
 
 def orbit_maps(s, alphas):
     """s, then each alpha o s, built with the masks of s (the mask
-    transport in enumerate_half_automorphisms) and s as source."""
+    transport in enumerate_half_automorphisms)."""
     yield s
-    yield from map(_compose, alphas, repeat(s))
-
-
-def _compose(alpha, s):
-    at = (0, *alpha)
-    return HalfMap(s.domain, s.codomain, tuple(map(at.__getitem__, s.images)), s.hom, s.anti, s)
+    for alpha in alphas:
+        at = (0, *alpha)
+        yield HalfMap(s.domain, s.codomain, tuple(map(at.__getitem__, s.images)), s.hom, s.anti)
 
 
 def weighted_maps(enum):
-    """The pairs (s, alphas), one per map s that enum holds as found
-    directly, standing for the 1 + len(alphas) maps of orbit_maps(s,
-    alphas).  A listed enumeration, limited or built by hand, pairs each
-    of its maps with ().  A value computed once on s holds for each
-    alpha o s when fn(alpha o s) == fn(s) for every automorphism alpha and
-    half-map s; each caller says why."""
-    if enum.maps.__class__ is HalfMaps:
-        return ((s, alphas) for maps, alphas in enum.maps.subtrees for s in maps)
-    return ((m, ()) for m in enum.maps)
+    """The pairs (s, alphas), one per map s of an entry of enum.maps,
+    standing for the 1 + len(alphas) maps of orbit_maps(s, alphas).  A
+    value computed once on s holds for each alpha o s when fn(alpha o s)
+    == fn(s) for every automorphism alpha and half-map s; each caller
+    says why."""
+    return ((s, alphas) for maps, alphas in enum.maps.entries for s in maps)
 
 
 def enumerate_half_automorphisms(L, limit=None) -> HalfEnumeration:
@@ -313,19 +301,20 @@ def enumerate_half_automorphisms(L, limit=None) -> HalfEnumeration:
 
     The search finds the maps in this order: the first subtree in
     generation order, then the later subtrees in ascending t(g), each
-    composed one in the order of its representative's maps.  A complete
-    result holds them as HalfMaps: the maps found directly and one
-    automorphism per composed subtree, building no composed map until a
-    caller lists them.  It is kept in the table's memo and returned to
-    every later call without a limit.  With limit set, the result lists
-    the first limit maps found, sorted, and the search does no work past
-    the last of them, so stats count the work up to it.  Such a result is
+    composed one in the order of its representative's maps.  The result
+    holds them as HalfMaps, one entry per representative: the maps found
+    directly and one automorphism per composed subtree.  A complete
+    result is kept in the table's memo and returned to every later call
+    without a limit.  With limit set, the result holds the first limit
+    maps found, and the search does no work past the last of them, so
+    stats count the work up to it.  When the limit falls k maps into a
+    composed subtree alpha o maps, the entry of maps splits in two:
+    maps[:k] with alpha and maps[k:] without it.  Such a result is
     flagged incomplete whenever it holds limit maps, even if no map is
     left out, must not feed census claims, and is never stored.  Its maps
     need not be the least in image-tuple order, and beyond the first
     subtree they need not be the maps a plain depth-first search finds
-    first.  Each composed map it lists names as source the map found
-    directly that it was composed from, and that map is in the result.
+    first.
     """
     if limit is None:
         return _complete_enumeration(L)
@@ -377,18 +366,24 @@ def _generation_order(L, first=None):
 
 def _search(L, limit):
     counts = [0] * len(SearchStats._fields)
-    found = _half_maps(L, counts)
-    if limit is None:
-        subtrees = {}  # id of a representative's list of maps -> (that list, the automorphisms composing from it)
-        for alpha, maps in found:
-            subtrees.setdefault(id(maps), (maps, []))[1].extend([alpha] if alpha else ())
-        maps = HalfMaps(tuple((tuple(maps), tuple(alphas)) for maps, alphas in subtrees.values()))
-    else:
-        listed = (m for alpha, maps in found
-                  for m in (maps[-1:] if alpha is None else map(_compose, repeat(alpha), maps)))
-        maps = tuple(sorted(islice(listed, limit), key=attrgetter("images")))
-    counts[5] = len(maps) - counts[2] + counts[3]  # compositions: the maps not found directly
-    return HalfEnumeration(maps, limit is None or len(maps) < limit, SearchStats(*counts))
+    entries = {}  # id of a representative's list of maps -> (that list, the automorphisms composing from it)
+    room = inf if limit is None else limit  # the maps still to take
+    for alpha, maps in _half_maps(L, counts):
+        alphas = entries.setdefault(id(maps), (maps, []))[1]
+        if alpha is None:
+            room -= 1
+        elif room >= len(maps):
+            alphas.append(alpha)
+            room -= len(maps)
+        else:  # the limit falls inside alpha o maps
+            entries[id(maps)] = (maps[room:], alphas)
+            entries[None] = (maps[:room], [*alphas, alpha])
+            room = 0
+        if not room:
+            break
+    held = HalfMaps(tuple((tuple(maps), tuple(alphas)) for maps, alphas in entries.values()))
+    counts[5] = len(held) - counts[2] + counts[3]  # compositions: the maps not found directly
+    return HalfEnumeration(held, limit is None or len(held) < limit, SearchStats(*counts))
 
 
 def _half_maps(L, counts):
@@ -511,18 +506,18 @@ def half_maps_form_group_check(L, enumeration=None) -> bool:
     S, a finite set of permutations, lies in the group <S> it generates,
     so S is a group exactly when |<S>| = |S|; |S| is len(maps), whose
     maps are distinct (the disjoint subtrees in
-    enumerate_half_automorphisms).  <S> is generated by the maps of
-    weighted_maps with their alphas: each alpha o s is a product of two of
-    them, and each alpha, an automorphism, is a half-map and so in S.  A
-    listed enumeration gives its maps.
+    enumerate_half_automorphisms).  <S> is generated by the maps of the
+    entries with their alphas, each passed once: each alpha o s is a
+    product of two of them, and each alpha, an automorphism, is a
+    half-map and so in S.
     """
     if enumeration is None:
         enumeration = enumerate_half_automorphisms(L)
     if not enumeration.complete:
         raise ValueError("group check needs a complete enumeration")
-    pairs = list(weighted_maps(enumeration))
-    alphas = {id(alphas): alphas for _, alphas in pairs}.values()  # one tuple per subtree
-    generators = [s.images for s, _ in pairs] + [alpha for found in alphas for alpha in found]
+    entries = enumeration.maps.entries
+    generators = [s.images for maps, _ in entries for s in maps]
+    generators += dict.fromkeys(alpha for _, alphas in entries for alpha in alphas)
     return _group_order(generators, L.order) == len(enumeration.maps)
 
 

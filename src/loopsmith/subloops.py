@@ -166,6 +166,17 @@ def three_generated(L) -> tuple:
     return tuple(sorted(_grow(L, two_generated(L))))
 
 
+@memoized
+def three_generated_tables(L) -> tuple:
+    """The pairs (elements, table) over three_generated(L), with table the
+    restriction of L to elements.  Restrictions with equal rows share one
+    table, and the whole loop is L itself, so their memos are shared."""
+    tables = {L: L}
+    return tuple((elements, tables.setdefault(sub, sub))
+                 for elements in three_generated(L) for sub in [restriction(L, elements)[0]])
+
+
+@memoized
 def commutator_subloop(L) -> Subloop:
     """Subloop generated by all commutators [x, y]."""
     return _make_subloop(L, _close(L, {c for row in L.commutators() for c in row}))
@@ -242,6 +253,7 @@ def commutant(L) -> frozenset:
     return frozenset(a for a, count in enumerate(_commuting(L), 1) if count == L.order)
 
 
+@memoized
 def center(L) -> Subloop:
     """The commutant intersected with the nucleus; always a subloop."""
     members = commutant(L) & set(nucleus(L).elements)

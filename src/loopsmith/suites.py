@@ -239,10 +239,7 @@ def suite_bruck(inputs):
                 if cube not in nuc:
                     r_cubes.violations.append("%s: %d cubed lands outside the nucleus" % (name, u))
 
-        tables = {t: t}  # one table per distinct set of rows, so memos are shared
-        for elements in sl.three_generated(t):
-            sub, _ = sl.restriction(t, elements)
-            sub = tables.setdefault(sub, sub)
+        for elements, sub in sl.three_generated_tables(t):
             inner = set(sl.associator_subloop(sub).elements)
             central = set(sl.center(sub).elements)
             r_3gen.check_count += 1
@@ -474,10 +471,7 @@ def suite_commutator_d_set(inputs, max_order=None) -> SuiteResult:
     compositions (see _d_set_verdict)."""
     res = SuiteResult("commutator-d-set-central")
     for name, t in inputs:
-        tables = {t: t}  # one table per distinct set of rows, so memos are shared
-        for elements in sl.three_generated(t):
-            sub = sl.restriction(t, elements)[0]
-            sub = tables.setdefault(sub, sub)
+        for elements, sub in sl.three_generated_tables(t):
             if not (sub.is_moufang() and is_left_automorphic(sub)):
                 continue
             q = sl.associator_quotient(sub)

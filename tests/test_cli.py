@@ -202,11 +202,32 @@ def test_halfautos_classifies_once_per_searched_map(monkeypatch, capsys):
     assert main(["halfautos", "--json", "Q2"]) == 0
     maps = json.loads(capsys.readouterr().out)["maps"]
     enum = halfmorph.enumerate_half_automorphisms(builtin("Q2").table)
-    assert calls == sum(m.source is None for m in enum.maps) < len(enum.maps)
+    assert calls == sum(len(maps) for maps, _ in enum.maps.entries) < len(enum.maps)
     assert [(m["kind"], m["witness_hom"], m["witness_anti"]) for m in maps] == [
         (c.kind.value, list(c.witness_hom) if c.witness_hom else None,
          list(c.witness_anti) if c.witness_anti else None)
         for c in map(classify, enum.maps)]
+
+
+def test_halfautos_limit_above_the_count_classifies_once_per_searched_map(monkeypatch, capsys):
+    """A limit above the map count holds the maps as a complete search
+    does, so classify runs once per searched map, and the output is the
+    unlimited one byte for byte."""
+    calls = 0
+    classify = halfmorph.classify
+
+    def counting(m):
+        nonlocal calls
+        calls += 1
+        return classify(m)
+
+    monkeypatch.setattr(halfmorph, "classify", counting)
+    assert main(["halfautos", "--json", "--limit", "30000", "Q1"]) == 0
+    limited = capsys.readouterr().out
+    assert calls == 1536
+    assert main(["halfautos", "--json", "Q1"]) == 0
+    assert capsys.readouterr().out == limited
+    assert json.loads(limited)["complete"]
 
 
 def test_checktheorem_text(capsys):

@@ -253,6 +253,7 @@ def test_enumeration_limit(get_enum):
         assert len(images) == limit
         assert images == sorted(images)
         assert set(images) <= {m.images for m in get_enum(key, t).maps}
+        assert sorted(m.images for pair in weighted_maps(enum) for m in orbit_maps(*pair)) == images
 
 
 def test_limited_enumeration_is_never_memoized():
@@ -526,11 +527,10 @@ TRANSPORT_CHECK = [*catalog.catalog_keys(), "M(Q8,2)", "M(D16,2)", "M(D16,2) rel
 
 @pytest.mark.parametrize("key", TRANSPORT_CHECK)
 def test_sources_name_a_searched_map_one_automorphism_away(key, chein, relabeled_chein, get_enum):
-    """Every map's m.source or m is a map of the enumeration that the
-    search found directly, with the same masks, and differs from it by an
-    automorphism on the left; the weighted walk stands for every map
-    once, and a per-map value computed on s holds for each map that s
-    stands for."""
+    """Every listed map is a map s that the search found directly, the
+    same object, or differs from such an s by an automorphism on the left
+    and has its masks; the weighted walk stands for every map once, and a
+    per-map value computed on s holds for each map that s stands for."""
     if key in catalog.catalog_keys():
         t = catalog.builtin(key).table
     elif key.endswith("relabeled"):
@@ -539,18 +539,17 @@ def test_sources_name_a_searched_map_one_automorphism_away(key, chein, relabeled
         t = chein(key[2:key.index(",")])
     enum = get_enum(key, t)
     n = t.order
-    inside = {id(m) for m in enum.maps}
-    for m in enum.maps:
-        source = m.source or m
-        assert id(source) in inside
-        assert source.source is None
-        assert (source.hom, source.anti) == (m.hom, m.anti)
+    listed = {m.images: m for m in enum.maps}
+    pairs = list(weighted_maps(enum))
+    assert len(pairs) == enum.stats.leaves - enum.stats.rejected
+    for s, alphas in pairs:
+        assert listed[s.images] is s
         inverse = [0] * n
-        for x, v in enumerate(source.images, 1):
+        for x, v in enumerate(s.images, 1):
             inverse[v - 1] = x
-        assert is_automorphism(t, tuple(m.images[x - 1] for x in inverse)), m.images
-    searched = sum(m.source is None for m in enum.maps)
-    assert searched == enum.stats.leaves - enum.stats.rejected
+        for m in orbit_maps(s, alphas):
+            assert is_automorphism(t, tuple(m.images[x - 1] for x in inverse)), m.images
+            assert (listed[m.images].hom, listed[m.images].anti) == (s.hom, s.anti)
     functions = [classify, is_semi_isomorphism, d_set, lambda m: find_gg_triples(m, limit=1)]
     A = sl.associator_subloop(t)
     if sl.is_normal(t, A):
@@ -558,21 +557,25 @@ def test_sources_name_a_searched_map_one_automorphism_away(key, chein, relabeled
         functions.append(suites._induced_kind(A, q))
         if t.is_moufang() and is_left_automorphic(t):
             functions.append(suites._d_set_verdict(t, A, q, key))
-    pairs = list(weighted_maps(enum))
     assert sorted(m.images for pair in pairs for m in orbit_maps(*pair)) == [m.images for m in enum.maps]
     for fn in functions:
         assert all(fn(m) == fn(s) for s, alphas in pairs for m in orbit_maps(s, alphas)), fn
 
 
-def test_limited_search_sources_point_inside_the_result(q1):
-    for limit in (1, 5, 1600):
+def test_limited_search_sources_point_inside_the_result(q1, q1_enum):
+    """A limited search holds its maps as a complete one does.  At 1600
+    the limit falls 64 maps into Q1's first composed subtree, so the
+    searched maps split into the 64 composed with its automorphism and
+    the rest, composed with none."""
+    (found, alphas), = q1_enum.maps.entries
+    for limit, entries in ((1, [(found[:1], ())]), (5, [(found[:5], ())]),
+                           (1600, [(found[64:], ()), (found[:64], alphas[:1])])):
         enum = enumerate_half_automorphisms(q1, limit=limit)
         assert len(enum.maps) == limit
-        inside = {id(m) for m in enum.maps}
-        assert all(id(m.source) in inside and m.source.source is None
-                   for m in enum.maps if m.source is not None)
-        assert sum(m.source is None for m in enum.maps) == enum.stats.leaves - enum.stats.rejected
-        assert list(weighted_maps(enum)) == [(m, ()) for m in enum.maps]
+        assert [[m.images for m in maps] for maps, _ in enum.maps.entries] == \
+            [[m.images for m in maps] for maps, _ in entries]
+        assert [alphas for _, alphas in enum.maps.entries] == [alphas for _, alphas in entries]
+        assert sum(map(len, (maps for maps, _ in enum.maps.entries))) == enum.stats.leaves - enum.stats.rejected
 
 
 def test_search_holds_no_index_lists_beside_the_maps(q1):
@@ -607,28 +610,28 @@ def test_theorem_and_suites_build_only_the_searched_maps_of_q1(monkeypatch, q1):
     assert not any(r.violations for r in results)
     assert peak < 4 * 2 ** 20, peak
 
-    built = []
+    built = []  # per map built on t: whether it was given its masks, as a composed map is
     init = HalfMap.__init__
 
-    def recording(self, domain, *args, **kwargs):
-        init(self, domain, *args, **kwargs)
+    def recording(self, domain, codomain, images, *masks):
+        init(self, domain, codomain, images, *masks)
         if domain is t:
-            built.append(self.source)
+            built.append(bool(masks))
 
     t = LoopTable(q1.rows, name="Q1")
     monkeypatch.setattr(HalfMap, "__init__", recording)
     verify_main_theorem(t)
     run_theorem_suites([("Q1", t)])
-    assert len(built) == 1536 and built.count(None) == 1536
+    assert len(built) == 1536 and not any(built)
 
 
 def test_complete_enumeration_holds_searched_maps_and_one_automorphism_per_composed_subtree(q1, q1_enum):
     maps = q1_enum.maps
     assert isinstance(maps, HalfMaps)
-    (found, alphas), = maps.subtrees
+    (found, alphas), = maps.entries
     stats = q1_enum.stats
     assert len(found) == stats.leaves - stats.rejected == 1536
-    assert all(m.source is None for m in found)
+    assert {m.images: m for m in maps}[found[0].images] is found[0]
     assert len(alphas) == 13 and all(is_automorphism(q1, alpha) for alpha in alphas)
     assert len(maps) == stats.leaves + stats.compositions == 21504
     # a listing builds each composed map once and hands the same objects to every read
@@ -647,7 +650,7 @@ def test_group_order_of_the_symmetric_groups():
 def test_group_order_of_the_half_maps(q1, q1_enum, q2, q2_enum):
     assert _group_order([m.images for m in q2_enum.maps], 8) == 16
     assert _group_order([m.images for m in q1_enum.maps], 16) == 21504
-    found, alphas = q1_enum.maps.subtrees[0]
+    found, alphas = q1_enum.maps.entries[0]
     assert _group_order([m.images for m in found] + list(alphas), 16) == 21504
     assert half_maps_form_group_check(q1, q1_enum)
 
@@ -791,10 +794,15 @@ def test_half_maps_form_group(q2, q2_enum, s3, get_enum):
     assert half_maps_form_group_check(s3, get_enum("S3", s3))
 
 
+def _hand_built(maps):
+    """A complete enumeration of the given maps, each standing for itself."""
+    return HalfEnumeration(HalfMaps(((tuple(maps), ()),)), True)
+
+
 def test_group_check_negative_controls(q2, q2_enum):
-    no_identity = HalfEnumeration(q2_enum.maps[1:], True)
+    no_identity = _hand_built(q2_enum.maps[1:])
     assert not half_maps_form_group_check(q2, no_identity)
-    dropped_last = HalfEnumeration(q2_enum.maps[:-1], True)
+    dropped_last = _hand_built(q2_enum.maps[:-1])
     assert not half_maps_form_group_check(q2, dropped_last)
 
 
@@ -838,7 +846,7 @@ def test_group_check_matches_closure_reference(q2, q2_enum, chein12, get_enum):
         for subset in subsets:
             maps = tuple(m for m in enum.maps if m.images in subset)
             expected = _closed_with_identity(maps)
-            assert half_maps_form_group_check(table, HalfEnumeration(maps, True)) == expected
+            assert half_maps_form_group_check(table, _hand_built(maps)) == expected
             outcomes.add(expected)
     assert outcomes == {True, False}
 
@@ -893,7 +901,7 @@ def test_group_check_matches_the_breadth_first_closure(key, chein, get_enum):
         subsets.append(rng.sample([m for m in maps if m.images in cyclic], len(cyclic)))
     verdicts = []
     for subset in subsets:
-        enum = HalfEnumeration(tuple(subset), True)
+        enum = _hand_built(subset)
         verdicts.append(half_maps_form_group_check(t, enum))
         assert verdicts[-1] == _breadth_first_group_check(t, enum), len(verdicts) - 1
     # the whole set and a cyclic group pass; with one map, rest is empty and fails
@@ -916,7 +924,7 @@ def test_group_check_rejects_inverse_closed_non_group(chein12, get_enum):
         inverse[v - 1] = i + 1
     subset = (by_images[tuple(range(1, n + 1))], a, by_images[tuple(inverse)])
     assert not _closed_with_identity(subset)
-    assert not half_maps_form_group_check(chein12, HalfEnumeration(subset, True))
+    assert not half_maps_form_group_check(chein12, _hand_built(subset))
 
 
 def test_pull_mask_reads_digits_at_the_images(q2_enum):

@@ -17,8 +17,8 @@ import loopsmith
 from loopsmith import catalog
 from loopsmith.catalog import CatalogEntry
 from loopsmith.cli import AnalysisReport
-from loopsmith.halfmorph import (HalfClass, HalfEnumeration, HalfKind, HalfMap, TheoremReport, make_half_map,
-                                 weighted_maps)
+from loopsmith.halfmorph import (HalfClass, HalfEnumeration, HalfKind, HalfMap, HalfMaps, TheoremReport,
+                                 make_half_map, weighted_maps)
 from loopsmith.subloops import HallResult, Subloop, SylowResult
 from loopsmith.suites import SuiteResult
 from loopsmith.table import LoopTable, ValidationReport
@@ -185,18 +185,15 @@ def test_half_maps_compare_and_hash_by_domain_codomain_and_images(q2):
 
 
 def test_enumeration_without_sources_makes_every_map_its_own(q2, q2_enum):
-    """A hand-built map, or one from make_half_map, names no source, so
-    the weighted walk of a hand-built enumeration gives every map once,
-    standing for itself alone; the search's own maps keep the sources it
-    gave them."""
+    """A hand-built enumeration of one entry (maps, ()) composes no map,
+    so its weighted walk gives every map once, standing for itself alone;
+    the search's own maps keep the entries it gave them."""
     hand = tuple(HalfMap(q2, q2, m.images) for m in q2_enum.maps)
-    assert all(m.source is None for m in hand)
-    assert all(make_half_map(q2, q2, m.images).source is None for m in q2_enum.maps)
-    enum = HalfEnumeration(hand, True)
+    enum = HalfEnumeration(HalfMaps(((hand, ()),)), True)
     assert enum.stats is None
     assert list(weighted_maps(enum)) == [(m, ()) for m in hand]
-    assert HalfEnumeration((), False) == ((), False, None)
+    assert list(enum.maps) == list(hand)
     again = HalfEnumeration(q2_enum.maps, True, q2_enum.stats)
     assert again == q2_enum
-    assert [m.source for m in again.maps] == [m.source for m in q2_enum.maps]
-    assert any(m.source is not None for m in again.maps)
+    assert again.maps.entries is q2_enum.maps.entries
+    assert any(alphas for _, alphas in again.maps.entries)

@@ -32,6 +32,7 @@ from loopsmith.subloops import (
     restriction,
     sylow_subloop,
     three_generated,
+    three_generated_tables,
     two_generated,
 )
 from loopsmith.innermaps import inner_maps, noncommuting
@@ -71,6 +72,24 @@ def test_restriction_round_trip(q1):
 def test_restriction_refuses_non_closed_sets(q1):
     with pytest.raises(InternalCheckError):
         restriction(q1, (1, 2, 3))
+
+
+@pytest.mark.parametrize("key", ["Q1", "Q2", "M(S3,2)", "D12"])
+def test_three_generated_tables_share_one_table_per_set_of_rows(key):
+    """One pair per three-generated set, its table the restriction; equal
+    rows give the same table, the whole loop gives the loop itself, and
+    the tuple is built once per table."""
+    t = LoopTable(catalog.builtin(key).table.rows)
+    pairs = three_generated_tables(t)
+    assert [elements for elements, _ in pairs] == list(three_generated(t))
+    by_rows = {}
+    for elements, sub in pairs:
+        assert sub == restriction(t, elements)[0]
+        assert by_rows.setdefault(sub.rows, sub) is sub
+        assert (sub is t) == (len(elements) == t.order)
+    assert len(by_rows) < len(pairs)
+    assert three_generated_tables(t) is pairs
+    assert center(t) is center(t) and commutator_subloop(t) is commutator_subloop(t)
 
 
 def test_commutator_and_associator_subloops():

@@ -14,6 +14,7 @@ from loopsmith.halfmorph import (
     HalfEnumeration,
     HalfKind,
     HalfMap,
+    HalfMaps,
     classify,
     coset_images,
     d_set,
@@ -23,6 +24,7 @@ from loopsmith.halfmorph import (
     make_half_map,
     mask_pairs,
     verify_main_theorem,
+    weighted_maps,
 )
 from loopsmith.innermaps import is_left_automorphic
 from loopsmith.table import LoopTable, relabel
@@ -129,8 +131,7 @@ def test_q1_battery_accounting(q1_battery):
 
 def _searched(L):
     """The number of maps that the search of L found directly."""
-    enum = enumerate_half_automorphisms(L)
-    return sum(m.source is None for m in enum.maps)
+    return sum(len(maps) for maps, _ in enumerate_half_automorphisms(L).maps.entries)
 
 
 @pytest.mark.parametrize("key, semi, cosets", [("Q2", 0, 19), ("M(S3,2)", 108, 148)])
@@ -264,9 +265,9 @@ def test_commutator_d_set_matches_pair_walk_on_a_shrunken_center(monkeypatch, q1
     The derived subloop is widened to the whole loop, because with the
     true one no [d, g] leaves even the shrunken center.
 
-    The sample is built by hand from fresh maps, so no map names a source
-    and the suite evaluates each one.  It must not carry the search's
-    sources: the shrunken center is not characteristic, so a verdict
+    The sample is built by hand as one entry that composes no map, so the
+    suite evaluates each map.  It must not carry the search's entries:
+    the shrunken center is not characteristic, so a verdict
     copied from s to alpha o s could differ from the one a pair walk
     gives."""
     center = sl.center
@@ -275,8 +276,9 @@ def test_commutator_d_set_matches_pair_walk_on_a_shrunken_center(monkeypatch, q1
         H = center(L)
         return sl.Subloop(L, H.elements[:-1] if len(H) > 1 else H.elements)
 
-    sample = HalfEnumeration(tuple(HalfMap(q1, q1, m.images) for m in q1_enum.maps[::128]), True)
-    assert all(m.source is None for m in sample.maps)
+    maps = tuple(HalfMap(q1, q1, m.images) for m in q1_enum.maps[::128])
+    sample = HalfEnumeration(HalfMaps(((maps, ()),)), True)
+    assert len(list(weighted_maps(sample))) == len(sample.maps) == 168
     monkeypatch.setattr(sl, "center", shrunken)
     monkeypatch.setattr(sl, "commutator_subloop", lambda L: sl.Subloop(L, tuple(L.elements)))
     monkeypatch.setattr(suites, "enumerate_half_automorphisms",

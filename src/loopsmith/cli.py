@@ -235,7 +235,9 @@ def cmd_halfautos(args) -> int:
             "witness_anti": list(cls.witness_anti) if cls.witness_anti else None,
         } for m in orbit_maps(s, alphas)]
     listing.sort(key=lambda item: item["images"])
-    group_ok = half_maps_form_group_check(entry.table, enum) if enum.complete else None
+    group_ok = None
+    if enum.complete:
+        group_ok = half_maps_form_group_check(entry.table, enum)
     if args.json:
         print(json.dumps({
             "name": entry.key,

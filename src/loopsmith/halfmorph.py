@@ -499,9 +499,9 @@ def _dfs(mul, col, order, image, hom, tally):
     return dfs(1)
 
 
-def half_maps_form_group_check(L, enumeration=None) -> bool:
-    """The complete set S of half-morphisms of a loop is a group under
-    composition.
+def half_maps_form_group_check(L, enumeration) -> bool:
+    """The set S of half-morphisms of L in a complete enumeration is a
+    group under composition.
 
     S, a finite set of permutations, lies in the group <S> it generates,
     so S is a group exactly when |<S>| = |S|; |S| is len(maps), whose
@@ -511,8 +511,6 @@ def half_maps_form_group_check(L, enumeration=None) -> bool:
     product of two of them, and each alpha, an automorphism, is a
     half-map and so in S.
     """
-    if enumeration is None:
-        enumeration = enumerate_half_automorphisms(L)
     if not enumeration.complete:
         raise ValueError("group check needs a complete enumeration")
     entries = enumeration.maps.entries

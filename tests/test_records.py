@@ -193,6 +193,8 @@ def test_enumeration_without_sources_makes_every_map_its_own(q2, q2_enum):
     assert enum.stats is None
     assert list(weighted_maps(enum)) == [(m, ()) for m in hand]
     assert list(enum.maps) == list(hand)
+    none = HalfMaps(())
+    assert HalfEnumeration(none, False) == (none, False, None)
     again = HalfEnumeration(q2_enum.maps, True, q2_enum.stats)
     assert again == q2_enum
     assert again.maps.entries is q2_enum.maps.entries

@@ -12,7 +12,7 @@ _EXPORTS = {
         "HalfMapError", "InternalCheckError", "LoopError", "LoopFileError", "QuotientError",
         "TableValidationError", "TheoremViolation",
     ),
-    "table": ("ElementOrder", "LoopTable", "MoufangFlags", "ValidationReport", "relabel", "validate"),
+    "table": ("LoopTable", "MoufangFlags", "ValidationReport", "relabel", "validate"),
     "subloops": (
         "Subloop", "associator_subloop", "center", "commutant", "commutative_nilpotency_class",
         "commutator_subloop", "generate_subloop", "hall_3prime_subgroup", "is_normal", "nucleus",
@@ -20,7 +20,7 @@ _EXPORTS = {
     ),
     "innermaps": (
         "cycles_str", "inner_l", "inner_r", "inner_t", "is_automorphic", "is_automorphism",
-        "is_left_automorphic", "inner_map_witness", "moufang_l_iff_r_check", "perm_from_cycles",
+        "is_left_automorphic", "inner_map_witness", "perm_from_cycles",
     ),
     "halfmorph": (
         "GGTriple", "HalfClass", "HalfEnumeration", "HalfKind", "HalfMap", "SearchStats",

@@ -263,16 +263,3 @@ def is_left_automorphic(L) -> bool:
     """All generators of the two-parameter left family are automorphisms."""
     return _left_witness(L)[0] is None
 
-
-def moufang_l_iff_r_check(L) -> bool:
-    """On a Moufang table, each left inner map is an automorphism exactly
-    when its right counterpart is; verified generator by generator.
-
-    So a left automorphic Moufang loop that is not automorphic, like Q1,
-    fails only in the one-parameter family inner_t.
-    """
-    if not L.is_moufang():
-        raise ValueError("l-iff-r comparison needs a Moufang table")
-    products, over = product_bytes(L), bytes(range(L.order))
-    return all(_preserves_products(products, p) == _preserves_products(products, q)
-               for (_, _, _, p), (_, _, _, q) in zip(inner_maps(L, over, "l"), inner_maps(L, over, "r")))

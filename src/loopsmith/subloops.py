@@ -169,11 +169,17 @@ def three_generated(L) -> tuple:
 @memoized
 def three_generated_tables(L) -> tuple:
     """The pairs (elements, table) over three_generated(L), with table the
-    restriction of L to elements.  Restrictions with equal rows share one
-    table, and the whole loop is L itself, so their memos are shared."""
-    tables = {L: L}
-    return tuple((elements, tables.setdefault(sub, sub))
-                 for elements in three_generated(L) for sub in [restriction(L, elements)[0]])
+    restriction of L to elements.  A table is built once per distinct set
+    of restricted rows, and the rows of the whole loop give L itself, so
+    equal restrictions share one table and its memo."""
+    tables = {L.rows: L}
+    out = []
+    for elements in three_generated(L):
+        rows = _restricted_rows(L, elements)[0]
+        if rows not in tables:
+            tables[rows] = LoopTable(rows)
+        out.append((elements, tables[rows]))
+    return tuple(out)
 
 
 @memoized
@@ -348,31 +354,34 @@ def associator_quotient(L) -> Quotient | None:
     return quotient(L, A) if is_normal(L, A) else None
 
 
+def _restricted_rows(L, elements):
+    """The rows of L on a closed element set, relabeled 1..k in sorted
+    order, as a tuple of tuples, and the relabeling old_to_new.  Raises
+    InternalCheckError when the set is not closed."""
+    elems = tuple(sorted(set(elements)))
+    if not is_closed(L, elems):
+        raise InternalCheckError("restriction to a non-closed set: %r" % (elems,))
+    old_to_new = {e: i + 1 for i, e in enumerate(elems)}
+    rows = tuple(tuple(old_to_new[L.rows[a - 1][b - 1]] for b in elems) for a in elems)
+    return rows, old_to_new
+
+
 def restriction(L, elements, name=None):
     """Relabel a closed element set as a standalone LoopTable.
 
     Returns (table, old_to_new).  Raises InternalCheckError when the set
     is not closed.
     """
-    elems = tuple(sorted(set(elements)))
-    if not is_closed(L, elems):
-        raise InternalCheckError("restriction to a non-closed set: %r" % (elems,))
-    old_to_new = {e: i + 1 for i, e in enumerate(elems)}
-    rows = [[old_to_new[L.rows[a - 1][b - 1]] for b in elems] for a in elems]
+    rows, old_to_new = _restricted_rows(L, elements)
     return LoopTable(rows, name=name), old_to_new
 
 
 # -- Sylow-style searches ---------------------------------------------
 
 
-class SylowResult(NamedTuple):
-    subloop: Subloop | None  # present only when an exact p-part subloop was found
-    target: int              # exact p-part of the loop order
-    capped: bool = False
-
-    @property
-    def exact(self) -> bool:
-        return self.subloop is not None
+class SubloopSearch(NamedTuple):
+    subloop: Subloop | None  # present only when a subloop of the target order was found
+    target: int              # the order searched for
 
 
 def _p_part(n, p):
@@ -383,66 +392,47 @@ def _p_part(n, p):
     return t
 
 
-SYLOW_SEED_CAP = 100_000
-
-
-def sylow_subloop(L, p) -> SylowResult:
+def sylow_subloop(L, p) -> SubloopSearch:
     """Search for a subloop whose order is the exact p-part of |L|.
 
-    First closes the set of all elements of p-power left order; when
-    that misses, falls back to closures of up to three such elements,
-    stopping after SYLOW_SEED_CAP candidate closures.
+    First closes the set of all elements of p-power left order.  When
+    that misses, returns the first set of three_generated(L) of the
+    target order whose elements all have p-power order, or None.
+
+    On a Moufang loop these are exactly the subloops of the target order
+    that one to three p-elements generate.  Each such set is generated by
+    at most three of its own elements, so it lies in three_generated(L);
+    and by Lagrange's theorem for Moufang loops (Grishkov and
+    Zavarnitsine, 2005) the order of each element divides the order of
+    any subloop that holds it, so a subloop of p-power order holds only
+    p-elements.  On other loops, a subloop of the target order that holds
+    an element of another order is not returned.
     """
     if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
         raise ValueError("p must be prime, got %r" % (p,))
-    n = L.order
-    target = _p_part(n, p)
-    if target == 1:
-        return SylowResult(generate_subloop(L, ()), target)
-    orders = [L.element_order(x).order for x in L.elements]
-    # _p_part(0, p) would never return; order 0 only marks a broken table
-    pelems = [x for x, k in zip(L.elements, orders) if k >= 1 and _p_part(k, p) == k]
+    target = _p_part(L.order, p)
+    orders = {x: L.element_order(x) for x in L.elements}
+    pelems = {x for x, k in orders.items() if _p_part(k, p) == k}
     full = generate_subloop(L, pelems)
     if len(full) == target:
-        return SylowResult(full, target)
-    tried = 0
-    capped = False
-    from itertools import combinations
-
-    for size in (1, 2, 3):
-        for seed in combinations(pelems, size):
-            tried += 1
-            if tried > SYLOW_SEED_CAP:
-                capped = True
-                break
-            H = generate_subloop(L, seed)
-            if len(H) == target:
-                return SylowResult(H, target)
-        if capped:
-            break
-    return SylowResult(None, target, capped)
+        return SubloopSearch(full, target)
+    for elements in three_generated(L):
+        if len(elements) == target and pelems.issuperset(elements):
+            # grown sets were re-checked by is_closed when the lattice was built
+            return SubloopSearch(Subloop(L, elements), target)
+    return SubloopSearch(None, target)
 
 
-class HallResult(NamedTuple):
-    subloop: Subloop | None  # closure when its order matches the 3'-part of |L|
-    target: int
-
-
-def hall_3prime_subgroup(L) -> HallResult:
+def hall_3prime_subgroup(L) -> SubloopSearch:
     """Closure of all elements of left order coprime to 3.
 
     The closure is returned when its order equals the 3'-part of the
     loop order.  It need not lie in the nucleus or be a group: both
     fail for some tables that still carry an exact 3'-part subloop.
     """
-    n = L.order
-    target = n
-    while target % 3 == 0:
-        target //= 3
-    # order 0 only marks a broken table, and 0 % 3 == 0 leaves it out
-    members = [x for x in L.elements if L.element_order(x).order % 3]
-    H = generate_subloop(L, members)
-    return HallResult(H if len(H) == target else None, target)
+    target = L.order // _p_part(L.order, 3)
+    H = generate_subloop(L, [x for x in L.elements if L.element_order(x) % 3])
+    return SubloopSearch(H if len(H) == target else None, target)
 
 
 def commutative_nilpotency_class(L) -> int | None:

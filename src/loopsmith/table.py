@@ -23,11 +23,6 @@ from .errors import TableValidationError
 MAX_ORDER = 256
 
 
-class ElementOrder(NamedTuple):
-    order: int
-    ambiguous: bool  # right powers reach 1 after a different number of steps
-
-
 class MoufangFlags(NamedTuple):
     """One flag per Moufang identity, checked independently."""
 
@@ -239,33 +234,22 @@ class LoopTable:
         self._check(x)
         return self._ld[x - 1][0]
 
-    def element_order(self, x) -> ElementOrder:
-        """Least k with the k-th left power of x equal to 1.
+    def element_order(self, x) -> int:
+        """Least k >= 1 with the k-th left power of x equal to 1.
 
-        Left powers stack products on the left: x^(k+1) = x * x^(k).
-        The flag is set when right powers first reach 1 at a different k.
-        A power sequence that never reaches 1 cannot occur for a valid
-        table, but is reported as order 0 with the flag set.
+        Left powers stack products on the left: x^1 = x and x^(k+1) =
+        x * x^(k).  So x^k is the image of 1 under the k-th power of the
+        left translation by x, which permutes the n elements; the orbit
+        of 1 under a permutation is a cycle through 1, so the walk meets 1
+        again within n steps.
         """
         self._check(x)
         row = self.rows[x - 1]
-        k_left = 0
-        p = x
-        for k in range(1, self.order + 1):
-            if p == 1:
-                k_left = k
-                break
+        k, p = 1, x
+        while p != 1:
             p = row[p - 1]
-        k_right = 0
-        q = x
-        for k in range(1, self.order + 1):
-            if q == 1:
-                k_right = k
-                break
-            q = self.rows[q - 1][x - 1]
-        if k_left == 0:
-            return ElementOrder(0, True)
-        return ElementOrder(k_left, k_left != k_right)
+            k += 1
+        return k
 
     # -- words ---------------------------------------------------------
 

@@ -126,7 +126,7 @@ def test_make_quaternion8():
     t = make_quaternion8()
     assert t.order == 8
     assert t.is_associative() and not t.is_commutative()
-    orders = sorted(t.element_order(x).order for x in t.elements)
+    orders = sorted(t.element_order(x) for x in t.elements)
     assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
 
 

@@ -21,7 +21,6 @@ from loopsmith.innermaps import (
     is_automorphic,
     is_automorphism,
     is_left_automorphic,
-    moufang_l_iff_r_check,
     perm_from_cycles,
 )
 
@@ -126,13 +125,6 @@ def test_chein_loop_fails_left_family(chein12):
     family, x, y, perm = inner_map_witness(chein12)
     assert (family, x, y) == ("l", 2, 4)
     assert cycles_str(perm) == "(7,8,9)(10,12,11)"
-
-
-def test_moufang_l_iff_r(q1, q2, chein12):
-    assert moufang_l_iff_r_check(q1)
-    assert moufang_l_iff_r_check(chein12)
-    with pytest.raises(ValueError, match="Moufang"):
-        moufang_l_iff_r_check(q2)
 
 
 def _left_family_is_automorphic(t):

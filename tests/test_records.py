@@ -19,7 +19,7 @@ from loopsmith.catalog import CatalogEntry
 from loopsmith.cli import AnalysisReport
 from loopsmith.halfmorph import (HalfClass, HalfEnumeration, HalfKind, HalfMap, HalfMaps, TheoremReport,
                                  make_half_map, weighted_maps)
-from loopsmith.subloops import HallResult, Subloop, SylowResult
+from loopsmith.subloops import Subloop, SubloopSearch
 from loopsmith.suites import SuiteResult
 from loopsmith.table import LoopTable, ValidationReport
 
@@ -73,13 +73,13 @@ def test_analyze_without_the_census_loads_no_search_or_suite_module(tmp_path):
 PACKAGE_NAMES = {
     "errors": ("HalfMapError", "InternalCheckError", "LoopError", "LoopFileError", "QuotientError",
                "TableValidationError", "TheoremViolation"),
-    "table": ("ElementOrder", "LoopTable", "MoufangFlags", "ValidationReport", "relabel", "validate"),
+    "table": ("LoopTable", "MoufangFlags", "ValidationReport", "relabel", "validate"),
     "subloops": ("Subloop", "associator_subloop", "center", "commutant", "commutative_nilpotency_class",
                  "commutator_subloop", "generate_subloop", "hall_3prime_subgroup", "is_normal", "nucleus",
                  "nucleus_left", "nucleus_middle", "nucleus_right", "quotient", "restriction",
                  "sylow_subloop"),
     "innermaps": ("cycles_str", "inner_l", "inner_r", "inner_t", "is_automorphic", "is_automorphism",
-                  "is_left_automorphic", "inner_map_witness", "moufang_l_iff_r_check", "perm_from_cycles"),
+                  "is_left_automorphic", "inner_map_witness", "perm_from_cycles"),
     "halfmorph": ("GGTriple", "HalfClass", "HalfEnumeration", "HalfKind", "HalfMap", "SearchStats",
                   "TheoremReport", "classify", "d_set", "enumerate_half_automorphisms", "find_gg_triples",
                   "half_maps_form_group_check", "induced_on_quotient", "is_semi_isomorphism",
@@ -155,9 +155,8 @@ def test_constructors_keep_their_positional_order_keywords_and_defaults():
     H = Subloop(z1, (1,))
     assert (H.parent, H.elements, H.is_group) == (z1, (1,), True)
     assert Subloop(parent=z1, elements=(1,)).elements == (1,)
-    assert SylowResult(None, 2).capped is False
-    assert not SylowResult(subloop=None, target=2, capped=True).exact
-    assert HallResult(H, 1).subloop is H
+    assert SubloopSearch(H, 1) == (H, 1)
+    assert SubloopSearch(subloop=None, target=2).subloop is None
     assert ValidationReport(True, True, 1, []).is_loop
     assert HalfClass(HalfKind.PROPER_HALF, 1, 2, (1, 2), None).trivial is False
 

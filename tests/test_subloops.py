@@ -75,12 +75,21 @@ def test_restriction_refuses_non_closed_sets(q1):
 
 
 @pytest.mark.parametrize("key", ["Q1", "Q2", "M(S3,2)", "D12"])
-def test_three_generated_tables_share_one_table_per_set_of_rows(key):
+def test_three_generated_tables_share_one_table_per_set_of_rows(key, monkeypatch):
     """One pair per three-generated set, its table the restriction; equal
-    rows give the same table, the whole loop gives the loop itself, and
-    the tuple is built once per table."""
+    rows give the same table, built once, the whole loop gives the loop
+    itself, and the tuple is built once per table."""
     t = LoopTable(catalog.builtin(key).table.rows)
+    built = []
+
+    def counted(rows):
+        built.append(rows)
+        return LoopTable(rows)
+
+    monkeypatch.setattr(sl, "LoopTable", counted)
     pairs = three_generated_tables(t)
+    monkeypatch.undo()
+    assert len(built) == len({sub.rows for _, sub in pairs if sub is not t})
     assert [elements for elements, _ in pairs] == list(three_generated(t))
     by_rows = {}
     for elements, sub in pairs:
@@ -141,11 +150,11 @@ def test_commutant_and_center():
 def test_is_normal(q1, s3):
     a = associator_subloop(q1)
     assert is_normal(q1, a)
-    rotations = [x for x in s3.elements if s3.element_order(x).order == 3]
+    rotations = [x for x in s3.elements if s3.element_order(x) == 3]
     a3 = generate_subloop(s3, rotations[:1])
     assert len(a3) == 3
     assert is_normal(s3, a3)
-    flips = [x for x in s3.elements if s3.element_order(x).order == 2]
+    flips = [x for x in s3.elements if s3.element_order(x) == 2]
     h2 = generate_subloop(s3, flips[:1])
     assert len(h2) == 2
     assert not is_normal(s3, h2)
@@ -285,7 +294,7 @@ def test_quotient_of_q1_by_associators(q1):
 
 
 def test_quotient_rejects_non_normal_subloop(s3):
-    flips = [x for x in s3.elements if s3.element_order(x).order == 2]
+    flips = [x for x in s3.elements if s3.element_order(x) == 2]
     h2 = generate_subloop(s3, flips[:1])
     with pytest.raises(QuotientError):
         quotient(s3, h2)
@@ -293,29 +302,78 @@ def test_quotient_rejects_non_normal_subloop(s3):
 
 def test_sylow_on_q1(q1):
     r2 = sylow_subloop(q1, 2)
-    assert r2.exact
+    assert r2.subloop is not None
     assert r2.target == 16
     assert r2.subloop.elements == tuple(range(1, 17))
     r3 = sylow_subloop(q1, 3)
-    assert r3.exact
+    assert r3.subloop is not None
     assert r3.target == 1
     assert r3.subloop.elements == (1,)
 
 
 def test_sylow_on_chein_loop(chein12):
     r2 = sylow_subloop(chein12, 2)
-    assert r2.exact and r2.target == 4
+    assert r2.subloop is not None and r2.target == 4
     assert r2.subloop.elements == (1, 4, 7, 10)
     r3 = sylow_subloop(chein12, 3)
-    assert r3.exact and r3.target == 3
+    assert r3.subloop is not None and r3.target == 3
     assert r3.subloop.elements == (1, 2, 3)
 
 
 def test_sylow_on_s3(s3):
     r2 = sylow_subloop(s3, 2)
-    assert r2.exact and r2.target == 2 and len(r2.subloop) == 2
+    assert r2.target == 2 and len(r2.subloop) == 2
     r3 = sylow_subloop(s3, 3)
-    assert r3.exact and r3.target == 3 and len(r3.subloop) == 3
+    assert r3.target == 3 and len(r3.subloop) == 3
+
+
+def _p_part(n, p):
+    return p * _p_part(n // p, p) if n % p == 0 else 1
+
+
+def _sylow_by_seed_closures(L, p):
+    """The elements of the first subloop of the exact p-part order among
+    the closure of all p-elements, then the closures of one, two and
+    three p-elements in combination order; None when there is none."""
+    target = _p_part(L.order, p)
+    pelems = [x for x in L.elements if _p_part(L.element_order(x), p) == L.element_order(x)]
+    seeds = [pelems] + [seed for size in (1, 2, 3) for seed in combinations(pelems, size)]
+    for seed in seeds:
+        elements = tuple(sorted(_close(L, seed)))
+        if len(elements) == target:
+            return elements
+    return None
+
+
+SYLOW_INPUTS = tuple(catalog.catalog_keys()) + ("M(D8,2)", "M(D10,2)", "M(D12,2)", "M(D16,2)", "M(Q8,2)")
+
+
+@pytest.mark.parametrize("key", SYLOW_INPUTS)
+def test_sylow_subloop_matches_the_seed_closures(key, chein):
+    """The first closure of p-elements of the target order is the first
+    lattice set of that order made of p-elements, on the catalog and on
+    M(G,2) for the five groups G; at p = 2 the fallback runs on D6, D10,
+    D12, D14, S3, M(S3,2), M(D10,2) and M(D12,2)."""
+    L = catalog.builtin(key).table if key in catalog.catalog_keys() else chein(key[2:-3])
+    for p in (2, 3):
+        r = sylow_subloop(L, p)
+        assert r.target == _p_part(L.order, p)
+        got = None if r.subloop is None else r.subloop.elements
+        assert got == _sylow_by_seed_closures(L, p), (key, p)
+
+
+def test_sylow_subloop_closes_once_when_the_closure_of_p_elements_misses(chein, monkeypatch):
+    L = chein("D12")
+    calls = []
+
+    def counted(L, seed):
+        calls.append(seed)
+        return generate_subloop(L, seed)
+
+    monkeypatch.setattr(sl, "generate_subloop", counted)
+    r = sylow_subloop(L, 2)
+    assert len(calls) == 1
+    assert r.target == 8 and len(r.subloop) == 8 and is_closed(L, r.subloop.elements)
 
 
 def test_hall_3prime_on_z12():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from loopsmith import catalog
 from loopsmith.errors import TableValidationError
-from loopsmith.table import MAX_ORDER, ElementOrder, LoopTable, relabel, validate
+from loopsmith.table import MAX_ORDER, LoopTable, relabel, validate
 
 Z3_ROWS = [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
 
@@ -153,29 +153,38 @@ def test_equality_and_hash():
 def test_element_order_cyclic():
     t = catalog.make_cyclic(6)
     orders = {x: t.element_order(x) for x in t.elements}
-    assert orders[1] == ElementOrder(1, False)
-    assert orders[2].order == 6
-    assert orders[3].order == 3
-    assert orders[4].order == 2
-    assert not any(o.ambiguous for o in orders.values())
+    assert orders[1] == 1
+    assert orders[2] == 6
+    assert orders[3] == 3
+    assert orders[4] == 2
 
 
 def test_element_order_ambiguous_flag():
     t = LoopTable(AMBIG5)
-    assert t.element_order(3) == ElementOrder(5, True)
-    assert t.element_order(2) == ElementOrder(2, False)
+    assert t.element_order(3) == 5
+    assert t.element_order(2) == 2
 
 
 def test_element_orders_on_featured_tables():
     q1 = catalog.builtin("Q1").table
-    assert q1.element_order(1) == ElementOrder(1, False)
-    assert q1.element_order(4) == ElementOrder(2, False)
+    assert q1.element_order(1) == 1
+    assert q1.element_order(4) == 2
     for x in range(2, 17):
         if x != 4:
-            assert q1.element_order(x) == ElementOrder(4, False)
+            assert q1.element_order(x) == 4
     q2 = catalog.builtin("Q2").table
-    assert [q2.element_order(x).order for x in q2.elements] == [1, 2, 2, 2, 2, 2, 4, 4]
-    assert not any(q2.element_order(x).ambiguous for x in q2.elements)
+    assert [q2.element_order(x) for x in q2.elements] == [1, 2, 2, 2, 2, 2, 4, 4]
+
+
+def test_element_order_is_the_first_left_power_equal_to_1(nonflex5):
+    tables = [catalog.builtin(key).table for key in catalog.catalog_keys()] + [nonflex5]
+    for t in tables:
+        for x in t.elements:
+            k, power = 1, x
+            while power != 1:
+                power = t.mul(x, power)
+                k += 1
+            assert t.element_order(x) == k, (t.name, x)
 
 
 def test_commutator_on_moufang_tables_detects_commuting_pairs():

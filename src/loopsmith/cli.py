@@ -48,108 +48,78 @@ def _load(path, normalize=False):
 # -- analyze ----------------------------------------------------------
 
 
-class AnalysisReport:
-    """The structural summary of one loop; half_census is None when skipped."""
-
-    __slots__ = ("name", "order", "flags", "subloop_orders", "nilpotency_class", "half_census",
-                 "half_census_skipped", "elapsed")
-
-    def __init__(self, name: str, order: int, flags: dict | None = None, subloop_orders: dict | None = None,
-                 nilpotency_class: int | None = None, half_census: dict | None = None,
-                 half_census_skipped: bool = False, elapsed: dict | None = None):
-        self.name = name
-        self.order = order
-        self.flags = {} if flags is None else flags
-        self.subloop_orders = {} if subloop_orders is None else subloop_orders
-        self.nilpotency_class = nilpotency_class
-        self.half_census = half_census
-        self.half_census_skipped = half_census_skipped
-        self.elapsed = {} if elapsed is None else elapsed
-
-    def consistent(self) -> bool:
-        f = self.flags
-        if f["loop"] and not f["quasigroup"]:
-            return False
-        if f["associative"] and not f["moufang"]:
-            return False
-        if f["moufang"] and not f["diassociative"]:
-            return False
-        if f["automorphic"] and not f["left_automorphic"]:
-            return False
-        return True
-
-    def to_json_dict(self):
-        return {
-            "name": self.name,
-            "order": self.order,
-            "flags": dict(sorted(self.flags.items())),
-            "subloop_orders": dict(sorted(self.subloop_orders.items())),
-            "nilpotency_class": self.nilpotency_class,
-            "half_census": dict(sorted(self.half_census.items())) if self.half_census is not None else None,
-            "half_census_skipped": self.half_census_skipped,
-            "elapsed": dict(sorted(self.elapsed.items())),
-        }
+def _consistent(flags) -> bool:
+    """The four implications between the analyze flags; a self-check."""
+    return all(flags[b] for a, b in (("loop", "quasigroup"), ("associative", "moufang"),
+                                     ("moufang", "diassociative"), ("automorphic", "left_automorphic"))
+               if flags[a])
 
 
-def analyze_table(table, name=None, max_half_order=20) -> AnalysisReport:
-    """One-stop structural summary of a loop."""
+def analyze_table(table, name=None, max_half_order=20) -> dict:
+    """One-stop structural summary of a loop, as analyze --json prints it;
+    half_census is None when skipped."""
     from . import subloops as sl
     from .innermaps import is_automorphic, is_left_automorphic
 
-    name = name or table.name or "loop"
-    report = AnalysisReport(name=name, order=table.order)
     t0 = time.perf_counter()
-    flags = report.flags
-    # a LoopTable exists only for a validated loop
-    flags["quasigroup"] = flags["loop"] = True
-    flags["commutative"] = table.is_commutative()
-    flags["associative"] = table.is_associative()
-    flags["diassociative"] = table.is_diassociative()
-    flags["moufang"] = table.is_moufang()
-    flags["left_automorphic"] = is_left_automorphic(table)
-    flags["automorphic"] = is_automorphic(table)
+    flags = {
+        # a LoopTable exists only for a validated loop
+        "quasigroup": True,
+        "loop": True,
+        "commutative": table.is_commutative(),
+        "associative": table.is_associative(),
+        "diassociative": table.is_diassociative(),
+        "moufang": table.is_moufang(),
+        "left_automorphic": is_left_automorphic(table),
+        "automorphic": is_automorphic(table),
+    }
     t1 = time.perf_counter()
-    report.elapsed["flags"] = t1 - t0
-    so = report.subloop_orders
-    so["nucleus"] = len(sl.nucleus(table))
-    so["commutant"] = len(sl.commutant(table))
-    so["center"] = len(sl.center(table))
-    so["commutator_subloop"] = len(sl.commutator_subloop(table))
-    so["associator_subloop"] = len(sl.associator_subloop(table))
+    subloop_orders = {
+        "nucleus": len(sl.nucleus(table)),
+        "commutant": len(sl.commutant(table)),
+        "center": len(sl.center(table)),
+        "commutator_subloop": len(sl.commutator_subloop(table)),
+        "associator_subloop": len(sl.associator_subloop(table)),
+    }
     t2 = time.perf_counter()
-    report.elapsed["subloops"] = t2 - t1
-    report.nilpotency_class = sl.commutative_nilpotency_class(table)
+    nilpotency_class = sl.commutative_nilpotency_class(table)
     t3 = time.perf_counter()
-    report.elapsed["nilpotency"] = t3 - t2
+    census = None
     if table.order <= max_half_order:
         from .halfmorph import half_census
 
         census = {kind.value: count for kind, count in half_census(table).counts}
         census["total"] = sum(census.values())
-        report.half_census = census
-    else:
-        report.half_census_skipped = True
-    report.elapsed["half_census"] = time.perf_counter() - t3
-    return report
+    return {
+        "name": name or table.name or "loop",
+        "order": table.order,
+        "flags": flags,
+        "subloop_orders": subloop_orders,
+        "nilpotency_class": nilpotency_class,
+        "half_census": census,
+        "half_census_skipped": census is None,
+        "elapsed": {"flags": t1 - t0, "subloops": t2 - t1, "nilpotency": t3 - t2,
+                    "half_census": time.perf_counter() - t3},
+    }
 
 
 def _print_analysis(report):
-    print("%s: order %d" % (report.name, report.order))
-    for key in sorted(report.flags):
-        print("  %-18s %s" % (key, report.flags[key]))
-    for key in sorted(report.subloop_orders):
-        print("  |%s| = %d" % (key, report.subloop_orders[key]))
-    print("  nilpotency_class   %s" % (report.nilpotency_class,))
-    if report.half_census_skipped:
+    print("%s: order %d" % (report["name"], report["order"]))
+    for key, value in sorted(report["flags"].items()):
+        print("  %-18s %s" % (key, value))
+    for key, value in sorted(report["subloop_orders"].items()):
+        print("  |%s| = %d" % (key, value))
+    print("  nilpotency_class   %s" % (report["nilpotency_class"],))
+    census = report["half_census"]
+    if census is None:
         print("  half-morphisms     skipped (order above threshold)")
     else:
-        census = report.half_census
         print("  half-morphisms     total=%d iso=%d anti=%d both=%d proper=%d" % (
             census["total"], census["isomorphism"], census["anti-isomorphism"],
             census["both"], census["proper-half"],
         ))
     print("  elapsed            %s" % " ".join(
-        "%s=%.3fs" % (k, v) for k, v in sorted(report.elapsed.items())))
+        "%s=%.3fs" % (k, v) for k, v in sorted(report["elapsed"].items())))
 
 
 # -- commands ---------------------------------------------------------
@@ -196,12 +166,11 @@ def cmd_analyze(args) -> int:
             return EXIT_PROPERTY if exc.stage == "table" else EXIT_INPUT
         report = analyze_table(entry.table, name=entry.key, max_half_order=args.max_half_order)
         reports.append(report)
-        if not report.consistent():
-            print("%s: inconsistent property flags %r" % (entry.key, report.flags), file=sys.stderr)
+        if not _consistent(report["flags"]):
+            print("%s: inconsistent property flags %r" % (entry.key, report["flags"]), file=sys.stderr)
             status = max(status, EXIT_PROPERTY)
     if args.json:
-        payload = [r.to_json_dict() for r in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload, sort_keys=True, indent=2))
+        print(json.dumps(reports[0] if len(reports) == 1 else reports, sort_keys=True, indent=2))
     else:
         for report in reports:
             _print_analysis(report)
@@ -229,10 +198,10 @@ def cmd_halfautos(args) -> int:
         census[cls.kind.value] += 1 + len(alphas)
         listing += [{
             "cycles": m.cycles(),
-            "images": list(m.images),
+            "images": m.images,
             "kind": cls.kind.value,
-            "witness_hom": list(cls.witness_hom) if cls.witness_hom else None,
-            "witness_anti": list(cls.witness_anti) if cls.witness_anti else None,
+            "witness_hom": cls.witness_hom,
+            "witness_anti": cls.witness_anti,
         } for m in orbit_maps(s, alphas)]
     listing.sort(key=lambda item: item["images"])
     group_ok = None
@@ -252,10 +221,7 @@ def cmd_halfautos(args) -> int:
         for item in listing:
             extra = ""
             if item["witness_hom"] or item["witness_anti"]:
-                extra = "  witness_hom=%s witness_anti=%s" % (
-                    tuple(item["witness_hom"]) if item["witness_hom"] else None,
-                    tuple(item["witness_anti"]) if item["witness_anti"] else None,
-                )
+                extra = "  witness_hom=%s witness_anti=%s" % (item["witness_hom"], item["witness_anti"])
             print("%-24s %-17s%s" % (item["cycles"], item["kind"], extra))
         if enum.complete:
             print("total=%d iso=%d anti=%d both=%d proper=%d" % (

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .errors import HalfMapError, InternalCheckError, TheoremViolation
 from .innermaps import (_agreement, _preserves_products, _sandwiches, check_bijection, column_bytes,
-                        cycles_str, gather, inner_map_witness, is_automorphism, noncommuting,
+                        cycles_str, gather, inner_map_witness, noncommuting,
                         product_bytes, push, zero_based)
 from .subloops import associator_quotient, associator_subloop
 from .table import LoopTable, _commuting, memoized
@@ -147,10 +147,6 @@ class HalfClass(NamedTuple):
     witness_hom: tuple | None
     witness_anti: tuple | None
 
-    @property
-    def trivial(self) -> bool:
-        return self.kind is not HalfKind.PROPER_HALF
-
 
 def classify(m: HalfMap) -> HalfClass:
     broken = m.broken_pair()
@@ -264,9 +260,9 @@ def enumerate_half_automorphisms(L, limit=None) -> HalfEnumeration:
     hom-law-only mode, along a generation order that lists w first with
     t(w) = w' fixed: a product takes only t(a)*t(b), the pruning rule
     asks the forward law alone, a complete assignment counts when it
-    preserves every product, and the search stops at the first one.
-    innermaps.is_automorphism checks alpha again; a refusal raises
-    InternalCheckError.
+    preserves every product, and the search stops at the first one.  That
+    assignment is an automorphism: it preserves every product, and it is a
+    bijection because the search assigns only free images.
 
     Completeness and soundness rest on four facts.
 
@@ -431,11 +427,7 @@ def _half_maps(L, counts):
                 subtree.append(m)
                 yield None, subtree
         else:
-            alpha, subtree = hit
-            if not is_automorphism(L, alpha):
-                raise InternalCheckError("the automorphism lookup returned %s, which is not an automorphism"
-                                         % cycles_str(alpha))
-            yield alpha, subtree
+            yield hit
 
 
 def _dfs(mul, col, order, image, hom, tally):
@@ -689,26 +681,19 @@ def coset_images(m: HalfMap, domain_projection, codomain_projection) -> tuple:
 PROPER_SHOWN = 3  # proper maps a TheoremReport keeps to name
 
 
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """The main-theorem verdict on one loop: census counts each kind, and
-    proper_maps holds at most PROPER_SHOWN proper maps found directly.
-    Each report owns its census dict and proper_maps list."""
+    proper_maps holds at most PROPER_SHOWN proper maps found directly."""
 
-    __slots__ = ("name", "order", "moufang", "automorphic", "automorphic_witness", "hypotheses_hold",
-                 "total", "census", "proper_maps")
-
-    def __init__(self, name: str, order: int, moufang: bool, automorphic: bool,
-                 automorphic_witness: str | None, hypotheses_hold: bool, total: int,
-                 census: dict, proper_maps: list | None = None):
-        self.name = name
-        self.order = order
-        self.moufang = moufang
-        self.automorphic = automorphic
-        self.automorphic_witness = automorphic_witness
-        self.hypotheses_hold = hypotheses_hold
-        self.total = total
-        self.census = census
-        self.proper_maps = [] if proper_maps is None else proper_maps
+    name: str
+    order: int
+    moufang: bool
+    automorphic: bool
+    automorphic_witness: str | None
+    hypotheses_hold: bool
+    total: int
+    census: dict
+    proper_maps: tuple = ()
 
     def summary(self) -> str:
         parts = [
@@ -779,7 +764,7 @@ def verify_main_theorem(L, name=None) -> TheoremReport:
         hypotheses_hold=hypotheses,
         total=sum(count for _, count in counts),
         census=dict(counts),
-        proper_maps=[s for s, _ in proper[:PROPER_SHOWN]],
+        proper_maps=tuple(s for s, _ in proper[:PROPER_SHOWN]),
     )
     if hypotheses and proper:
         raise TheoremViolation(

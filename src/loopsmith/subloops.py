@@ -171,7 +171,8 @@ def three_generated_tables(L) -> tuple:
     """The pairs (elements, table) over three_generated(L), with table the
     restriction of L to elements.  A table is built once per distinct set
     of restricted rows, and the rows of the whole loop give L itself, so
-    equal restrictions share one table and its memo."""
+    equal restrictions share one table and its memo.  The sets are not
+    checked again: _grow checked each one when it grew the lattice."""
     tables = {L.rows: L}
     out = []
     for elements in three_generated(L):
@@ -354,13 +355,9 @@ def associator_quotient(L) -> Quotient | None:
     return quotient(L, A) if is_normal(L, A) else None
 
 
-def _restricted_rows(L, elements):
-    """The rows of L on a closed element set, relabeled 1..k in sorted
-    order, as a tuple of tuples, and the relabeling old_to_new.  Raises
-    InternalCheckError when the set is not closed."""
-    elems = tuple(sorted(set(elements)))
-    if not is_closed(L, elems):
-        raise InternalCheckError("restriction to a non-closed set: %r" % (elems,))
+def _restricted_rows(L, elems):
+    """The rows of L on a closed, sorted element tuple, relabeled 1..k
+    in that order, as a tuple of tuples, and the relabeling old_to_new."""
     old_to_new = {e: i + 1 for i, e in enumerate(elems)}
     rows = tuple(tuple(old_to_new[L.rows[a - 1][b - 1]] for b in elems) for a in elems)
     return rows, old_to_new
@@ -372,7 +369,10 @@ def restriction(L, elements, name=None):
     Returns (table, old_to_new).  Raises InternalCheckError when the set
     is not closed.
     """
-    rows, old_to_new = _restricted_rows(L, elements)
+    elems = tuple(sorted(set(elements)))
+    if not is_closed(L, elems):
+        raise InternalCheckError("restriction to a non-closed set: %r" % (elems,))
+    rows, old_to_new = _restricted_rows(L, elems)
     return LoopTable(rows, name=name), old_to_new
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -131,10 +132,105 @@ def test_analyze_census_threshold(capsys):
     assert "skipped (order above threshold)" in capsys.readouterr().out
 
 
+# analyze --json Z4 Z5 as printed, with each elapsed value set to 0
+ANALYZE_Z4_Z5 = """\
+[
+  {
+    "elapsed": {
+      "flags": 0,
+      "half_census": 0,
+      "nilpotency": 0,
+      "subloops": 0
+    },
+    "flags": {
+      "associative": true,
+      "automorphic": true,
+      "commutative": true,
+      "diassociative": true,
+      "left_automorphic": true,
+      "loop": true,
+      "moufang": true,
+      "quasigroup": true
+    },
+    "half_census": {
+      "anti-isomorphism": 0,
+      "both": 2,
+      "isomorphism": 0,
+      "proper-half": 0,
+      "total": 2
+    },
+    "half_census_skipped": false,
+    "name": "Z4",
+    "nilpotency_class": 1,
+    "order": 4,
+    "subloop_orders": {
+      "associator_subloop": 1,
+      "center": 4,
+      "commutant": 4,
+      "commutator_subloop": 1,
+      "nucleus": 4
+    }
+  },
+  {
+    "elapsed": {
+      "flags": 0,
+      "half_census": 0,
+      "nilpotency": 0,
+      "subloops": 0
+    },
+    "flags": {
+      "associative": true,
+      "automorphic": true,
+      "commutative": true,
+      "diassociative": true,
+      "left_automorphic": true,
+      "loop": true,
+      "moufang": true,
+      "quasigroup": true
+    },
+    "half_census": {
+      "anti-isomorphism": 0,
+      "both": 4,
+      "isomorphism": 0,
+      "proper-half": 0,
+      "total": 4
+    },
+    "half_census_skipped": false,
+    "name": "Z5",
+    "nilpotency_class": 1,
+    "order": 5,
+    "subloop_orders": {
+      "associator_subloop": 1,
+      "center": 5,
+      "commutant": 5,
+      "commutator_subloop": 1,
+      "nucleus": 5
+    }
+  }
+]
+"""
+
+
 def test_analyze_multiple_inputs_json(capsys):
     assert main(["analyze", "--json", "Z4", "Z5"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert [p["name"] for p in payload] == ["Z4", "Z5"]
+    out = capsys.readouterr().out
+    assert re.sub(r'("(?:flags|half_census|nilpotency|subloops)": )[-+.e0-9]+', r"\g<1>0", out) == ANALYZE_Z4_Z5
+
+
+@pytest.mark.parametrize("premise, conclusion", [
+    ("loop", "quasigroup"), ("associative", "moufang"),
+    ("moufang", "diassociative"), ("automorphic", "left_automorphic")])
+def test_analyze_flags_an_implication_that_fails(premise, conclusion, monkeypatch, capsys):
+    analyze_table = cli.analyze_table
+
+    def broken(*args, **kwargs):
+        report = analyze_table(*args, **kwargs)
+        report["flags"][premise], report["flags"][conclusion] = True, False
+        return report
+
+    monkeypatch.setattr(cli, "analyze_table", broken)
+    assert main(["analyze", "Z4"]) == 1
+    assert "Z4: inconsistent property flags" in capsys.readouterr().err
 
 
 def test_analyze_error_paths(loopfiles, capsys):
@@ -148,6 +244,33 @@ def test_halfautos_listing(capsys):
     assert "()" in out and "(2,4)" in out
     assert "total=2 iso=0 anti=0 both=2 proper=0" in out
     assert "closed under composition and inverse: yes" in out
+
+
+HALFAUTOS_Q2 = """\
+()                       isomorphism        witness_hom=(3, 5) witness_anti=None
+(7,8)                    anti-isomorphism   witness_hom=None witness_anti=(3, 5)
+(5,6)                    anti-isomorphism   witness_hom=None witness_anti=(3, 5)
+(5,6)(7,8)               isomorphism        witness_hom=(3, 5) witness_anti=None
+(3,4)                    anti-isomorphism   witness_hom=None witness_anti=(3, 5)
+(3,4)(7,8)               isomorphism        witness_hom=(3, 5) witness_anti=None
+(3,4)(5,6)               isomorphism        witness_hom=(3, 5) witness_anti=None
+(3,4)(5,6)(7,8)          anti-isomorphism   witness_hom=None witness_anti=(3, 5)
+(3,5)(4,6)               proper-half        witness_hom=(3, 7) witness_anti=(3, 5)
+(3,5)(4,6)(7,8)          proper-half        witness_hom=(3, 5) witness_anti=(3, 7)
+(3,5,4,6)                proper-half        witness_hom=(3, 5) witness_anti=(3, 7)
+(3,5,4,6)(7,8)           proper-half        witness_hom=(3, 7) witness_anti=(3, 5)
+(3,6,4,5)                proper-half        witness_hom=(3, 5) witness_anti=(3, 7)
+(3,6,4,5)(7,8)           proper-half        witness_hom=(3, 7) witness_anti=(3, 5)
+(3,6)(4,5)               proper-half        witness_hom=(3, 7) witness_anti=(3, 5)
+(3,6)(4,5)(7,8)          proper-half        witness_hom=(3, 5) witness_anti=(3, 7)
+total=16 iso=4 anti=4 both=0 proper=8
+closed under composition and inverse: yes
+"""
+
+
+def test_halfautos_text_lists_every_map_with_its_witnesses(capsys):
+    assert main(["halfautos", "Q2"]) == 0
+    assert capsys.readouterr().out == HALFAUTOS_Q2
 
 
 def test_halfautos_limit_withholds_census(capsys):

@@ -81,7 +81,6 @@ def test_half_map_basics(phi1):
 def test_classify_phi1(phi1):
     cls = classify(phi1)
     assert cls.kind is HalfKind.PROPER_HALF
-    assert not cls.trivial
     assert cls.hom_pairs == 184
     assert cls.anti_pairs == 160
     assert cls.witness_hom == (2, 9)
@@ -101,7 +100,7 @@ def test_classify_trivial_kinds(q2):
     ident = make_half_map(q2, q2, tuple(range(1, 9)))
     cls = classify(ident)
     assert cls.kind is HalfKind.ISOMORPHISM
-    assert cls.trivial
+    assert cls.kind is not HalfKind.PROPER_HALF
     assert (cls.hom_pairs, cls.anti_pairs) == (64, 40)
     assert cls.witness_hom == (3, 5)
     assert cls.witness_anti is None
@@ -429,12 +428,6 @@ def test_lookup_goes_past_a_leaf_that_is_no_automorphism(monkeypatch, q2, q2_enu
     enum = enumerate_half_automorphisms(LoopTable(q2.rows))
     assert passed_over
     assert [m.images for m in enum.maps] == [m.images for m in q2_enum.maps]
-
-
-def test_search_raises_when_a_composing_map_is_no_automorphism(monkeypatch, q2):
-    monkeypatch.setattr(halfmorph, "is_automorphism", lambda L, p: False)
-    with pytest.raises(InternalCheckError, match="automorphism"):
-        enumerate_half_automorphisms(LoopTable(q2.rows))
 
 
 def _all_candidates_search(L):
@@ -1016,7 +1009,7 @@ def test_verify_main_theorem_on_group(s3):
     assert report.census[HalfKind.ISOMORPHISM] == 6
     assert report.census[HalfKind.ANTI_ISOMORPHISM] == 6
     assert report.census[HalfKind.PROPER_HALF] == 0
-    assert report.proper_maps == []
+    assert report.proper_maps == ()
     assert "S3 (order 6)" in report.summary()
 
 
@@ -1038,7 +1031,6 @@ def test_theorem_report_is_a_copy_and_violations_raise_on_every_call(monkeypatch
     copy = LoopTable(q2.rows, name="Q2-copy")
     first = verify_main_theorem(copy)
     first.census[HalfKind.PROPER_HALF] = 0
-    first.proper_maps.clear()
     again = verify_main_theorem(copy)
     assert again.census[HalfKind.PROPER_HALF] == 8
     assert len(again.proper_maps) == PROPER_SHOWN

@@ -16,9 +16,7 @@ import pytest
 import loopsmith
 from loopsmith import catalog
 from loopsmith.catalog import CatalogEntry
-from loopsmith.cli import AnalysisReport
-from loopsmith.halfmorph import (HalfClass, HalfEnumeration, HalfKind, HalfMap, HalfMaps, TheoremReport,
-                                 make_half_map, weighted_maps)
+from loopsmith.halfmorph import HalfEnumeration, HalfMap, HalfMaps, TheoremReport, make_half_map, weighted_maps
 from loopsmith.subloops import Subloop, SubloopSearch
 from loopsmith.suites import SuiteResult
 from loopsmith.table import LoopTable, ValidationReport
@@ -113,9 +111,7 @@ def test_importing_the_package_loads_no_submodule():
 
 @pytest.mark.parametrize("make", [
     lambda: SuiteResult("s"),
-    lambda: AnalysisReport("a", 1),
     lambda: CatalogEntry("c", catalog.make_cyclic(1)),
-    lambda: TheoremReport("t", 1, True, True, None, True, 1, {}),
 ])
 def test_default_lists_and_dicts_are_fresh_per_instance(make):
     first, second = make(), make()
@@ -134,23 +130,16 @@ def test_constructors_keep_their_positional_order_keywords_and_defaults():
     s = SuiteResult(name="s")
     assert (s.hypothesis_count, s.check_count, s.violations, s.notes) == (0, 0, [], [])
 
-    a = AnalysisReport("a", 2, {"f": True}, {"o": 1}, 3, {"total": 1}, True, {"e": 0.5})
-    assert (a.name, a.order, a.flags, a.subloop_orders, a.nilpotency_class, a.half_census,
-            a.half_census_skipped, a.elapsed) == ("a", 2, {"f": True}, {"o": 1}, 3, {"total": 1}, True, {"e": 0.5})
-    a = AnalysisReport(name="a", order=2)
-    assert (a.flags, a.subloop_orders, a.nilpotency_class, a.half_census, a.half_census_skipped,
-            a.elapsed) == ({}, {}, None, None, False, {})
-
     c = CatalogEntry("c", z1, {"moufang": (True, "trivial")}, (1,))
     assert (c.key, c.table, c.expected, c.featured_half_map) == ("c", z1, {"moufang": (True, "trivial")}, (1,))
     c = CatalogEntry(key="c", table=z1)
     assert (c.expected, c.featured_half_map) == ({}, None)
 
-    t = TheoremReport("t", 1, True, False, "w", False, 1, {}, ["m"])
+    t = TheoremReport("t", 1, True, False, "w", False, 1, {}, ("m",))
     assert (t.name, t.order, t.moufang, t.automorphic, t.automorphic_witness, t.hypotheses_hold,
-            t.total, t.census, t.proper_maps) == ("t", 1, True, False, "w", False, 1, {}, ["m"])
+            t.total, t.census, t.proper_maps) == ("t", 1, True, False, "w", False, 1, {}, ("m",))
     assert TheoremReport(name="t", order=1, moufang=True, automorphic=True, automorphic_witness=None,
-                         hypotheses_hold=True, total=1, census={}).proper_maps == []
+                         hypotheses_hold=True, total=1, census={}).proper_maps == ()
 
     H = Subloop(z1, (1,))
     assert (H.parent, H.elements, H.is_group) == (z1, (1,), True)
@@ -158,7 +147,6 @@ def test_constructors_keep_their_positional_order_keywords_and_defaults():
     assert SubloopSearch(H, 1) == (H, 1)
     assert SubloopSearch(subloop=None, target=2).subloop is None
     assert ValidationReport(True, True, 1, []).is_loop
-    assert HalfClass(HalfKind.PROPER_HALF, 1, 2, (1, 2), None).trivial is False
 
 
 def test_half_map_masks_are_computed_unless_both_are_given(q2):

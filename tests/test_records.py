@@ -111,6 +111,7 @@ def test_importing_the_package_loads_no_submodule():
 
 @pytest.mark.parametrize("make", [
     lambda: SuiteResult("s"),
+    lambda: SuiteResult("s", 3, 5),
     lambda: CatalogEntry("c", catalog.make_cyclic(1)),
 ])
 def test_default_lists_and_dicts_are_fresh_per_instance(make):

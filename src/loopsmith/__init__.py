@@ -13,11 +13,12 @@ _EXPORTS = {
         "TableValidationError", "TheoremViolation",
     ),
     "table": ("LoopTable", "MoufangFlags", "ValidationReport", "relabel", "validate"),
-    "subloops": (
+    "closure": (
         "Subloop", "associator_subloop", "center", "commutant", "commutative_nilpotency_class",
-        "commutator_subloop", "generate_subloop", "hall_3prime_subgroup", "is_normal", "nucleus",
-        "nucleus_left", "nucleus_middle", "nucleus_right", "quotient", "restriction", "sylow_subloop",
+        "commutator_subloop", "generate_subloop", "nucleus", "nucleus_left", "nucleus_middle",
+        "nucleus_right",
     ),
+    "subloops": ("hall_3prime_subgroup", "is_normal", "quotient", "restriction", "sylow_subloop"),
     "innermaps": (
         "cycles_str", "inner_l", "inner_r", "inner_t", "is_automorphic", "is_automorphism",
         "is_left_automorphic", "inner_map_witness", "perm_from_cycles",
@@ -28,10 +29,10 @@ _EXPORTS = {
         "half_maps_form_group_check", "induced_on_quotient", "is_semi_isomorphism", "make_half_map",
         "verify_main_theorem",
     ),
+    "loopfile": ("CatalogEntry", "parse_loop_file", "write_loop_file"),
     "catalog": (
-        "CatalogEntry", "builtin", "catalog_keys", "check_expected", "entries", "make_chein",
-        "make_cyclic", "make_dihedral", "make_quaternion8", "make_symmetric3", "parse_loop_file",
-        "write_loop_file",
+        "builtin", "catalog_keys", "check_expected", "entries", "make_chein", "make_cyclic",
+        "make_dihedral", "make_quaternion8", "make_symmetric3",
     ),
 }
 

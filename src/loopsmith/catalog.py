@@ -1,4 +1,4 @@
-"""Built-in loops, constructors for standard families, and .loop files.
+"""Built-in loops and constructors for standard families.
 
 The two featured tables Q1 (order 16, Moufang with a proper
 half-morphism) and Q2 (order 8, all inner maps automorphisms, not
@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import LoopFileError, TableValidationError
-from .table import MAX_ORDER, LoopTable, too_large_message
+# the .loop format lives in loopfile; its names stay bound here, where the
+# benchmark's workloads and tracer look them up
+from .loopfile import CatalogEntry, parse_loop_file, write_loop_file  # noqa: F401
+from .table import LoopTable
 # validate is unused here; it stays bound because the benchmark's test of
 # its tracer (loopbench/test_loopbench.py) checks that this binding is wrapped
 from .table import validate  # noqa: F401
@@ -52,21 +54,6 @@ Q2_ROWS = (
 # featured half-morphism witnesses, as image tuples
 Q1_HALF_MAP = tuple(8 if x == 5 else 5 if x == 8 else x for x in range(1, 17))
 Q2_HALF_MAP = (1, 2, 5, 6, 3, 4, 8, 7)
-
-
-class CatalogEntry:
-    """A loop with its key, its expected properties, each mapped to
-    (value, provenance), and its featured half-map images, if any."""
-
-    __slots__ = ("key", "table", "expected", "featured_half_map")
-
-    def __init__(self, key: str, table: LoopTable, expected: dict | None = None,
-                 featured_half_map: tuple | None = None):
-        self.key = key
-        self.table = table
-        self.expected = {} if expected is None else expected
-        self.featured_half_map = featured_half_map
-
 
 PROVENANCE_TAGS = ("external", "trivial", "derived")
 
@@ -286,103 +273,3 @@ def check_expected(entry) -> list:
             problems.append("%s: expected %r, recomputed %r" % (prop, value, actual))
     return problems
 
-
-# -- .loop files -------------------------------------------------------
-
-
-def _read_structure(text):
-    name = None
-    normalize = False
-    order = None
-    rows = []
-    row_lines = []
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if order is None and ":" in line:
-            directive, _, value = line.partition(":")
-            directive = directive.strip().lower()
-            value = value.strip()
-            if directive == "name":
-                name = value
-                continue
-            if directive == "normalize":
-                if value.lower() not in ("true", "false"):
-                    raise LoopFileError("normalize takes true or false, got %r" % value, line=lineno)
-                normalize = value.lower() == "true"
-                continue
-            raise LoopFileError("unknown directive %r" % directive, line=lineno)
-        if order is None:
-            try:
-                order = int(line)
-            except ValueError:
-                raise LoopFileError("expected the order, got %r" % line, line=lineno) from None
-            if order < 1:
-                raise LoopFileError("order must be positive, got %d" % order, line=lineno)
-            if order > MAX_ORDER:
-                raise LoopFileError(too_large_message(order), line=lineno)
-            continue
-        if len(rows) == order:
-            raise LoopFileError("extra row after %d table rows" % order, line=lineno)
-        entries_ = line.split()
-        values = []
-        for col, tok in enumerate(entries_, start=1):
-            try:
-                values.append(int(tok))
-            except ValueError:
-                raise LoopFileError("entry %r is not an integer" % tok, line=lineno, column=col) from None
-        if len(values) != order:
-            raise LoopFileError(
-                "row has %d entries, expected %d" % (len(values), order), line=lineno
-            )
-        rows.append(values)
-        row_lines.append(lineno)
-    if order is None:
-        raise LoopFileError("file contains no table")
-    if len(rows) != order:
-        raise LoopFileError("found %d table rows, expected %d" % (len(rows), order))
-    return rows, row_lines, name, normalize
-
-
-def parse_loop_file(text, normalize=False) -> CatalogEntry:
-    """Parse .loop text into a validated CatalogEntry.
-
-    Structural defects raise LoopFileError at stage "parse"; tables that
-    read fine but fail loop validation (or carry their identity away
-    from element 1 without the normalize directive) raise at stage
-    "table", pointing at the offending file line when one is known.
-    """
-    rows, row_lines, name, normalize_directive = _read_structure(text)
-    try:
-        table = LoopTable(rows, name=name, normalize=normalize or normalize_directive)
-    except TableValidationError as exc:
-        report = exc.report
-        if report.is_loop:
-            raise LoopFileError(str(exc), stage="table", report=report) from exc
-        kind, witness = report.violations[0]
-        line = column = None
-        if kind in ("row-not-latin", "bad-entry"):
-            line = row_lines[witness[0] - 1]
-            column = witness[1] if kind == "bad-entry" else witness[2]
-        elif kind == "column-not-latin":
-            line = row_lines[witness[2] - 1]
-            column = witness[0]
-        raise LoopFileError(
-            "table is not a loop: %s %r" % (kind, witness),
-            line=line, column=column, stage="table", report=report,
-        ) from exc
-    return CatalogEntry(name or "loop", table)
-
-
-def write_loop_file(entry) -> str:
-    """Canonical .loop text: name directive, order, single-space rows."""
-    table = entry.table if isinstance(entry, CatalogEntry) else entry
-    name = entry.key if isinstance(entry, CatalogEntry) else (table.name or None)
-    lines = []
-    if name:
-        lines.append("name: %s" % name)
-    lines.append(str(table.order))
-    for row in table.rows:
-        lines.append(" ".join(map(str, row)))
-    return "\n".join(lines) + "\n"

@@ -5,7 +5,9 @@ files; a bare catalog key (like Q1 or Z6) is accepted wherever a path
 does not exist on disk.  Exit codes: 0 success, 1 a property or theorem
 failed, 2 unreadable input or bad usage, 3 an internal self-check failed
 or an unexpected ValueError escaped (a bug or corrupted state, not a
-property of the input).
+property of the input), 141 standard output was closed before all of it
+was written, as when ``loopsmith halfautos Q1 | head -1`` stops reading
+(128 plus SIGPIPE, what a shell reports for a program that signal ends).
 """
 
 from __future__ import annotations
@@ -16,12 +18,15 @@ import os
 import sys
 import time
 
-from . import catalog as cat
 from .errors import InternalCheckError, LoopError, LoopFileError
+from .loopfile import parse_loop_file
 
-# Each command imports the other modules it runs where it runs them, so
-# validate loads none of them and analyze without the census loads neither
-# halfmorph nor suites (tests/test_records.py checks both).
+# Module boundaries follow the commands, because every run compiles the
+# modules it imports (README, "Start-up").  Each command imports the other
+# modules it runs where it runs them: validate on a file loads none of
+# them, analyze without the census loads closure and innermaps, and
+# catalog loads only for a catalog key or --catalog.  tests/test_records.py
+# pins each command's module set.
 #
 # validate is unused here; it stays bound because the benchmark's test of
 # its tracer (loopbench/test_loopbench.py) checks that this binding is wrapped
@@ -31,18 +36,22 @@ EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141
 
 
 def _load(path, normalize=False):
     """Read a .loop file, or fall back to a catalog key."""
-    if not os.path.exists(path) and path in cat.catalog_keys():
-        return cat.builtin(path)
+    if not os.path.exists(path):
+        from . import catalog as cat
+
+        if path in cat.catalog_keys():
+            return cat.builtin(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise LoopFileError("cannot read %s: %s" % (path, exc)) from exc
-    return cat.parse_loop_file(text, normalize=normalize)
+    return parse_loop_file(text, normalize=normalize)
 
 
 # -- analyze ----------------------------------------------------------
@@ -58,7 +67,7 @@ def _consistent(flags) -> bool:
 def analyze_table(table, name=None, max_half_order=20) -> dict:
     """One-stop structural summary of a loop, as analyze --json prints it;
     half_census is None when skipped."""
-    from . import subloops as sl
+    from . import closure as cl
     from .innermaps import is_automorphic, is_left_automorphic
 
     t0 = time.perf_counter()
@@ -75,14 +84,14 @@ def analyze_table(table, name=None, max_half_order=20) -> dict:
     }
     t1 = time.perf_counter()
     subloop_orders = {
-        "nucleus": len(sl.nucleus(table)),
-        "commutant": len(sl.commutant(table)),
-        "center": len(sl.center(table)),
-        "commutator_subloop": len(sl.commutator_subloop(table)),
-        "associator_subloop": len(sl.associator_subloop(table)),
+        "nucleus": len(cl.nucleus(table)),
+        "commutant": len(cl.commutant(table)),
+        "center": len(cl.center(table)),
+        "commutator_subloop": len(cl.commutator_subloop(table)),
+        "associator_subloop": len(cl.associator_subloop(table)),
     }
     t2 = time.perf_counter()
-    nilpotency_class = sl.commutative_nilpotency_class(table)
+    nilpotency_class = cl.commutative_nilpotency_class(table)
     t3 = time.perf_counter()
     census = None
     if table.order <= max_half_order:
@@ -245,6 +254,8 @@ def cmd_checktheorem(args) -> int:
         print("checktheorem needs paths or --catalog, not both", file=sys.stderr)
         return EXIT_INPUT
     if args.catalog:
+        from . import catalog as cat
+
         named = [(e.key, e.table) for e in cat.entries()]
     else:
         named = []
@@ -358,7 +369,15 @@ def main(argv=None) -> int:
 
 
 def console_main():
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # Python's documented recipe: point stdout at devnull, so that the
+        # flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_PIPE
+    sys.exit(status)
 
 
 if __name__ == "__main__":

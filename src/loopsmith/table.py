@@ -7,7 +7,7 @@ time, so all later queries are table lookups.
 
 The one word table is commutators().  Commutation and association are
 each read in one pass per table, innermaps.noncommuting (one pair mask,
-which _commuting counts row by row) and subloops._association, and the
+which _commuting counts row by row) and closure._association, and the
 flags, nuclei, commutant and witness triples are views of those passes.
 """
 
@@ -293,7 +293,7 @@ class LoopTable:
         return left.flat == right.flat
 
     def is_associative(self) -> bool:
-        from .subloops import _association
+        from .closure import _association
 
         return not _association(self).first
 
@@ -347,7 +347,7 @@ class LoopTable:
         """
         if self.is_associative():
             return True
-        from .subloops import _close, _make_subloop
+        from .closure import _close, _make_subloop
 
         n = self.order
         covered = [0] * (n + 1)  # bit y of covered[x]: x and y lie in a group found so far

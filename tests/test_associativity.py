@@ -12,8 +12,7 @@ import tracemalloc
 
 import pytest
 
-from loopsmith import catalog
-from loopsmith import subloops as sl
+from loopsmith import catalog, closure
 from loopsmith.innermaps import bracketings, column_bytes, product_bytes
 from loopsmith.subloops import (
     Subloop,
@@ -135,7 +134,7 @@ def test_the_association_readers_share_one_pass_over_the_pairs(monkeypatch, q1):
         calls.append(args[1:3])
         return bracketings(*args)
 
-    monkeypatch.setattr(sl, "bracketings", counted)
+    monkeypatch.setattr(closure, "bracketings", counted)
     assert not t.is_associative()
     assert [reader(t).elements for reader in readers] == expected
     assert len(calls) == len(set(calls)) == t.order ** 2
@@ -158,9 +157,9 @@ def test_groups_answer_diassociativity_and_the_nucleus_without_a_scan(monkeypatc
             refuse()
         return close(L, seed, *rest)
 
-    close = sl._close
-    monkeypatch.setattr(sl, "bracketings", refuse)
-    monkeypatch.setattr(sl, "_close", close_nothing)
+    close = closure._close
+    monkeypatch.setattr(closure, "bracketings", refuse)
+    monkeypatch.setattr(closure, "_close", close_nothing)
     assert t.is_diassociative()
     everything = tuple(t.elements)
     for reader in (nucleus_left, nucleus_middle, nucleus_right, nucleus):

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -547,3 +551,19 @@ def test_checked_accessors_stay_out_of_inner_loops(monkeypatch, capsys):
     capsys.readouterr()
     assert calls < 2000
     assert pairs < 100_000
+
+
+def test_a_closed_pipe_ends_the_run_quietly_with_its_own_exit_code():
+    """halfautos Q1 prints about 1 MB; the reader takes one line and closes
+    its end of the pipe, as ``| head -1`` does."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "loopsmith.cli", "halfautos", "Q1"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    code = proc.wait(timeout=120)
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert first.startswith(b"(")
+    assert stderr == ""
+    assert code == cli.EXIT_PIPE

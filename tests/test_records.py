@@ -48,23 +48,26 @@ def _modules_loaded_by(argv):
     return set(json.loads(out.splitlines()[-1]))
 
 
-def test_validate_loads_no_structure_or_search_module(tmp_path):
-    path = tmp_path / "q2.loop"
-    path.write_text(catalog.write_loop_file(catalog.builtin("Q2").table), encoding="utf-8")
-    loaded = _modules_loaded_by(["validate", "--json", str(path)])
-    assert "loopsmith.table" in loaded
-    assert not loaded & {"loopsmith.halfmorph", "loopsmith.suites", "loopsmith.subloops",
-                         "loopsmith.innermaps"}
+# the loopsmith modules each command loads: a path needs loopfile and not
+# catalog, and analyze without the census needs closure and not subloops
+VALIDATE = {"cli", "errors", "loopfile", "table"}
+ANALYZE = VALIDATE | {"closure", "innermaps"}
+CENSUS = ANALYZE | {"catalog", "halfmorph", "subloops"}
 
 
-def test_analyze_without_the_census_loads_no_search_or_suite_module(tmp_path):
+@pytest.mark.parametrize("argv, modules", [
+    (["validate", "--json", "FILE"], VALIDATE),
+    (["analyze", "--json", "FILE"], ANALYZE),
+    (["analyze", "--json", "Q2"], CENSUS),
+    (["checktheorem", "--json", "Q2"], CENSUS | {"suites"}),
+], ids=["validate-file", "analyze-file", "analyze-key", "checktheorem-key"])
+def test_each_command_loads_exactly_its_modules(tmp_path, argv, modules):
     path = tmp_path / "m16.loop"
     table = catalog.make_chein(catalog.make_dihedral(16))
-    assert table.order == 32
+    assert table.order == 32  # above --max-half-order, so analyze skips the census
     path.write_text(catalog.write_loop_file(table), encoding="utf-8")
-    loaded = _modules_loaded_by(["analyze", "--json", str(path)])
-    assert {"loopsmith.subloops", "loopsmith.innermaps"} <= loaded
-    assert not loaded & {"loopsmith.halfmorph", "loopsmith.suites"}
+    loaded = _modules_loaded_by([str(path) if arg == "FILE" else arg for arg in argv])
+    assert loaded == {"loopsmith." + name for name in modules}
 
 
 # the package's names, by the submodule that defines them
@@ -72,19 +75,19 @@ PACKAGE_NAMES = {
     "errors": ("HalfMapError", "InternalCheckError", "LoopError", "LoopFileError", "QuotientError",
                "TableValidationError", "TheoremViolation"),
     "table": ("LoopTable", "MoufangFlags", "ValidationReport", "relabel", "validate"),
-    "subloops": ("Subloop", "associator_subloop", "center", "commutant", "commutative_nilpotency_class",
-                 "commutator_subloop", "generate_subloop", "hall_3prime_subgroup", "is_normal", "nucleus",
-                 "nucleus_left", "nucleus_middle", "nucleus_right", "quotient", "restriction",
-                 "sylow_subloop"),
+    "closure": ("Subloop", "associator_subloop", "center", "commutant", "commutative_nilpotency_class",
+                "commutator_subloop", "generate_subloop", "nucleus", "nucleus_left", "nucleus_middle",
+                "nucleus_right"),
+    "subloops": ("hall_3prime_subgroup", "is_normal", "quotient", "restriction", "sylow_subloop"),
     "innermaps": ("cycles_str", "inner_l", "inner_r", "inner_t", "is_automorphic", "is_automorphism",
                   "is_left_automorphic", "inner_map_witness", "perm_from_cycles"),
     "halfmorph": ("GGTriple", "HalfClass", "HalfEnumeration", "HalfKind", "HalfMap", "SearchStats",
                   "TheoremReport", "classify", "d_set", "enumerate_half_automorphisms", "find_gg_triples",
                   "half_maps_form_group_check", "induced_on_quotient", "is_semi_isomorphism",
                   "make_half_map", "verify_main_theorem"),
-    "catalog": ("CatalogEntry", "builtin", "catalog_keys", "check_expected", "entries", "make_chein",
-                "make_cyclic", "make_dihedral", "make_quaternion8", "make_symmetric3", "parse_loop_file",
-                "write_loop_file"),
+    "loopfile": ("CatalogEntry", "parse_loop_file", "write_loop_file"),
+    "catalog": ("builtin", "catalog_keys", "check_expected", "entries", "make_chein", "make_cyclic",
+                "make_dihedral", "make_quaternion8", "make_symmetric3"),
 }
 
 

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from loopsmith import catalog
+from loopsmith import catalog, closure
 from loopsmith import subloops as sl
 from loopsmith.cli import analyze_table
 from loopsmith.errors import InternalCheckError, QuotientError
@@ -477,7 +477,9 @@ def test_pair_cover_closes_fewer_sets_than_the_lattice(monkeypatch, relabeled_ch
         calls.append(seed)
         return _close(L, seed, closed)
 
-    monkeypatch.setattr(sl, "_close", counting)
+    # the pair cover closes through closure's binding, the lattice through subloops'
+    for module in (closure, sl):
+        monkeypatch.setattr(module, "_close", counting)
     assert LoopTable(rows).is_diassociative()
     cover = len(calls)
     two_generated(LoopTable(rows))
@@ -494,7 +496,9 @@ def test_each_lattice_set_is_rechecked_once(monkeypatch):
         checked.append(tuple(elements))
         return is_closed(L, elements)
 
-    monkeypatch.setattr(sl, "is_closed", counting)
+    # the lattice checks through closure._make_subloop, restriction through subloops
+    for module in (closure, sl):
+        monkeypatch.setattr(module, "is_closed", counting)
     sets = three_generated(t)
     assert sorted(checked) == list(sets)
     three_generated(t)
@@ -503,7 +507,7 @@ def test_each_lattice_set_is_rechecked_once(monkeypatch):
 
 
 def test_lattice_raises_when_a_closure_fails_its_recheck(monkeypatch):
-    monkeypatch.setattr(sl, "is_closed", lambda L, elements: False)
+    monkeypatch.setattr(closure, "is_closed", lambda L, elements: False)
     with pytest.raises(InternalCheckError):
         two_generated(catalog.make_cyclic(4))
 

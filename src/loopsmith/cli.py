@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Commands: validate, analyze, halfautos, checktheorem.  Inputs are .loop
-files; a bare catalog key (like Q1 or Z6) is accepted wherever a path
-does not exist on disk.  Exit codes: 0 success, 1 a property or theorem
+Commands: validate, analyze, halfautos, checktheorem; COMMANDS lays out
+their inputs and options, parse_args reads a command line against it,
+and ``loopsmith --help`` prints the synopsis.  Inputs are .loop files; a
+bare catalog key (like Q1 or Z6) is accepted wherever a path does not
+exist on disk.  Exit codes: 0 success, 1 a property or theorem
 failed, 2 unreadable input or bad usage, 3 an internal self-check failed
 or an unexpected ValueError escaped (a bug or corrupted state, not a
 property of the input), 141 standard output was closed before all of it
@@ -12,46 +14,30 @@ was written, as when ``loopsmith halfautos Q1 | head -1`` stops reading
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
-from .errors import InternalCheckError, LoopError, LoopFileError
-from .loopfile import parse_loop_file
+from .errors import (EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_PIPE, EXIT_PROPERTY, InternalCheckError,
+                     LoopError, LoopFileError)
+from .loopfile import load_loop
 
 # Module boundaries follow the commands, because every run compiles the
-# modules it imports (README, "Start-up").  Each command imports the other
-# modules it runs where it runs them: validate on a file loads none of
-# them, analyze without the census loads closure and innermaps, and
-# catalog loads only for a catalog key or --catalog.  tests/test_records.py
-# pins each command's module set.
+# modules it imports (README, "Start-up").  validate and analyze live here;
+# halfautos and checktheorem live in halfcli, which main imports for those
+# two only, and which imports nothing from this module.  Each command imports
+# the other modules it runs where it runs them: validate on a file loads
+# none of them, analyze without the census loads closure and innermaps, and
+# catalog loads only for a name that could be a catalog key, or --catalog.
+# The parser below is a table rather than argparse, which imports gettext
+# and locale and builds a parser for every command on each run.
+# tests/test_records.py pins each command's module set.
 #
 # validate is unused here; it stays bound because the benchmark's test of
 # its tracer (loopbench/test_loopbench.py) checks that this binding is wrapped
 from .table import validate  # noqa: F401
-
-EXIT_OK = 0
-EXIT_PROPERTY = 1
-EXIT_INPUT = 2
-EXIT_INTERNAL = 3
-EXIT_PIPE = 141
-
-
-def _load(path, normalize=False):
-    """Read a .loop file, or fall back to a catalog key."""
-    if not os.path.exists(path):
-        from . import catalog as cat
-
-        if path in cat.catalog_keys():
-            return cat.builtin(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise LoopFileError("cannot read %s: %s" % (path, exc)) from exc
-    return parse_loop_file(text, normalize=normalize)
 
 
 # -- analyze ----------------------------------------------------------
@@ -138,7 +124,7 @@ def cmd_validate(args) -> int:
     status = EXIT_OK
     for path in args.paths:
         try:
-            entry = _load(path, normalize=args.normalize)
+            entry = load_loop(path, normalize=args.normalize)
         except LoopFileError as exc:
             if exc.stage == "table":
                 print("%s: INVALID: %s" % (path, exc))
@@ -169,7 +155,7 @@ def cmd_analyze(args) -> int:
     reports = []
     for path in args.paths:
         try:
-            entry = _load(path, normalize=args.normalize)
+            entry = load_loop(path, normalize=args.normalize)
         except LoopFileError as exc:
             print("%s: %s" % (path, exc), file=sys.stderr)
             return EXIT_PROPERTY if exc.stage == "table" else EXIT_INPUT
@@ -186,179 +172,141 @@ def cmd_analyze(args) -> int:
     return status
 
 
-def cmd_halfautos(args) -> int:
-    from .halfmorph import (HalfKind, classify, enumerate_half_automorphisms,
-                            half_maps_form_group_check, orbit_maps, weighted_maps)
+# -- the command line -----------------------------------------------
 
-    if args.limit is not None and args.limit < 1:
-        print("--limit must be at least 1, got %d" % args.limit, file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        entry = _load(args.path, normalize=args.normalize)
-    except LoopFileError as exc:
-        print("%s: %s" % (args.path, exc), file=sys.stderr)
-        return EXIT_PROPERTY if exc.stage == "table" else EXIT_INPUT
-    enum = enumerate_half_automorphisms(entry.table, limit=args.limit)
-    census = {kind.value: 0 for kind in HalfKind}
-    listing = []
-    # the kind and witnesses read only the masks, which alpha o s shares with s
-    for s, alphas in weighted_maps(enum):
-        cls = classify(s)
-        census[cls.kind.value] += 1 + len(alphas)
-        listing += [{
-            "cycles": m.cycles(),
-            "images": m.images,
-            "kind": cls.kind.value,
-            "witness_hom": cls.witness_hom,
-            "witness_anti": cls.witness_anti,
-        } for m in orbit_maps(s, alphas)]
-    listing.sort(key=lambda item: item["images"])
-    group_ok = None
-    if enum.complete:
-        group_ok = half_maps_form_group_check(entry.table, enum)
-    if args.json:
-        print(json.dumps({
-            "name": entry.key,
-            "order": entry.table.order,
-            "complete": enum.complete,
-            "total": len(enum.maps),
-            "census": dict(sorted(census.items())),
-            "group_closed": group_ok,
-            "maps": listing,
-        }, sort_keys=True, indent=2))
-    else:
-        for item in listing:
-            extra = ""
-            if item["witness_hom"] or item["witness_anti"]:
-                extra = "  witness_hom=%s witness_anti=%s" % (item["witness_hom"], item["witness_anti"])
-            print("%-24s %-17s%s" % (item["cycles"], item["kind"], extra))
-        if enum.complete:
-            print("total=%d iso=%d anti=%d both=%d proper=%d" % (
-                len(enum.maps), census["isomorphism"], census["anti-isomorphism"],
-                census["both"], census["proper-half"]))
-            print("closed under composition and inverse: %s" % ("yes" if group_ok else "NO"))
+# command -> (name of its inputs, least and most count of inputs, None for
+# no bound; its flags; its options that take an integer N, with defaults)
+COMMANDS = {
+    "validate": ("paths", 1, None, ("--normalize", "--json"), {}),
+    "analyze": ("paths", 1, None, ("--normalize", "--json"), {"--max-half-order": 20}),
+    "halfautos": ("path", 1, 1, ("--normalize", "--json"), {"--limit": None}),
+    "checktheorem": ("paths", 0, None, ("--catalog", "--normalize", "--json"), {"--max-half-order": 20}),
+}
+
+HELP = """
+Analyze finite loop tables and their half-morphisms.  PATH is a .loop
+file, or a catalog key such as Q1 where no such file exists.  Options go
+before or after the paths, as --opt N or --opt=N; a long option may be
+shortened to a prefix that names only it, and -- ends the options.
+
+commands:
+  validate       check that files hold loop tables
+  analyze        full structural report
+  halfautos      enumerate the half-morphisms of one loop
+  checktheorem   run the theorem driver and all identity suites, on the
+                 paths or on every built-in loop (--catalog), not both
+
+options:
+  --normalize          relabel a table whose identity is not element 1
+  --json               print JSON
+  --max-half-order N   skip the half-morphism census above order N (default 20)
+  --limit N            stop after the first N maps the search finds, and
+                       mark the run incomplete
+  --catalog            run over every built-in loop"""
+
+
+class UsageError(Exception):
+    """The command line does not fit COMMANDS."""
+
+
+def usage() -> str:
+    """The synopsis of every command, as --help and usage errors print it."""
+    lines = []
+    for command, (_, least, most, flags, values) in COMMANDS.items():
+        words = ["loopsmith", command] + ["[%s]" % f for f in flags] + ["[%s N]" % o for o in values]
+        words.append("PATH" if most == 1 else "PATH..." if least else "[PATH...]")
+        lines.append(" ".join(words))
+    lines.append("loopsmith -h | --help")
+    return "usage: " + "\n       ".join(lines)
+
+
+def _attr(option) -> str:
+    return option[2:].replace("-", "_")
+
+
+def _is_option(word) -> bool:
+    # "-" and negative numbers, as in --limit -1, are values
+    return word.startswith("-") and len(word) > 1 and not word[1].isdigit()
+
+
+def _option(word, options):
+    """The option that word names: itself, or the one option it begins."""
+    if word in options:
+        return word
+    found = [o for o in options if len(word) > 2 and word.startswith("--") and o.startswith(word)]
+    if len(found) != 1:
+        raise UsageError("unknown option %s" % word)
+    return found[0]
+
+
+def parse_args(argv):
+    """The command and its arguments read from argv against COMMANDS, as a
+    namespace with one attribute per input and option; None for -h or
+    --help.  Raises UsageError for a command line that does not fit."""
+    if not argv:
+        raise UsageError("no command given")
+    command, *rest = argv
+    if _is_option(command):
+        _option(command, ("-h", "--help"))  # any other option is an error here
+        return None
+    if command not in COMMANDS:
+        raise UsageError("unknown command %r (choose from %s)" % (command, ", ".join(COMMANDS)))
+    inputs_name, least, most, flags, values = COMMANDS[command]
+    args = SimpleNamespace(command=command, **{_attr(f): False for f in flags},
+                           **{_attr(o): default for o, default in values.items()})
+    options = flags + tuple(values) + ("-h", "--help")
+    inputs = []
+    words = iter(rest)
+    for word in words:
+        if word == "--":
+            inputs += words  # the rest, options or not
+        elif not _is_option(word):
+            inputs.append(word)
         else:
-            print("stopped at limit %d: enumeration incomplete, census withheld" % args.limit)
-    if group_ok is False:
-        return EXIT_PROPERTY
-    return EXIT_OK
-
-
-def cmd_checktheorem(args) -> int:
-    from .halfmorph import HalfKind, verify_main_theorem
-    from .innermaps import is_automorphic
-    from .suites import run_theorem_suites
-
-    status = EXIT_OK
-    if args.catalog == bool(args.paths):
-        print("checktheorem needs paths or --catalog, not both", file=sys.stderr)
-        return EXIT_INPUT
-    if args.catalog:
-        from . import catalog as cat
-
-        named = [(e.key, e.table) for e in cat.entries()]
-    else:
-        named = []
-        for path in args.paths:
+            name, given, value = word.partition("=")
+            name = _option(name, options)
+            if name in ("-h", "--help"):
+                return None
+            if name in flags:
+                if given:
+                    raise UsageError("%s takes no value" % name)
+                setattr(args, _attr(name), True)
+                continue
+            if not given:
+                value = next(words, None)
+                if value is None or _is_option(value):
+                    raise UsageError("%s needs a value" % name)
             try:
-                entry = _load(path, normalize=args.normalize)
-            except LoopFileError as exc:
-                print("%s: %s" % (path, exc), file=sys.stderr)
-                if exc.stage == "table":
-                    # a corrupt table is a failed property, not a bad invocation
-                    status = max(status, EXIT_PROPERTY)
-                    continue
-                return EXIT_INPUT
-            named.append((entry.key, entry.table))
-    reports = [verify_main_theorem(t, name=name) if t.order <= args.max_half_order else None
-               for name, t in named]
-    results = run_theorem_suites(named, max_order=args.max_half_order)
-    failed = any(r.violations for r in results)
-    if failed:
-        status = max(status, EXIT_PROPERTY)
-    if args.json:
-        print(json.dumps({
-            "loops": [
-                {
-                    "name": name,
-                    "order": t.order,
-                    "moufang": t.is_moufang(),
-                    "automorphic": is_automorphic(t),
-                    "hypotheses_hold": r.hypotheses_hold if r else None,
-                    "proper_half_maps": r.census[HalfKind.PROPER_HALF] if r else None,
-                    "enumerated": r is not None,
-                }
-                for (name, t), r in zip(named, reports)
-            ],
-            "suites": [
-                {
-                    "name": s.name,
-                    "hypotheses": s.hypothesis_count,
-                    "checks": s.check_count,
-                    "violations": s.violations,
-                    "notes": s.notes,
-                }
-                for s in results
-            ],
-            "ok": not failed,
-        }, sort_keys=True, indent=2))
-    else:
-        for (name, t), r in zip(named, reports):
-            if r is None:
-                print("%s (order %d): enumeration skipped (above threshold)" % (name, t.order))
-            else:
-                print(r.summary())
-        for s in results:
-            print(s.line())
-        print("theorem check: %s" % ("FAIL" if failed else "ok"))
-    return status
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="loopsmith",
-        description="Analyze finite loop tables and their half-morphisms.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check that files hold loop tables")
-    p.add_argument("paths", nargs="+")
-    p.add_argument("--normalize", action="store_true", help="relabel when the identity is not element 1")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("analyze", help="full structural report")
-    p.add_argument("paths", nargs="+")
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--max-half-order", type=int, default=20, metavar="N",
-                   help="skip the half-morphism census above this order (default 20)")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("halfautos", help="enumerate half-morphisms of one loop")
-    p.add_argument("path")
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--limit", type=int, default=None, metavar="N",
-                   help="stop after the first N maps the search finds (marks the run "
-                        "incomplete); once N exceeds the search's first subtree, which maps "
-                        "come first can change with the search")
-    p.set_defaults(func=cmd_halfautos)
-
-    p = sub.add_parser("checktheorem", help="run the theorem driver and all identity suites")
-    p.add_argument("paths", nargs="*")
-    p.add_argument("--catalog", action="store_true", help="run over every built-in loop")
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--max-half-order", type=int, default=20, metavar="N")
-    p.set_defaults(func=cmd_checktheorem)
-    return parser
+                setattr(args, _attr(name), int(value))
+            except ValueError:
+                raise UsageError("%s takes an integer, got %r" % (name, value)) from None
+    if len(inputs) < least:
+        raise UsageError("%s needs %s" % (command, "a path" if most == 1 else "at least one path"))
+    if most is not None and len(inputs) > most:
+        raise UsageError("%s takes one path, got %d" % (command, len(inputs)))
+    setattr(args, inputs_name, inputs[0] if most == 1 else inputs)
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print("%s\nloopsmith: error: %s" % (usage(), exc), file=sys.stderr)
+        return EXIT_INPUT
+    if args is None:
+        print(usage() + "\n" + HELP)
+        return EXIT_OK
+    if args.command == "validate":
+        run = cmd_validate
+    elif args.command == "analyze":
+        run = cmd_analyze
+    else:
+        from . import halfcli
+
+        run = getattr(halfcli, "cmd_" + args.command)
+    try:
+        return run(args)
     except (InternalCheckError, ValueError) as exc:
         # bad input is rejected up front, so a ValueError here is a bug
         print("internal error: %s" % exc, file=sys.stderr)

@@ -63,3 +63,12 @@ class TheoremViolation(LoopError):
 
 class InternalCheckError(LoopError):
     """A self-check failed; points at table corruption or an implementation bug."""
+
+
+# The CLI's exit codes (the cli module docstring says when each is used).
+# They live here so that the command modules share them without importing cli.
+EXIT_OK = 0
+EXIT_PROPERTY = 1
+EXIT_INPUT = 2
+EXIT_INTERNAL = 3
+EXIT_PIPE = 141

@@ -6,6 +6,8 @@ this module and not catalog.py for a path (README, "Start-up").
 
 from __future__ import annotations
 
+import os
+
 from .errors import LoopFileError, TableValidationError
 from .table import MAX_ORDER, LoopTable, too_large_message
 
@@ -107,6 +109,24 @@ def parse_loop_file(text, normalize=False) -> CatalogEntry:
             line=line, column=column, stage="table", report=report,
         ) from exc
     return CatalogEntry(name or "loop", table)
+
+
+def load_loop(path, normalize=False) -> CatalogEntry:
+    """Read a .loop file, or fall back to a catalog key; the catalog is
+    imported only for a name that is not a file and could be a key."""
+    # no catalog key holds a path separator or ends in .loop
+    could_be_key = not (path.endswith(".loop") or os.sep in path or (os.altsep or os.sep) in path)
+    if could_be_key and not os.path.exists(path):
+        from . import catalog as cat
+
+        if path in cat.catalog_keys():
+            return cat.builtin(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LoopFileError("cannot read %s: %s" % (path, exc)) from exc
+    return parse_loop_file(text, normalize=normalize)
 
 
 def write_loop_file(entry) -> str:

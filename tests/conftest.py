@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -24,6 +25,36 @@ def get_enum():
         return _ENUM_CACHE[name]
 
     return _get
+
+
+@pytest.fixture(scope="session")
+def brute_force_half_maps():
+    """The images of every half-automorphism of a loop, found by trying
+    each bijection that fixes 1 on every pair: the reference the
+    enumerator is compared with on small loops."""
+
+    def _search(t):
+        n = t.order
+        rows = t.rows
+        found = set()
+        for rest in permutations(range(2, n + 1)):
+            images = (1,) + rest
+            ok = True
+            for x in range(1, n + 1):
+                ix = images[x - 1]
+                for y in range(1, n + 1):
+                    iy = images[y - 1]
+                    got = images[rows[x - 1][y - 1] - 1]
+                    if got != rows[ix - 1][iy - 1] and got != rows[iy - 1][ix - 1]:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                found.add(images)
+        return found
+
+    return _search
 
 
 @pytest.fixture(scope="session")

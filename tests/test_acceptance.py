@@ -4,7 +4,6 @@ line with its headline numbers and, where bounded, its runtime."""
 from __future__ import annotations
 
 import time
-from itertools import permutations
 
 from loopsmith import catalog
 from loopsmith.halfmorph import (
@@ -139,29 +138,7 @@ def test_criterion_03_trivial_on_groups_and_automorphic_moufang(capsys, get_enum
             % (len(targets), maps_seen, elapsed))
 
 
-def _brute_force_half_maps(t):
-    n = t.order
-    rows = t.rows
-    found = set()
-    for rest in permutations(range(2, n + 1)):
-        images = (1,) + rest
-        ok = True
-        for x in range(1, n + 1):
-            ix = images[x - 1]
-            for y in range(1, n + 1):
-                iy = images[y - 1]
-                got = images[rows[x - 1][y - 1] - 1]
-                if got != rows[ix - 1][iy - 1] and got != rows[iy - 1][ix - 1]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.add(images)
-    return found
-
-
-def test_criterion_04_enumerator_equals_brute_force(capsys, get_enum):
+def test_criterion_04_enumerator_equals_brute_force(capsys, get_enum, brute_force_half_maps):
     t0 = time.perf_counter()
     problems = []
     checked = 0
@@ -172,7 +149,7 @@ def test_criterion_04_enumerator_equals_brute_force(capsys, get_enum):
         checked += 1
         enum = get_enum(entry.key, t)
         pruned = {m.images for m in enum.maps}
-        brute = _brute_force_half_maps(t)
+        brute = brute_force_half_maps(t)
         if pruned != brute:
             problems.append("%s: pruned %d maps, brute force %d"
                             % (entry.key, len(pruned), len(brute)))

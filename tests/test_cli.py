@@ -567,3 +567,78 @@ def test_a_closed_pipe_ends_the_run_quietly_with_its_own_exit_code():
     assert first.startswith(b"(")
     assert stderr == ""
     assert code == cli.EXIT_PIPE
+
+
+# -- reading the command line -------------------------------------------
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "no command given"),
+    (["bogus", "Q2"], "unknown command 'bogus' (choose from validate, analyze, halfautos, checktheorem)"),
+    (["--json", "analyze", "Q2"], "unknown option --json"),
+    (["analyze", "--bogus", "Q2"], "unknown option --bogus"),
+    (["analyze", "-x", "Q2"], "unknown option -x"),
+    (["halfautos", "Q2", "--limit"], "--limit needs a value"),
+    (["halfautos", "--limit", "--json", "Q2"], "--limit needs a value"),
+    (["halfautos", "--limit", "x", "Q2"], "--limit takes an integer, got 'x'"),
+    (["halfautos", "--limit=", "Q2"], "--limit takes an integer, got ''"),
+    (["analyze", "--json=yes", "Q2"], "--json takes no value"),
+    (["halfautos"], "halfautos needs a path"),
+    (["halfautos", "Q1", "Q2"], "halfautos takes one path, got 2"),
+    (["validate"], "validate needs at least one path"),
+    (["analyze", "--json"], "analyze needs at least one path"),
+])
+def test_a_usage_error_prints_the_usage_and_the_error_and_exits_2(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == cli.usage() + "\nloopsmith: error: " + message + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["--he"], ["analyze", "-h"], ["halfautos", "Q2", "--help"], ["checktheorem", "--h"],
+])
+def test_help_prints_the_usage_to_stdout_and_exits_0(argv, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cli.usage() + "\n" + cli.HELP + "\n"
+    assert captured.out.startswith("usage: loopsmith validate [--normalize] [--json] PATH...\n")
+    assert captured.err == ""
+
+
+def test_readme_shows_the_synopsis_that_help_prints():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert "```\n%s\n```" % cli.usage() in readme
+
+
+@pytest.mark.parametrize("argv", [
+    ["checktheorem", "--json", "--max-half-order", "5", "S3"],
+    ["checktheorem", "--json", "--max-half-order=5", "S3"],
+    ["checktheorem", "--json", "--max", "5", "S3"],
+    ["checktheorem", "S3", "--max-h=5", "--j"],
+    ["checktheorem", "S3", "--max-half-order", "9", "--json", "--max-half-order", "5"],
+])
+def test_an_option_reads_the_same_in_every_spelling_and_place(argv, capsys):
+    """--opt N, --opt=N and an unambiguous prefix are one option, before or
+    after the paths, and a repeated option keeps its last value."""
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["loops"] == [{
+        "name": "S3", "order": 6, "enumerated": False, "hypotheses_hold": None,
+        "proper_half_maps": None, "moufang": True, "automorphic": True}]
+
+
+def test_a_negative_limit_reaches_the_limit_check(capsys):
+    for argv in (["halfautos", "--limit", "-1", "Q2"], ["halfautos", "Q2", "--limit=-1"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--limit must be at least 1, got -1\n"
+
+
+def test_a_double_dash_ends_the_options(capsys):
+    assert main(["validate", "--", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("--json: unreadable: cannot read --json:")
+    assert captured.err == ""

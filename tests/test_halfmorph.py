@@ -345,7 +345,7 @@ def test_search_cost_does_not_depend_on_the_labels(chein):
     assert max(nodes) < 2 * min(nodes)
 
 
-def test_search_counters(q2_enum, q1_enum, chein12, get_enum):
+def test_search_counters(q2_enum, q1_enum, chein12, get_enum, brute_force_half_maps):
     """Counters are deterministic, so they pin down the pruning and the
     orbit search.  The first order-6 loop has a half-map besides the
     identity, both with the same image of the first generator.  On the
@@ -370,7 +370,7 @@ def test_search_counters(q2_enum, q1_enum, chein12, get_enum):
         L = LoopTable(rows)
         assert not L.is_associative()
         enum = enumerate_half_automorphisms(L)
-        assert {m.images for m in enum.maps} == _brute_force_half_maps(L)
+        assert {m.images for m in enum.maps} == brute_force_half_maps(L)
         assert len(enum.maps) == maps
         assert enum.stats == stats
     stats = q1_enum.stats
@@ -754,32 +754,10 @@ def test_trivial_maps_match_an_independent_search(key, chein, get_enum):
     assert kinds[HalfKind.ANTI_ISOMORPHISM] | both == _generated_automorphisms(t, anti=True)
 
 
-def _brute_force_half_maps(t):
-    n = t.order
-    rows = t.rows
-    found = set()
-    for rest in permutations(range(2, n + 1)):
-        images = (1,) + rest
-        ok = True
-        for x in range(1, n + 1):
-            ix = images[x - 1]
-            for y in range(1, n + 1):
-                iy = images[y - 1]
-                got = images[rows[x - 1][y - 1] - 1]
-                if got != rows[ix - 1][iy - 1] and got != rows[iy - 1][ix - 1]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.add(images)
-    return found
-
-
-def test_enumerator_matches_brute_force_on_z5():
+def test_enumerator_matches_brute_force_on_z5(brute_force_half_maps):
     z5 = catalog.make_cyclic(5)
     enum = enumerate_half_automorphisms(z5)
-    assert {m.images for m in enum.maps} == _brute_force_half_maps(z5)
+    assert {m.images for m in enum.maps} == brute_force_half_maps(z5)
 
 
 def test_half_maps_form_group(q2, q2_enum, s3, get_enum):

@@ -4,6 +4,7 @@ records keep without dataclasses."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -35,39 +36,65 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     assert out.strip() == "[]"
 
 
-def _modules_loaded_by(argv):
+def _modules_loaded_by(argv, code):
     """The loopsmith submodules that running the CLI on argv imports, in a
-    fresh interpreter."""
+    fresh interpreter, after checking that it exits with code and loads
+    none of the modules that argparse brings in."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    script = ("import json, sys\n"
+    script = ("import contextlib, io, json, sys\n"
               "from loopsmith.cli import main\n"
-              "assert main(%r) == 0\n"
-              "print(json.dumps([m for m in sys.modules if m.startswith('loopsmith.')]))\n" % (argv,))
+              "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+              "    assert main(%r) == %d\n"
+              "assert not {'argparse', 'gettext', 'locale'} & set(sys.modules)\n"
+              "print(json.dumps([m for m in sys.modules if m.startswith('loopsmith.')]))\n" % (argv, code))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                          check=True).stdout
     return set(json.loads(out.splitlines()[-1]))
 
 
 # the loopsmith modules each command loads: a path needs loopfile and not
-# catalog, and analyze without the census needs closure and not subloops
+# catalog, analyze without the census needs closure and not subloops, and
+# only halfautos and checktheorem load halfcli
 VALIDATE = {"cli", "errors", "loopfile", "table"}
 ANALYZE = VALIDATE | {"closure", "innermaps"}
 CENSUS = ANALYZE | {"catalog", "halfmorph", "subloops"}
 
 
-@pytest.mark.parametrize("argv, modules", [
-    (["validate", "--json", "FILE"], VALIDATE),
-    (["analyze", "--json", "FILE"], ANALYZE),
-    (["analyze", "--json", "Q2"], CENSUS),
-    (["checktheorem", "--json", "Q2"], CENSUS | {"suites"}),
-], ids=["validate-file", "analyze-file", "analyze-key", "checktheorem-key"])
-def test_each_command_loads_exactly_its_modules(tmp_path, argv, modules):
+@pytest.mark.parametrize("argv, code, modules", [
+    (["validate", "--json", "FILE"], 0, VALIDATE),
+    (["analyze", "--json", "FILE"], 0, ANALYZE),
+    (["analyze", "--json", "Q2"], 0, CENSUS),
+    (["checktheorem", "--json", "Q2"], 0, CENSUS | {"suites", "halfcli"}),
+    (["halfautos", "--json", "Q2"], 0, CENSUS | {"halfcli"}),
+    # a name that cannot be a catalog key does not load the catalog
+    (["analyze", "nosuch.loop"], 2, VALIDATE),
+    (["--help"], 0, VALIDATE),
+    (["analyze", "--bogus", "Q2"], 2, VALIDATE),
+], ids=["validate-file", "analyze-file", "analyze-key", "checktheorem-key", "halfautos-key",
+        "analyze-missing-file", "help", "usage-error"])
+def test_each_command_loads_exactly_its_modules(tmp_path, argv, code, modules):
     path = tmp_path / "m16.loop"
     table = catalog.make_chein(catalog.make_dihedral(16))
     assert table.order == 32  # above --max-half-order, so analyze skips the census
     path.write_text(catalog.write_loop_file(table), encoding="utf-8")
-    loaded = _modules_loaded_by([str(path) if arg == "FILE" else arg for arg in argv])
+    loaded = _modules_loaded_by([str(path) if arg == "FILE" else arg for arg in argv], code)
     assert loaded == {"loopsmith." + name for name in modules}
+
+
+def test_no_module_of_the_package_imports_the_cli():
+    """Under ``python -m loopsmith.cli`` the cli runs as __main__, so a
+    module that imported loopsmith.cli would compile it a second time."""
+    for path in sorted((SRC / "loopsmith").glob("*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                # the package is flat, so a relative import has level 1
+                module = ".".join(filter(None, ["loopsmith" if node.level else None, node.module]))
+                imported.add(module)
+                imported.update(module + "." + alias.name for alias in node.names)
+        assert "loopsmith.cli" not in imported, path.name
 
 
 # the package's names, by the submodule that defines them

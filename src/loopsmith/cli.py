@@ -10,6 +10,11 @@ or an unexpected ValueError escaped (a bug or corrupted state, not a
 property of the input), 141 standard output was closed before all of it
 was written, as when ``loopsmith halfautos Q1 | head -1`` stops reading
 (128 plus SIGPIPE, what a shell reports for a program that signal ends).
+
+main returns the exit code and never ends the process, so it can run in
+process.  console_main, the entry point of ``loopsmith`` and ``python -m
+loopsmith.cli``, flushes stdout and stderr and then ends the process with
+os._exit, without interpreter teardown; atexit handlers do not run.
 """
 
 from __future__ import annotations
@@ -317,15 +322,17 @@ def main(argv=None) -> int:
 
 
 def console_main():
+    """The one place where a run ends.  os._exit skips interpreter teardown,
+    which frees every module, memo and table (README, "Start-up"); nothing
+    flushes stdout or stderr after it, so they are flushed here."""
     try:
         status = main()
-        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        sys.stdout.flush()  # a closed pipe shows here
     except BrokenPipeError:
-        # Python's documented recipe: point stdout at devnull, so that the
-        # flush at exit does not fail a second time
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # what stdout still buffers is dropped by os._exit, not flushed again
         status = EXIT_PIPE
-    sys.exit(status)
+    sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":

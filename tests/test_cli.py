@@ -569,6 +569,36 @@ def test_a_closed_pipe_ends_the_run_quietly_with_its_own_exit_code():
     assert code == cli.EXIT_PIPE
 
 
+@pytest.mark.parametrize("argv, code, stderr_part", [
+    (["checktheorem", "--json", "Q2"], 0, ""),
+    (["analyze", "--bogus", "Q2"], 2, "\nloopsmith: error: unknown option --bogus\n"),
+    (["analyze", "bad.loop"], 1, "bad.loop: "),
+])
+def test_a_run_ended_without_teardown_writes_all_its_output(argv, code, stderr_part, loopfiles, tmp_path, capsys):
+    """The process ends by os._exit, which flushes nothing, so the CLI
+    flushes first: what reaches regular files, which Python block-buffers,
+    is all that main prints in process."""
+    argv = [loopfiles.get(word, word) for word in argv]
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    out_path, err_path = tmp_path / "stdout", tmp_path / "stderr"
+    with open(out_path, "wb") as out, open(err_path, "wb") as err:
+        proc = subprocess.run([sys.executable, "-m", "loopsmith.cli"] + argv, env=env, stdout=out, stderr=err,
+                              timeout=120)
+    assert proc.returncode == code
+    assert out_path.read_text(encoding="utf-8") == expected.out
+    assert err_path.read_text(encoding="utf-8") == expected.err
+    assert stderr_part in expected.err
+    if code == 0:
+        assert expected.err == "" and json.loads(expected.out)["ok"] is True
+    else:
+        assert expected.out == ""
+    if code == 2:
+        assert expected.err.startswith(cli.usage() + "\n")
+
+
 # -- reading the command line -------------------------------------------
 
 

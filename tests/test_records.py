@@ -97,6 +97,33 @@ def test_no_module_of_the_package_imports_the_cli():
         assert "loopsmith.cli" not in imported, path.name
 
 
+# the names that end the process: os._exit, sys.exit, the exit and quit
+# builtins, and SystemExit, which sys.exit raises
+ENDS_THE_PROCESS = {("os", "_exit"), ("sys", "exit"), (None, "exit"), (None, "quit"), (None, "SystemExit")}
+
+
+def _ends_the_process(node):
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return (node.value.id, node.attr) in ENDS_THE_PROCESS
+    if isinstance(node, ast.Name):
+        return (None, node.id) in ENDS_THE_PROCESS
+    if isinstance(node, ast.ImportFrom):
+        return any((node.module, alias.name) in ENDS_THE_PROCESS for alias in node.names)
+    return False
+
+
+def test_only_console_main_ends_the_process():
+    """main and every command return their code, so loopbench/inproc.py and
+    the tests can run them in process; console_main alone ends the run."""
+    places = []
+    for path in sorted((SRC / "loopsmith").glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(statement, "name", None)  # the top-level function or class, if any
+            places += [(path.stem, owner, ast.unparse(node)) for node in ast.walk(statement)
+                       if _ends_the_process(node)]
+    assert places == [("cli", "console_main", "os._exit")]
+
+
 # the package's names, by the submodule that defines them
 PACKAGE_NAMES = {
     "errors": ("HalfMapError", "InternalCheckError", "LoopError", "LoopFileError", "QuotientError",

@@ -29,7 +29,8 @@ _EXPORTS = {
         "half_maps_form_group_check", "induced_on_quotient", "is_semi_isomorphism", "make_half_map",
         "verify_main_theorem",
     ),
-    "loopfile": ("CatalogEntry", "parse_loop_file", "write_loop_file"),
+    "loopfile": ("CatalogEntry",),
+    "loopformat": ("parse_loop_file", "write_loop_file"),
     "catalog": (
         "builtin", "catalog_keys", "check_expected", "entries", "make_chein", "make_cyclic",
         "make_dihedral", "make_quaternion8", "make_symmetric3",

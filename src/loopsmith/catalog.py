@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-# the .loop format lives in loopfile; its names stay bound here, where the
-# benchmark's workloads and tracer look them up
-from .loopfile import CatalogEntry, parse_loop_file, write_loop_file  # noqa: F401
+from .loopfile import CatalogEntry
 from .table import LoopTable
 # validate is unused here; it stays bound because the benchmark's test of
 # its tracer (loopbench/test_loopbench.py) checks that this binding is wrapped
@@ -56,6 +54,18 @@ Q1_HALF_MAP = tuple(8 if x == 5 else 5 if x == 8 else x for x in range(1, 17))
 Q2_HALF_MAP = (1, 2, 5, 6, 3, 4, 8, 7)
 
 PROVENANCE_TAGS = ("external", "trivial", "derived")
+
+
+def __getattr__(name):
+    """parse_loop_file and write_loop_file, the .loop reader and writer,
+    loaded on first use (PEP 562): they live in loopformat, which a run on
+    catalog keys does not compile, and stay bound here, where the
+    benchmark's workloads and tracer look them up."""
+    if name in ("parse_loop_file", "write_loop_file"):
+        from . import loopformat
+
+        return getattr(loopformat, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 # -- constructors ------------------------------------------------------

@@ -18,8 +18,8 @@ so that analyze does not compile them (README, "Start-up").
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import eq
-from typing import NamedTuple
 
 from .errors import InternalCheckError
 from .innermaps import bracketings, column_bytes, product_bytes
@@ -117,13 +117,12 @@ def commutator_subloop(L) -> Subloop:
     return _make_subloop(L, _close(L, {c for row in L.commutators() for c in row}))
 
 
-class Association(NamedTuple):
-    """The elements of the triples (x, y, z) with x*(y*z) != (x*y)*z."""
+class Association(namedtuple("Association", "first second third values")):
+    """The elements of the triples (x, y, z) with x*(y*z) != (x*y)*z, as
+    sets: first holds every x of such a triple, second every y, third
+    every z, and values every associator (x*(y*z)) \\ ((x*y)*z)."""
 
-    first: set   # every x of such a triple
-    second: set  # every y
-    third: set   # every z
-    values: set  # every associator (x*(y*z)) \ ((x*y)*z)
+    __slots__ = ()
 
 
 @memoized

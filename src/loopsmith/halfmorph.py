@@ -20,11 +20,11 @@ one translate turns each byte into the pair's digit.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 from math import inf, prod
 from operator import attrgetter
-from typing import NamedTuple
 
 from .errors import HalfMapError, InternalCheckError, TheoremViolation
 from .innermaps import (_agreement, _preserves_products, _sandwiches, check_bijection, column_bytes,
@@ -45,15 +45,16 @@ class HalfMap:
     domain, codomain and images; treat them as immutable.
     """
 
-    __slots__ = ("domain", "codomain", "images", "hom", "anti")
+    __slots__ = ("domain", "codomain", "images", "hom", "anti", "_image_bytes")
 
     def __init__(self, domain: LoopTable, codomain: LoopTable, images: tuple,
                  hom: int | None = None, anti: int | None = None):
         self.domain = domain
         self.codomain = codomain
         self.images = images
+        self._image_bytes = None
         if hom is None or anti is None:
-            t = zero_based(images)
+            t = self.image_bytes
             got = int.from_bytes(push(product_bytes(domain).flat, t), "big")
             hom = _agreement(got, gather(product_bytes(codomain).rows, t))
             anti = _agreement(got, gather(column_bytes(codomain).rows, t))
@@ -73,6 +74,14 @@ class HalfMap:
 
     def __repr__(self):
         return "HalfMap(domain=%r, codomain=%r, images=%r)" % self._key()
+
+    @property
+    def image_bytes(self) -> bytes:
+        """The images as the 0-based bytes that gather and push take
+        (innermaps.zero_based), computed once per map."""
+        if self._image_bytes is None:
+            self._image_bytes = zero_based(self.images)
+        return self._image_bytes
 
     def apply(self, x):
         return self.images[x - 1]
@@ -95,11 +104,11 @@ def mask_pairs(mask, n):
         mask ^= low
 
 
-def pull_mask(rows, images):
+def pull_mask(rows, t):
     """The pair mask whose bit (x, y) is digits[t(x)-1][t(y)-1], for the
-    translate_rows of rows of b"0"/b"1" digits and the images of a
-    bijection t."""
-    return int(gather(rows, zero_based(images)), 2)
+    translate_rows of rows of b"0"/b"1" digits and the 0-based images t
+    of a bijection."""
+    return int(gather(rows, t), 2)
 
 
 def make_half_map(domain, codomain, images) -> HalfMap:
@@ -133,19 +142,16 @@ class HalfKind(Enum):
     PROPER_HALF = "proper-half"
 
 
-class HalfClass(NamedTuple):
-    """Per-pair census of the two laws for one half-morphism.
+class HalfClass(namedtuple("HalfClass", "kind hom_pairs anti_pairs witness_hom witness_anti")):
+    """Per-pair census of the two laws for one half-morphism: its
+    HalfKind and the number of pairs obeying each law.
 
     witness_hom is the lexicographically least pair satisfying only the
     forward law, witness_anti the least pair satisfying only the
     reversed law; each is None when no such pair exists.
     """
 
-    kind: HalfKind
-    hom_pairs: int
-    anti_pairs: int
-    witness_hom: tuple | None
-    witness_anti: tuple | None
+    __slots__ = ()
 
 
 def classify(m: HalfMap) -> HalfClass:
@@ -169,7 +175,8 @@ def classify(m: HalfMap) -> HalfClass:
 # -- exhaustive enumeration -------------------------------------------
 
 
-class SearchStats(NamedTuple):
+class SearchStats(namedtuple("SearchStats",
+                             "nodes prunes leaves rejected representatives compositions lookup_nodes")):
     """Work counters of one search.  In the subtrees searched directly:
     images tried, images the law check refused, complete assignments
     reached, and complete assignments that make_half_map refused.  Then
@@ -177,22 +184,15 @@ class SearchStats(NamedTuple):
     by composing with an automorphism, and the images tried while
     looking for those automorphisms."""
 
-    nodes: int
-    prunes: int
-    leaves: int
-    rejected: int
-    representatives: int
-    compositions: int
-    lookup_nodes: int
+    __slots__ = ()
 
 
-class HalfEnumeration(NamedTuple):
-    """Half-maps in image-tuple order.  stats is None unless the search
-    made the enumeration."""
+class HalfEnumeration(namedtuple("HalfEnumeration", "maps complete stats", defaults=(None,))):
+    """Half-maps in image-tuple order (maps, a HalfMaps) and whether they
+    are all of them (complete).  stats, a SearchStats, is None unless the
+    search made the enumeration."""
 
-    maps: HalfMaps
-    complete: bool
-    stats: SearchStats | None = None
+    __slots__ = ()
 
 
 class HalfMaps:
@@ -591,14 +591,12 @@ def is_semi_isomorphism(m: HalfMap) -> bool:
     """
     if not m.domain.is_flexible():
         raise ValueError("semi-isomorphism check needs a flexible domain")
-    t = zero_based(m.images)
+    t = m.image_bytes
     return push(_sandwiches(m.domain)[0].flat, t) == gather(_sandwiches(m.codomain)[0].rows, t)
 
 
-class GGTriple(NamedTuple):
-    x: int
-    y: int
-    z: int
+class GGTriple(namedtuple("GGTriple", "x y z")):
+    __slots__ = ()
 
 
 def find_gg_triples(m: HalfMap, limit: int | None = None) -> list:
@@ -681,19 +679,14 @@ def coset_images(m: HalfMap, domain_projection, codomain_projection) -> tuple:
 PROPER_SHOWN = 3  # proper maps a TheoremReport keeps to name
 
 
-class TheoremReport(NamedTuple):
+class TheoremReport(namedtuple("TheoremReport", "name order moufang automorphic automorphic_witness "
+                                                 "hypotheses_hold total census proper_maps", defaults=((),))):
     """The main-theorem verdict on one loop: census counts each kind, and
-    proper_maps holds at most PROPER_SHOWN proper maps found directly."""
+    proper_maps holds at most PROPER_SHOWN proper maps found directly.
+    automorphic_witness names an inner map that is not an automorphism,
+    or is None."""
 
-    name: str
-    order: int
-    moufang: bool
-    automorphic: bool
-    automorphic_witness: str | None
-    hypotheses_hold: bool
-    total: int
-    census: dict
-    proper_maps: tuple = ()
+    __slots__ = ()
 
     def summary(self) -> str:
         parts = [
@@ -711,9 +704,11 @@ class TheoremReport(NamedTuple):
         return " ".join(parts)
 
 
-class HalfCensus(NamedTuple):
-    counts: tuple          # (HalfKind, count) pairs in HalfKind order
-    proper: tuple          # the pairs (s, alphas) of weighted_maps whose s is proper
+class HalfCensus(namedtuple("HalfCensus", "counts proper")):
+    """counts holds (HalfKind, count) pairs in HalfKind order, and proper
+    the pairs (s, alphas) of weighted_maps whose s is proper."""
+
+    __slots__ = ()
 
 
 @memoized

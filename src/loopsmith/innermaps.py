@@ -12,7 +12,7 @@ read; they become tuples only at inner_l, inner_r, inner_t and a witness.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .table import memoized
 
@@ -67,12 +67,12 @@ def zero_based(images) -> bytes:
     return bytes(i - 1 for i in images)
 
 
-class ByteTable(NamedTuple):
+class ByteTable(namedtuple("ByteTable", "rows flat")):
     """A table-shaped array over 1..n, at most 256 wide, as bytes of its
-    0-based entries."""
+    0-based entries: rows holds row x-1 as a 256-byte translate table,
+    and flat every entry in gather order."""
 
-    rows: tuple   # row x-1 as a 256-byte translate table
-    flat: bytes   # every entry in gather order
+    __slots__ = ()
 
 
 def translate_rows(rows) -> tuple:

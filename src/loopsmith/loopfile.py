@@ -1,15 +1,17 @@
-""".loop files: reading, writing, and the CatalogEntry they load into.
+"""Loading a loop: from a .loop file, or from the catalog by key, into a
+CatalogEntry.
 
 Reading a file needs nothing from the built-in catalog, so the CLI loads
-this module and not catalog.py for a path (README, "Start-up").
+this module and not catalog.py for a path, and the .loop reader, in
+loopformat, only when a file is read (README, "Start-up").
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import LoopFileError, TableValidationError
-from .table import MAX_ORDER, LoopTable, too_large_message
+from .errors import LoopFileError
+from .table import LoopTable
 
 
 class CatalogEntry:
@@ -24,91 +26,6 @@ class CatalogEntry:
         self.table = table
         self.expected = {} if expected is None else expected
         self.featured_half_map = featured_half_map
-
-
-def _read_structure(text):
-    name = None
-    normalize = False
-    order = None
-    rows = []
-    row_lines = []
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if order is None and ":" in line:
-            directive, _, value = line.partition(":")
-            directive = directive.strip().lower()
-            value = value.strip()
-            if directive == "name":
-                name = value
-                continue
-            if directive == "normalize":
-                if value.lower() not in ("true", "false"):
-                    raise LoopFileError("normalize takes true or false, got %r" % value, line=lineno)
-                normalize = value.lower() == "true"
-                continue
-            raise LoopFileError("unknown directive %r" % directive, line=lineno)
-        if order is None:
-            try:
-                order = int(line)
-            except ValueError:
-                raise LoopFileError("expected the order, got %r" % line, line=lineno) from None
-            if order < 1:
-                raise LoopFileError("order must be positive, got %d" % order, line=lineno)
-            if order > MAX_ORDER:
-                raise LoopFileError(too_large_message(order), line=lineno)
-            continue
-        if len(rows) == order:
-            raise LoopFileError("extra row after %d table rows" % order, line=lineno)
-        entries_ = line.split()
-        values = []
-        for col, tok in enumerate(entries_, start=1):
-            try:
-                values.append(int(tok))
-            except ValueError:
-                raise LoopFileError("entry %r is not an integer" % tok, line=lineno, column=col) from None
-        if len(values) != order:
-            raise LoopFileError(
-                "row has %d entries, expected %d" % (len(values), order), line=lineno
-            )
-        rows.append(values)
-        row_lines.append(lineno)
-    if order is None:
-        raise LoopFileError("file contains no table")
-    if len(rows) != order:
-        raise LoopFileError("found %d table rows, expected %d" % (len(rows), order))
-    return rows, row_lines, name, normalize
-
-
-def parse_loop_file(text, normalize=False) -> CatalogEntry:
-    """Parse .loop text into a validated CatalogEntry.
-
-    Structural defects raise LoopFileError at stage "parse"; tables that
-    read fine but fail loop validation (or carry their identity away
-    from element 1 without the normalize directive) raise at stage
-    "table", pointing at the offending file line when one is known.
-    """
-    rows, row_lines, name, normalize_directive = _read_structure(text)
-    try:
-        table = LoopTable(rows, name=name, normalize=normalize or normalize_directive)
-    except TableValidationError as exc:
-        report = exc.report
-        if report.is_loop:
-            raise LoopFileError(str(exc), stage="table", report=report) from exc
-        kind, witness = report.violations[0]
-        line = column = None
-        if kind in ("row-not-latin", "bad-entry"):
-            line = row_lines[witness[0] - 1]
-            column = witness[1] if kind == "bad-entry" else witness[2]
-        elif kind == "column-not-latin":
-            line = row_lines[witness[2] - 1]
-            column = witness[0]
-        raise LoopFileError(
-            "table is not a loop: %s %r" % (kind, witness),
-            line=line, column=column, stage="table", report=report,
-        ) from exc
-    return CatalogEntry(name or "loop", table)
 
 
 def load_loop(path, normalize=False) -> CatalogEntry:
@@ -126,17 +43,6 @@ def load_loop(path, normalize=False) -> CatalogEntry:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise LoopFileError("cannot read %s: %s" % (path, exc)) from exc
+    from .loopformat import parse_loop_file
+
     return parse_loop_file(text, normalize=normalize)
-
-
-def write_loop_file(entry) -> str:
-    """Canonical .loop text: name directive, order, single-space rows."""
-    table = entry.table if isinstance(entry, CatalogEntry) else entry
-    name = entry.key if isinstance(entry, CatalogEntry) else (table.name or None)
-    lines = []
-    if name:
-        lines.append("name: %s" % name)
-    lines.append(str(table.order))
-    for row in table.rows:
-        lines.append(" ".join(map(str, row)))
-    return "\n".join(lines) + "\n"

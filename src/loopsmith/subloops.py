@@ -22,7 +22,7 @@ generates with H.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .closure import (  # noqa: F401
     Subloop, _close, _make_subloop, associator_subloop, center, commutant, commutative_nilpotency_class,
@@ -109,9 +109,10 @@ def is_normal(L, H) -> bool:
     return not any(p.translate(None, over) for _, _, _, p in inner_maps(L, over))
 
 
-class Quotient(NamedTuple):
-    table: LoopTable
-    projection: tuple  # projection[x-1] = coset index of x
+class Quotient(namedtuple("Quotient", "table projection")):
+    """The factor table, and projection[x-1], the coset index of x."""
+
+    __slots__ = ()
 
 
 def quotient(L, H) -> Quotient:
@@ -207,9 +208,11 @@ def restriction(L, elements, name=None):
 # -- Sylow-style searches ---------------------------------------------
 
 
-class SubloopSearch(NamedTuple):
-    subloop: Subloop | None  # present only when a subloop of the target order was found
-    target: int              # the order searched for
+class SubloopSearch(namedtuple("SubloopSearch", "subloop target")):
+    """The order searched for, target, and the Subloop found, or None
+    when there is no subloop of that order."""
+
+    __slots__ = ()
 
 
 def _p_part(n, p):

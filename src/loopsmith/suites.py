@@ -28,6 +28,7 @@ from .halfmorph import (
     weighted_maps,
 )
 from .innermaps import bracketings, is_automorphic, is_left_automorphic, product_bytes, translate_rows
+from .table import memoized
 
 
 class SuiteResult:
@@ -358,12 +359,16 @@ def suite_odd_order_trivial(inputs, max_order=None) -> SuiteResult:
     return res
 
 
-def _induced_kind(A, q):
-    """The per-map function of the two quotient suites, for the associator
-    subloop A of a table and the quotient q by it.  Its value is None when
-    the map does not carry A onto itself, False when the map it induces
-    on the cosets is not well defined, and otherwise the HalfKind of the
-    induced map, classified once per distinct image tuple.
+@memoized
+def _induced_kind(L):
+    """The per-map function of the two quotient suites on the maps of L,
+    for the associator subloop A of L and the quotient q by it, which must
+    exist.  Its value is None when the map does not carry A onto itself,
+    False when the map it induces on the cosets is not well defined, and
+    otherwise the HalfKind of the induced map.  It is built once per
+    table and computes its value once per map, classifying once per
+    distinct induced image tuple, so the two suites share that work when
+    a table is its own three-generated subloop, as Q1 is.
 
     The value on alpha o s equals the value on s for every automorphism
     alpha, so weighted_maps may count it for both: A is characteristic, so
@@ -371,11 +376,13 @@ def _induced_kind(A, q):
     s is well defined on cosets exactly when alpha o s is, and alpha o s
     induces alpha' o s', which has the kind of s'.
     """
-    aset = set(A.elements)
+    aset = set(sl.associator_subloop(L).elements)
+    q = sl.associator_quotient(L)
     proj = q.projection
-    kinds = {}
+    kinds = {}   # induced image tuple -> its HalfKind
+    values = {}  # the images of a map -> its value
 
-    def kind(m):
+    def value(m):
         if {m.images[a - 1] for a in aset} != aset:
             return None
         try:
@@ -385,6 +392,11 @@ def _induced_kind(A, q):
         if key not in kinds:
             kinds[key] = classify(make_half_map(q.table, q.table, key)).kind
         return kinds[key]
+
+    def kind(m):
+        if m.images not in values:
+            values[m.images] = value(m)
+        return values[m.images]
 
     return kind
 
@@ -405,7 +417,7 @@ def suite_induced_quotient(inputs, max_order=None) -> SuiteResult:
         if max_order is not None and t.order > max_order:
             res.notes.append("skipped %s" % name)
             continue
-        induced = _induced_kind(sl.associator_subloop(t), q)
+        induced = _induced_kind(t)
         for s, alphas in weighted_maps(enumerate_half_automorphisms(t)):
             kind = induced(s)
             if kind is None:
@@ -419,11 +431,11 @@ def suite_induced_quotient(inputs, max_order=None) -> SuiteResult:
     return res
 
 
-def _d_set_verdict(sub, A, q, where):
+def _d_set_verdict(sub, where):
     """The per-map function of suite_commutator_d_set on the subloop sub,
-    with A its associator subloop, q the quotient by A, and where the
-    prefix of violation lines.  Its value is None outside the hypothesis,
-    else the check count and the violations.
+    whose associator subloop must be normal, with where the prefix of
+    violation lines.  Its value is None outside the hypothesis, else the
+    check count and the violations.
 
     weighted_maps may count it for s and each alpha o s: the hypothesis is
     _induced_kind's; the d-set and the anti mask read only the masks,
@@ -432,13 +444,13 @@ def _d_set_verdict(sub, A, q, where):
     alpha o s equals that of s; and the violation lines name only pairs of
     the domain.
     """
-    induced = _induced_kind(A, q)
+    induced = _induced_kind(sub)
     derived = set(sl.commutator_subloop(sub).elements)
     central = set(sl.center(sub).elements)
     n = sub.order
     digits = ["".join("1" if c in central else "0" for c in row) for row in sub.commutators()]
     central_rows = translate_rows(d.encode() for d in digits)
-    central_pairs = pull_mask(central_rows, range(1, n + 1))
+    central_pairs = pull_mask(central_rows, bytes(range(n)))
     # elements with a non-central commutator against the derived subloop
     offenders = {g for g in sub.elements if any(digits[d - 1][g - 1] == "0" for d in derived)}
 
@@ -452,7 +464,7 @@ def _d_set_verdict(sub, A, q, where):
                 for g in dset:
                     if digits[d - 1][g - 1] == "0":
                         violations.append("%s: [%d,%d] not central" % (where, d, g))
-        failing = m.anti & ~(central_pairs & pull_mask(central_rows, m.images))
+        failing = m.anti & ~(central_pairs & pull_mask(central_rows, m.image_bytes))
         for u, v in mask_pairs(failing, n):
             violations.append("%s: reversed pair (%d,%d) has a non-central commutator" % (where, u, v))
         return len(derived) * len(dset) + m.anti.bit_count(), tuple(violations)
@@ -474,14 +486,13 @@ def suite_commutator_d_set(inputs, max_order=None) -> SuiteResult:
         for elements, sub in sl.three_generated_tables(t):
             if not (sub.is_moufang() and is_left_automorphic(sub)):
                 continue
-            q = sl.associator_quotient(sub)
-            if q is None:
+            if sl.associator_quotient(sub) is None:
                 continue
             if max_order is not None and sub.order > max_order:
                 label = name if sub is t else "%s!%s" % (name, ",".join(map(str, elements)))
                 res.notes.append("skipped %s" % label)
                 continue
-            verdict = _d_set_verdict(sub, sl.associator_subloop(sub), q, "%s sub %r" % (name, elements))
+            verdict = _d_set_verdict(sub, "%s sub %r" % (name, elements))
             for s, alphas in weighted_maps(enumerate_half_automorphisms(sub)):
                 value = verdict(s)
                 if value is not None:

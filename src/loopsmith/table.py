@@ -14,8 +14,8 @@ flags, nuclei, commutant and witness triples are views of those passes.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from itertools import product
-from typing import NamedTuple
 
 from .errors import TableValidationError
 
@@ -23,25 +23,23 @@ from .errors import TableValidationError
 MAX_ORDER = 256
 
 
-class MoufangFlags(NamedTuple):
-    """One flag per Moufang identity, checked independently."""
+class MoufangFlags(namedtuple("MoufangFlags", "left right middle")):
+    """One flag per Moufang identity, checked independently: left is
+    ((x*y)*x)*z == x*(y*(x*z)), right ((x*y)*z)*y == x*(y*(z*y)) and middle
+    (x*y)*(z*x) == (x*(y*z))*x."""
 
-    left: bool    # ((x*y)*x)*z == x*(y*(x*z))
-    right: bool   # ((x*y)*z)*y == x*(y*(z*y))
-    middle: bool  # (x*y)*(z*x) == (x*(y*z))*x
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
         return self.left and self.right and self.middle
 
 
-class ValidationReport(NamedTuple):
-    """Outcome of checking a raw table; clean iff violations is empty."""
+class ValidationReport(namedtuple("ValidationReport", "is_quasigroup has_identity identity_index violations")):
+    """Outcome of checking a raw table; clean iff violations is empty.
+    identity_index is None when there is no identity."""
 
-    is_quasigroup: bool
-    has_identity: bool
-    identity_index: int | None
-    violations: list
+    __slots__ = ()
 
     @property
     def is_loop(self) -> bool:

@@ -3,6 +3,8 @@ the .loop file format."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,6 +156,14 @@ def test_loop_file_round_trip():
     assert parsed.table.rows == entry.table.rows
 
 
+def test_the_readme_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## .loop file format"):]
+    example = section[section.index("```\n") + 4:section.index("\n```", section.index("```\n") + 4) + 1]
+    entry = parse_loop_file(example)
+    assert (entry.key, entry.table.order) == ("my loop", 4)
+
+
 def test_parse_skips_comments_and_blank_lines():
     text = "# a comment\n\nname: tiny\n2\n# rows\n1 2\n2 1\n"
     entry = parse_loop_file(text)
@@ -183,6 +193,35 @@ def test_parse_rejects_non_integer_entry():
     e = exc.value
     assert e.stage == "parse"
     assert (e.line, e.column) == (3, 2)
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("+2\n1 2\n2 1\n", 1, 1),
+    ("0_2\n1 2\n2 1\n", 1, 1),
+    ("\u0662\n1 2\n2 1\n", 1, 1),   # ARABIC-INDIC DIGIT TWO
+    ("2\n1 2\n2 0_1\n", 3, 2),
+    ("2\n1 +2\n2 1\n", 2, 2),
+    ("2\n\u0661 2\n2 1\n", 2, 1),   # ARABIC-INDIC DIGIT ONE
+    ("2\n1 2\n2 +1\n", 3, 2),
+    ("2\n1 2\n2 -1\n", 3, 2),
+    ("2\n1 2\n2 " + "1" * 5000 + "\n", 3, 2),  # more digits than int() takes
+    ("1" * 5000 + "\n1\n", 1, 1),
+], ids=["order-sign", "order-underscore", "order-arabic-indic", "entry-underscore", "entry-sign",
+        "entry-arabic-indic", "entry-plus-one", "entry-minus-one", "entry-too-long", "order-too-long"])
+def test_parse_reads_numbers_only_in_the_ascii_digits(text, line, column):
+    """int() takes a sign, underscores between digits and the digits of
+    other scripts; the format takes 0-9 alone, so each of these tokens,
+    which int() reads as a number, is refused where it stands.  A token
+    of more digits than int() takes is refused there too."""
+    with pytest.raises(LoopFileError) as exc:
+        parse_loop_file(text)
+    e = exc.value
+    assert (e.stage, e.line, e.column) == ("parse", line, column)
+    assert "digits 0-9" in str(e)
+
+
+def test_parse_reads_leading_zeros():
+    assert parse_loop_file("02\n01 2\n2 001\n").table.rows == ((1, 2), (2, 1))
 
 
 def test_parse_rejects_wrong_row_width():
@@ -234,7 +273,7 @@ def test_parse_normalize_directive():
 
 
 LOOP_FILE_TOKENS = st.sampled_from(
-    ["0", "1", "2", "3", "4", "12", "-1", " ", "  ", "\n", "\t", "#", ":",
+    ["0", "1", "2", "3", "4", "12", "-1", "+1", "0_1", "\u0661", " ", "  ", "\n", "\t", "#", ":",
      "name", "normalize", "true", "false", "name:", "normalize:"]
 )
 

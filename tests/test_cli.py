@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from loopsmith import cli, halfmorph, suites
+from loopsmith import analyzecli, cli, halfmorph, suites
 from loopsmith.catalog import builtin, write_loop_file
 from loopsmith.cli import main
 from loopsmith.errors import InternalCheckError
@@ -225,14 +225,14 @@ def test_analyze_multiple_inputs_json(capsys):
     ("loop", "quasigroup"), ("associative", "moufang"),
     ("moufang", "diassociative"), ("automorphic", "left_automorphic")])
 def test_analyze_flags_an_implication_that_fails(premise, conclusion, monkeypatch, capsys):
-    analyze_table = cli.analyze_table
+    analyze_table = analyzecli.analyze_table
 
     def broken(*args, **kwargs):
         report = analyze_table(*args, **kwargs)
         report["flags"][premise], report["flags"][conclusion] = True, False
         return report
 
-    monkeypatch.setattr(cli, "analyze_table", broken)
+    monkeypatch.setattr(analyzecli, "analyze_table", broken)
     assert main(["analyze", "Z4"]) == 1
     assert "Z4: inconsistent property flags" in capsys.readouterr().err
 
@@ -476,7 +476,7 @@ def test_internal_check_failure_has_its_own_exit_code(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise InternalCheckError("self-check tripped")
 
-    monkeypatch.setattr(cli, "analyze_table", broken)
+    monkeypatch.setattr(analyzecli, "analyze_table", broken)
     assert main(["analyze", "Z4"]) == 3
     assert "internal error: self-check tripped" in capsys.readouterr().err
 
@@ -492,7 +492,7 @@ def test_unexpected_value_error_is_internal(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ValueError("stray value")
 
-    monkeypatch.setattr(cli, "analyze_table", broken)
+    monkeypatch.setattr(analyzecli, "analyze_table", broken)
     assert main(["analyze", "Z4"]) == 3
     assert "internal error: stray value" in capsys.readouterr().err
 
@@ -503,6 +503,16 @@ def test_undecodable_file_is_unreadable_input(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
     assert "unreadable" in capsys.readouterr().out
     assert main(["analyze", str(path)]) == 2
+
+
+def test_a_number_outside_the_digits_0_9_is_unreadable_input(tmp_path, capsys):
+    """int() reads "0_1" as 1, so this file once validated as Z2."""
+    path = tmp_path / "underscore.loop"
+    path.write_text("2\n1 2\n2 0_1\n", encoding="utf-8")
+    for command in ("validate", "analyze", "halfautos", "checktheorem"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "entry '0_1' is not an integer in the digits 0-9 (line 3, column 2)" in captured.out + captured.err
 
 
 def _cyclic_file(n):

@@ -52,33 +52,79 @@ def _modules_loaded_by(argv, code):
     return set(json.loads(out.splitlines()[-1]))
 
 
-# the loopsmith modules each command loads: a path needs loopfile and not
-# catalog, analyze without the census needs closure and not subloops, and
-# only halfautos and checktheorem load halfcli
-VALIDATE = {"cli", "errors", "loopfile", "table"}
-ANALYZE = VALIDATE | {"closure", "innermaps"}
-CENSUS = ANALYZE | {"catalog", "halfmorph", "subloops"}
+# the loopsmith modules each command loads.  Every run loads cli, errors and
+# table, and then the module of its command: analyzecli for validate and
+# analyze, halfautoscli for halfautos, halfcli for checktheorem.  An input
+# loads loopfile, and the .loop reader (loopformat) only when a file is
+# read, the catalog only for a catalog key.  analyze without the census
+# needs closure and innermaps, and the census subloops and halfmorph.
+BASE = {"cli", "errors", "table"}
+FILE = {"loopfile", "loopformat"}
+KEY = {"loopfile", "catalog"}
+ANALYZE = {"analyzecli", "closure", "innermaps"}
+CENSUS = {"closure", "innermaps", "subloops", "halfmorph"}
 
 
 @pytest.mark.parametrize("argv, code, modules", [
-    (["validate", "--json", "FILE"], 0, VALIDATE),
-    (["analyze", "--json", "FILE"], 0, ANALYZE),
-    (["analyze", "--json", "Q2"], 0, CENSUS),
-    (["checktheorem", "--json", "Q2"], 0, CENSUS | {"suites", "halfcli"}),
-    (["halfautos", "--json", "Q2"], 0, CENSUS | {"halfcli"}),
-    # a name that cannot be a catalog key does not load the catalog
-    (["analyze", "nosuch.loop"], 2, VALIDATE),
-    (["--help"], 0, VALIDATE),
-    (["analyze", "--bogus", "Q2"], 2, VALIDATE),
+    (["validate", "--json", "FILE"], 0, BASE | FILE | {"analyzecli"}),
+    (["analyze", "--json", "FILE"], 0, BASE | FILE | ANALYZE),
+    (["analyze", "--json", "Q2"], 0, BASE | KEY | ANALYZE | CENSUS),
+    (["checktheorem", "--json", "Q2"], 0, BASE | KEY | CENSUS | {"halfcli", "suites"}),
+    (["halfautos", "--json", "Q2"], 0, BASE | KEY | CENSUS | {"halfautoscli"}),
+    (["checktheorem", "--json", "Q2FILE"], 0, BASE | FILE | CENSUS | {"halfcli", "suites"}),
+    (["halfautos", "--json", "Q2FILE"], 0, BASE | FILE | CENSUS | {"halfautoscli"}),
+    # a name that cannot be a catalog key does not load the catalog, and a
+    # file that cannot be read does not load the reader
+    (["analyze", "nosuch.loop"], 2, BASE | {"analyzecli", "loopfile"}),
+    (["--help"], 0, BASE),
+    (["analyze", "--bogus", "Q2"], 2, BASE),
 ], ids=["validate-file", "analyze-file", "analyze-key", "checktheorem-key", "halfautos-key",
-        "analyze-missing-file", "help", "usage-error"])
+        "checktheorem-file", "halfautos-file", "analyze-missing-file", "help", "usage-error"])
 def test_each_command_loads_exactly_its_modules(tmp_path, argv, code, modules):
     path = tmp_path / "m16.loop"
     table = catalog.make_chein(catalog.make_dihedral(16))
     assert table.order == 32  # above --max-half-order, so analyze skips the census
     path.write_text(catalog.write_loop_file(table), encoding="utf-8")
-    loaded = _modules_loaded_by([str(path) if arg == "FILE" else arg for arg in argv], code)
+    q2 = tmp_path / "q2.loop"
+    q2.write_text(catalog.write_loop_file(catalog.builtin("Q2")), encoding="utf-8")
+    files = {"FILE": str(path), "Q2FILE": str(q2)}
+    loaded = _modules_loaded_by([files.get(arg, arg) for arg in argv], code)
     assert loaded == {"loopsmith." + name for name in modules}
+
+
+def test_a_catalog_child_loads_no_other_commands_code_and_no_reader():
+    """checktheorem --json KEY, one child of the benchmark's catalog run,
+    compiles neither validate, analyze nor halfautos, nor the .loop reader
+    and writer."""
+    loaded = _modules_loaded_by(["checktheorem", "--json", "M(S3,2)"], 0)
+    assert "loopsmith.halfcli" in loaded
+    assert not loaded & {"loopsmith.analyzecli", "loopsmith.halfautoscli", "loopsmith.loopformat"}
+
+
+def test_importing_the_package_modules_makes_no_compile_call():
+    """Every call of builtins.compile while the modules are imported is the
+    import system compiling a module's own source.  typing.NamedTuple
+    compiled each field's string annotation (46 calls for the records of
+    a checktheorem run); collections.namedtuple takes the field names as
+    they are."""
+    script = ("import builtins, json, pkgutil, importlib, sys\n"
+              "real = builtins.compile\n"
+              "calls = []\n"
+              "def counting(source, filename, *args, **kwargs):\n"
+              "    calls.append(str(filename))\n"
+              "    return real(source, filename, *args, **kwargs)\n"
+              "builtins.compile = counting\n"
+              "import loopsmith\n"
+              "for info in pkgutil.iter_modules(loopsmith.__path__):\n"
+              "    importlib.import_module('loopsmith.' + info.name)\n"
+              "files = {m.__file__ for name, m in sys.modules.items() if name.startswith('loopsmith')}\n"
+              "print(json.dumps([sorted(files), [c for c in calls if c not in files]]))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    files, others = json.loads(out.splitlines()[-1])
+    assert len(files) == len(list((SRC / "loopsmith").glob("*.py")))
+    assert others == []
 
 
 def test_no_module_of_the_package_imports_the_cli():
@@ -139,7 +185,8 @@ PACKAGE_NAMES = {
                   "TheoremReport", "classify", "d_set", "enumerate_half_automorphisms", "find_gg_triples",
                   "half_maps_form_group_check", "induced_on_quotient", "is_semi_isomorphism",
                   "make_half_map", "verify_main_theorem"),
-    "loopfile": ("CatalogEntry", "parse_loop_file", "write_loop_file"),
+    "loopfile": ("CatalogEntry",),
+    "loopformat": ("parse_loop_file", "write_loop_file"),
     "catalog": ("builtin", "catalog_keys", "check_expected", "entries", "make_chein", "make_cyclic",
                 "make_dihedral", "make_quaternion8", "make_symmetric3"),
 }
@@ -155,6 +202,20 @@ def test_package_names_are_the_submodules_own_objects():
     assert sorted(loopsmith.__all__) == sorted(n for names in PACKAGE_NAMES.values() for n in names)
     with pytest.raises(AttributeError):
         loopsmith.no_such_name
+
+
+def test_names_moved_out_stay_bound_where_the_benchmark_looks_them_up():
+    """The benchmark's tracer and workloads read cli.analyze_table and
+    catalog.parse_loop_file and write_loop_file; the modules load them on
+    first use (PEP 562)."""
+    from loopsmith import analyzecli, cli, loopformat
+
+    assert cli.analyze_table is analyzecli.analyze_table
+    assert catalog.parse_loop_file is loopformat.parse_loop_file
+    assert catalog.write_loop_file is loopformat.write_loop_file
+    for module in (cli, catalog):
+        with pytest.raises(AttributeError):
+            module.no_such_name
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -378,6 +378,17 @@ def test_search_counters(q2_enum, q1_enum, chein12, get_enum, brute_force_half_m
     assert stats.nodes < 10_000
 
 
+def test_catalog_search_counters(get_enum):
+    """The counters summed over the whole catalog, field by field: a
+    change to the pruning, the candidates or the lookups on any catalog
+    loop moves this sum."""
+    total = [0] * len(SearchStats._fields)
+    for key in catalog.catalog_keys():
+        stats = get_enum(key, catalog.builtin(key).table).stats
+        total = [a + b for a, b in zip(total, stats)]
+    assert total == [7832, 181, 1724, 0, 48, 20392, 2068]
+
+
 def test_search_drops_and_counts_leaves_that_fail_revalidation(monkeypatch, q2, q2_enum):
     """A representative's leaf that make_half_map refuses is counted, and
     every map composed from it is missing too: the refused map's whole

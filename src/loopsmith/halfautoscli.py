@@ -18,7 +18,7 @@ from .loopfile import load_loop
 
 def cmd_halfautos(args) -> int:
     from .halfmorph import (HalfKind, classify, enumerate_half_automorphisms,
-                            half_maps_form_group_check, orbit_maps, weighted_maps)
+                            half_maps_form_group_check, orbit_maps, weight, weighted_maps)
 
     if args.limit is not None and args.limit < 1:
         print("--limit must be at least 1, got %d" % args.limit, file=sys.stderr)
@@ -31,17 +31,17 @@ def cmd_halfautos(args) -> int:
     enum = enumerate_half_automorphisms(entry.table, limit=args.limit)
     census = {kind.value: 0 for kind in HalfKind}
     listing = []
-    # the kind and witnesses read only the masks, which alpha o s shares with s
-    for s, alphas in weighted_maps(enum):
+    # the kind and witnesses read only the masks, which every map s stands for shares with s
+    for s, ts in weighted_maps(enum):
         cls = classify(s)
-        census[cls.kind.value] += 1 + len(alphas)
+        census[cls.kind.value] += weight(ts)
         listing += [{
             "cycles": m.cycles(),
             "images": m.images,
             "kind": cls.kind.value,
             "witness_hom": cls.witness_hom,
             "witness_anti": cls.witness_anti,
-        } for m in orbit_maps(s, alphas)]
+        } for m in orbit_maps(s, ts)]
     listing.sort(key=lambda item: item["images"])
     group_ok = None
     if enum.complete:

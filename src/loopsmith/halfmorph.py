@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 from math import inf, prod
 from operator import attrgetter
 
@@ -180,9 +181,9 @@ class SearchStats(namedtuple("SearchStats",
     """Work counters of one search.  In the subtrees searched directly:
     images tried, images the law check refused, complete assignments
     reached, and complete assignments that make_half_map refused.  Then
-    the images of the first generator searched directly, the maps made
-    by composing with an automorphism, and the images tried while
-    looking for those automorphisms."""
+    the images of generators searched directly, at every generator level;
+    the maps not found directly, each composed with automorphisms; and
+    the images tried while looking for those automorphisms."""
 
     __slots__ = ()
 
@@ -196,15 +197,17 @@ class HalfEnumeration(namedtuple("HalfEnumeration", "maps complete stats", defau
 
 
 class HalfMaps:
-    """Half-maps held as entries (maps, alphas): each s in maps stands for
-    s and each alpha o s (orbit_maps).  len() builds no map; the first
-    read lists every map in image-tuple order and keeps the list."""
+    """Half-maps held as entries (maps, transversals): each s in maps
+    stands for the weight(transversals) maps a_1 o ... o a_d o s, with
+    each a_j the identity or an automorphism in the j-th transversal
+    (orbit_maps).  len() builds no map; the first read lists every map in
+    image-tuple order and keeps the list."""
 
     def __init__(self, entries: tuple):
         self.entries = entries
 
     def __len__(self):
-        return sum(len(maps) * (1 + len(alphas)) for maps, alphas in self.entries)
+        return sum(len(maps) * weight(ts) for maps, ts in self.entries)
 
     def __getitem__(self, i):
         return self._listing[i]
@@ -214,103 +217,164 @@ class HalfMaps:
 
     @cached_property
     def _listing(self):
-        return tuple(sorted((m for maps, alphas in self.entries for s in maps for m in orbit_maps(s, alphas)),
-                            key=attrgetter("images")))
+        return tuple(sorted(self.expanded(), key=attrgetter("images")))
+
+    def expanded(self):
+        """Every map, each built when it is reached, entry by entry."""
+        return (m for maps, ts in self.entries for s in maps for m in orbit_maps(s, ts))
 
 
-def orbit_maps(s, alphas):
-    """s, then each alpha o s, built with the masks of s (the mask
-    transport in enumerate_half_automorphisms)."""
-    yield s
-    for alpha in alphas:
-        at = (0, *alpha)
-        yield HalfMap(s.domain, s.codomain, tuple(map(at.__getitem__, s.images)), s.hom, s.anti)
+def weight(transversals):
+    """The number of maps that a map of an entry stands for: the product
+    of 1 + len(T) over the entry's transversals T."""
+    return prod(len(t) + 1 for t in transversals)
+
+
+def orbit_maps(s, transversals):
+    """s, then every other a_1 o ... o a_d o s (see HalfMaps), built with
+    the masks of s (the mask transport in enumerate_half_automorphisms).
+    Each map after s costs one composition, made when it is reached."""
+    if not transversals:
+        yield s
+        return
+    *outer, inner = transversals
+    yield from orbit_maps(s, outer)
+    for alpha in inner:
+        yield from orbit_maps(HalfMap(s.domain, s.codomain, _composed(alpha, s.images), s.hom, s.anti), outer)
+
+
+def _composed(alpha, images):
+    return tuple(map((0, *alpha).__getitem__, images))
 
 
 def weighted_maps(enum):
-    """The pairs (s, alphas), one per map s of an entry of enum.maps,
-    standing for the 1 + len(alphas) maps of orbit_maps(s, alphas).  A
-    value computed once on s holds for each alpha o s when fn(alpha o s)
-    == fn(s) for every automorphism alpha and half-map s; each caller
-    says why."""
-    return ((s, alphas) for maps, alphas in enum.maps.entries for s in maps)
+    """The pairs (s, transversals), one per map s of an entry of
+    enum.maps, standing for the weight(transversals) maps of
+    orbit_maps(s, transversals), each alpha o s for an automorphism
+    alpha = a_1 o ... o a_d.  A value computed once on s holds for each of
+    them when fn(alpha o s) == fn(s) for every automorphism alpha and
+    half-map s; each caller says why."""
+    return ((s, ts) for maps, ts in enum.maps.entries for s in maps)
 
 
 def enumerate_half_automorphisms(L, limit=None) -> HalfEnumeration:
     """All half-morphisms from a loop to itself, in image-tuple order.
 
-    The search assigns images in the table's generation order (see
-    _generation_order): 1 first, then generators, each followed by the
-    products it brings in.  Let g be the first generator.  The images of
-    g are walked in ascending order; for each image w' the maps with
-    t(g) = w' form one subtree, found in one of two ways.
+    The search assigns images depth first in the table's generation
+    order (see _generation_order): 1 first, then generators g_1, g_2, ...,
+    each followed by the products it brings in.  A generator may take a
+    free image that commutes with as many elements as it does.  A product
+    c = a*b, with a and b already mapped, may take only t(a)*t(b) or
+    t(b)*t(a), and only while that image is free.  After each assignment
+    one rule prunes: for every mapped y, a pair (x, y) or (y, x) whose
+    product is already mapped must obey the half law.  Every complete
+    assignment is checked on all n*n pairs by make_half_map; a leaf it
+    refuses is dropped and counted.
 
-    Searched directly: depth-first along the generation order with
-    t(g) = w' fixed.  A later generator may take any free image.  A
-    product c = a*b, with a and b already mapped, may take only
-    t(a)*t(b) or t(b)*t(a), and only while that image is free.  After
-    each assignment one rule prunes: for every mapped y, a pair (x, y) or
-    (y, x) whose product is already mapped must obey the half law.  Every
-    complete assignment is checked on all n*n pairs by make_half_map; a
-    leaf it refuses is dropped and counted.  w' becomes a representative.
+    At a node where generator g_k comes next, the images of g_k are
+    walked in ascending order; the maps below the node with t(g_k) = w
+    form the subtree of w, found in one of two ways.
 
-    Composed: when an automorphism alpha of L sends an earlier
-    representative w to w', the subtree of w' is alpha o s for the maps s
-    of w's subtree.  alpha is found by the same depth-first search in a
-    hom-law-only mode, along a generation order that lists w first with
-    t(w) = w' fixed: a product takes only t(a)*t(b), the pruning rule
+    Composed: when an automorphism alpha of L fixes every image assigned
+    before g_k and sends to w an earlier image x of g_k at the node, one
+    searched directly whose subtree reached a leaf, the subtree of w is
+    alpha o s for the maps s of x's subtree, and alpha joins x's
+    transversal.  alpha is found by the same depth-first search in a
+    hom-law-only mode, along the generation order whose first generators
+    are the images assigned before g_k, then x, with each of those images
+    fixed and t(x) = w: a product takes only t(a)*t(b), the pruning rule
     asks the forward law alone, a complete assignment counts when it
     preserves every product, and the search stops at the first one.  That
-    assignment is an automorphism: it preserves every product, and it is a
-    bijection because the search assigns only free images.
+    assignment is an automorphism: it preserves every product, and it is
+    a bijection because the search assigns only free images.  If x is not
+    a generator of that order, the alpha found may fix x; that happens
+    only where no half-map lies below the node (Prefix subloop, below),
+    so it composes an empty subtree onto an empty one.
 
-    Completeness and soundness rest on four facts.
+    Searched directly: any other w; the search descends with t(g_k) = w.
+
+    Completeness and soundness rest on six facts.
 
     - Composition.  For an automorphism alpha and a half-map s, alpha o s
       is a bijection and alpha(s(x*y)) is alpha(s(x)*s(y)) =
       alpha(s(x))*alpha(s(y)) or alpha(s(y)*s(x)) = alpha(s(y))*alpha(s(x)),
-      so alpha o s is a half-map.  If alpha(w) = w', then s -> alpha o s
-      maps the half-maps with s(g) = w onto those with t(g) = w', with
-      inverse t -> alpha^-1 o t.  So a composed subtree is complete and
-      sound exactly when w's is.
-    - Commuting counts.  Only images w' that commute with as many
-      elements as g does are tried, and no half-map is lost: a half-map
+      so alpha o s is a half-map.
+    - Stabilizer.  If alpha fixes every image assigned before g_k and
+      sends x to w, then s -> alpha o s maps the half-maps below the node
+      with s(g_k) = x onto those with t(g_k) = w, with inverse
+      t -> alpha^-1 o t.  So a composed subtree is complete and sound
+      exactly when x's is.  An automorphism that fixes the images of
+      g_1, ..., g_(k-1) fixes every image assigned before g_k: each is
+      t(a)*t(b) or t(b)*t(a) for images assigned before it, and
+      alpha(u*v) = alpha(u)*alpha(v).
+    - Commuting counts.  No half-map is lost by trying only images that
+      commute with as many elements as the generator: a half-map
       t keeps each element's commuting count.  If x*y != y*x, then t(x*y)
       and t(y*x) are distinct, since t is injective, and both lie in
       {t(x)*t(y), t(y)*t(x)}, so t(x) and t(y) do not commute.  Thus the
       bijection (x, y) -> (t(x), t(y)) of L x L sends the finitely many
       non-commuting pairs into themselves, hence onto themselves, and so
       the commuting pairs onto the commuting pairs.  For each x it sends
-      the y commuting with x onto the y' commuting with t(x).
+      the y commuting with x onto the y' commuting with t(x).  An
+      automorphism is a half-map, so the lookups use the same rule.
+    - Prefix subloop.  The elements listed before g_k form a subloop P,
+      closed under products.  If a half-map t lies below the node, t(P),
+      the images assigned before g_k, is closed under products too: for
+      a, b in P, if a*b != b*a then {t(a*b), t(b*a)} = {t(a)*t(b),
+      t(b)*t(a)}, and if a*b = b*a then t(a) and t(b) commute and
+      t(a*b) = t(a)*t(b).  A finite subset of a loop closed under products
+      is a subloop, so no free image lies in the subloop those images
+      generate.
     - Mask transport.  alpha o s gets the hom and anti masks of s without
       a pair walk.  alpha is an injective homomorphism, so
       s(x*y) = s(x)*s(y) exactly when alpha(s(x*y)) = alpha(s(x))*alpha(s(y)),
       and likewise for the reversed law.
-    - Disjoint subtrees.  Every half-map t has exactly one image t(g), and
-      each tried image is searched or composed once, so every map is
-      listed once.  A direct search is complete because every element is
-      listed once, the product candidates are the only images the half
-      law allows, and the pruning rule is a necessary condition; it is
-      sound because each kept map passed make_half_map.  Whether an
-      automorphism is found changes only the work: an image with none is
-      searched directly.
+    - Disjoint subtrees.  Below a node every half-map has exactly one
+      image of g_k, and each tried image is searched or composed once, so
+      every map is listed once.  The direct search is complete because
+      every element is listed once, the product candidates are the only
+      images the half law allows, and the pruning rule is a necessary
+      condition; it is sound because each kept map passed make_half_map.
+      Whether an automorphism is found changes only the work: an image
+      with none is searched directly.
 
-    The search finds the maps in this order: the first subtree in
-    generation order, then the later subtrees in ascending t(g), each
-    composed one in the order of its representative's maps.  The result
-    holds them as HalfMaps, one entry per representative: the maps found
-    directly and one automorphism per composed subtree.  A complete
-    result is kept in the table's memo and returned to every later call
-    without a limit.  With limit set, the result holds the first limit
-    maps found, and the search does no work past the last of them, so
-    stats count the work up to it.  When the limit falls k maps into a
-    composed subtree alpha o maps, the entry of maps splits in two:
-    maps[:k] with alpha and maps[k:] without it.  Such a result is
-    flagged incomplete whenever it holds limit maps, even if no map is
-    left out, must not feed census claims, and is never stored.  Its maps
-    need not be the least in image-tuple order, and beyond the first
-    subtree they need not be the maps a plain depth-first search finds
-    first.
+    Factored weights.  A map s found directly lies, at each generator
+    level j, in the subtree of an image x_j searched directly, and T_j,
+    the transversal of x_j, holds the automorphisms composed from it.
+    Going up from the deepest level, the subtree of x_j and those
+    composed from it are a o (x_j's subtree) for a the identity or in
+    T_j, disjoint, since each a sends x_j to a different image; so s
+    stands for the maps a_1 o ... o a_d o s, each a_j the identity or in
+    T_j, all distinct: weight(T_1, ..., T_d) maps.  They all lie in the
+    coset Aut(L) o s, and the maps found directly are one per coset, the
+    first in the search order.  For if s and alpha o s, alpha not the
+    identity, were both found directly, let g_j be the first generator on
+    which they differ: one exists, since the images of the generators
+    generate L and only the identity fixes them all.  alpha fixes the
+    images of g_1, ..., g_(j-1), so it fixes every image s assigns before
+    g_j (Stabilizer): both maps lie below one node, where s(g_j) and
+    alpha(s(g_j)) were both searched directly with leaves below them.
+    But the later of the two would have found alpha, its inverse or
+    another such automorphism, and been composed.  So, as long as
+    make_half_map refuses no half-map, s stands for all of Aut(L) o s,
+    and every weight is |Aut(L)|.
+
+    The result holds the maps as HalfMaps.  Its entries are one per image
+    searched directly at the last generator level with maps below it:
+    those maps and the transversals of the images on their path, one per
+    generator level, lists that are empty where nothing was composed.  No
+    product of automorphisms is built.  A complete result is kept in the
+    table's memo and returned to every later call without a limit.  With
+    limit set, the result holds the first limit maps found, and the
+    search does no work past the last of them, so stats count the work
+    up to it.  When the limit falls inside a composed subtree alpha o
+    (x's subtree), the first maps of x's subtree, in the order of its
+    entries and orbit_maps, are composed with alpha and built, as many as
+    the limit has room for, and held as one more entry with no
+    transversals.  Such a result is flagged incomplete whenever it holds
+    limit maps, even if no map is left out, must not feed census claims,
+    and is never stored.  Its maps need not be the least in image-tuple
+    order, nor the maps that a plain depth-first search finds first.
     """
     if limit is None:
         return _complete_enumeration(L)
@@ -324,24 +388,23 @@ def _complete_enumeration(L):
     return _search(L, None)
 
 
-def _generation_order(L, first=None):
+def _generation_order(L, lead=()):
     """Every element once, as (c, a, b) with c = a*b for a and b listed
     before c, or (c, 0, 0) when c is a generator; (1, 0, 0) comes first.
 
     Each generator is followed by the products of the listed elements,
-    breadth first, until nothing new appears.  Generators are chosen by
-    the number of elements they commute with, fewest first, then by
-    label.  Half-morphisms keep that number, so the choice depends on the
-    labels only to break ties.  With first given, that element is the
-    first generator.
+    breadth first, until nothing new appears.  The elements of lead are
+    the first generators, in order, each unless already listed.  The
+    others are chosen by the number of elements they commute with, fewest
+    first, then by label.  Half-morphisms keep that number, so the choice
+    depends on the labels only to break ties.
     """
     n = L.order
     rows = L.rows
     commuting = _commuting(L)
-    by_invariant = sorted(range(1, n + 1), key=lambda x: (x != first, commuting[x - 1], x))
     order = [(1, 0, 0)]
     listed = {1}
-    for g in by_invariant:
+    for g in (*lead, *sorted(range(1, n + 1), key=lambda x: (commuting[x - 1], x))):
         if g in listed:
             continue
         order.append((g, 0, 0))
@@ -362,90 +425,54 @@ def _generation_order(L, first=None):
 
 def _search(L, limit):
     counts = [0] * len(SearchStats._fields)
-    entries = {}  # id of a representative's list of maps -> (that list, the automorphisms composing from it)
-    room = inf if limit is None else limit  # the maps still to take
-    for alpha, maps in _half_maps(L, counts):
-        alphas = entries.setdefault(id(maps), (maps, []))[1]
-        if alpha is None:
+    entries = {}  # id of a path of transversals -> (the maps found directly below it, the path)
+    room = limit or inf  # the maps still to take
+    for path, item in _dfs(L, _generation_order(L), counts):
+        if item.__class__ is HalfMap:
+            entries.setdefault(id(path), ([], path))[0].append(item)
             room -= 1
-        elif room >= len(maps):
-            alphas.append(alpha)
-            room -= len(maps)
-        else:  # the limit falls inside alpha o maps
-            entries[id(maps)] = (maps[room:], alphas)
-            entries[None] = (maps[:room], [*alphas, alpha])
-            room = 0
+        else:  # a subtree is item o the subtree below path, whose maps the entries below path hold
+            j = len(path)
+            below = HalfMaps(tuple((maps, ts[j:]) for maps, ts in entries.values() if ts[j - 1] is path[-1]))
+            if len(below) > room:  # the limit falls inside it
+                entries[None] = ([HalfMap(L, L, _composed(item, m.images), m.hom, m.anti)
+                                  for m in islice(below.expanded(), room)], ())
+                break
+            path[-1].append(item)
+            room -= len(below)
         if not room:
             break
-    held = HalfMaps(tuple((tuple(maps), tuple(alphas)) for maps, alphas in entries.values()))
+    held = HalfMaps(tuple(entries.values()))
     counts[5] = len(held) - counts[2] + counts[3]  # compositions: the maps not found directly
     return HalfEnumeration(held, limit is None or len(held) < limit, SearchStats(*counts))
 
 
-def _half_maps(L, counts):
-    """Run the search of L (see enumerate_half_automorphisms), yielding
-    pairs (alpha, maps) with maps the list of maps found directly in a
-    representative's subtree: (None, maps) when maps[-1] was just found,
-    and (alpha, maps), maps complete, for the composed subtree alpha o maps.
-    counts holds the SearchStats fields in order, all but compositions up
-    to date at each pair yielded."""
-    n = L.order
-    if n == 1:
-        counts[2] += 1  # leaves
-        yield None, [make_half_map(L, L, (1,))]
-        return
-    mul = [[0] * (n + 1)]
-    for r in L.rows:
-        mul.append([0] + list(r))
-    col = [[0] * (n + 1)]  # col[x][y] = y*x
-    for c in zip(*L.rows):
-        col.append([0] + list(c))
-    products = product_bytes(L)
-    order = _generation_order(L)
-    g = order[1][0]
-    commuting = _commuting(L)
-    lookup = [0, 0]  # images tried and refused by the automorphism lookups
-    representatives = []  # per representative w: (generation order led by w, the maps of its subtree)
-    for image in range(2, n + 1):
-        if commuting[image - 1] != commuting[g - 1]:
-            continue
-        hit = next(((alpha, subtree) for w_order, subtree in representatives
-                    for alpha in _dfs(mul, col, w_order, image, True, lookup)
-                    if _preserves_products(products, zero_based(alpha))), None)
-        counts[6] = lookup[0]  # lookup_nodes
-        if hit is None:
-            subtree = []
-            representatives.append((_generation_order(L, image), subtree))
-            counts[4] += 1  # representatives
-            for images in _dfs(mul, col, order, image, False, counts):  # adds to nodes and prunes
-                counts[2] += 1  # leaves
-                try:
-                    m = make_half_map(L, L, images)
-                except HalfMapError:
-                    counts[3] += 1  # rejected
-                    continue
-                subtree.append(m)
-                yield None, subtree
-        else:
-            yield hit
+def _dfs(L, order, tally, fixed=None):
+    """The depth-first search of L along a generation order (see
+    enumerate_half_automorphisms).
 
+    Without fixed, the search of the half-maps.  It yields (path, m) for
+    each map m found directly, and (path, alpha) when the subtree of an
+    image of a generator is alpha o the subtree below path; path holds
+    one transversal per generator level above, a list, the transversal of
+    the image composed from last.  It adds to tally every SearchStats
+    counter but compositions.  No lookup starts from an image whose
+    subtree reached no leaf: it would only spare searching empty subtrees.
 
-def _dfs(mul, col, order, image, hom, tally):
-    """Yield every complete assignment of a depth-first search along a
-    generation order with order[1] mapped to image.  With hom set, a
-    product takes only t(a)*t(b) and the pruning rule asks the forward
-    law alone.  Each image tried adds 1 to tally[0], and each image the
-    pruning rule refuses 1 to tally[1].
-
-    mul and col are the table and its transpose, padded so that
-    mul[x][y] = x*y = col[y][x] with 1-based labels.
+    With fixed, a dict, the automorphism lookup: a product takes only
+    t(a)*t(b), the pruning rule asks the forward law alone, and a
+    generator x in fixed takes only fixed[x].  It yields (path, images)
+    for every complete assignment and adds the images tried to tally[6].
     """
-    n = len(order)
+    n = L.order
+    mul = [(0,) * (n + 1), *((0, *r) for r in L.rows)]  # mul[x][y] = x*y = col[y][x], 1-based
+    col = list(zip(*mul))
+    commuting = _commuting(L)
+    hom = fixed is not None
+    tried = 6 if hom else 0
     mapped = [c for c, _, _ in order]
-    img = [0] * (n + 1)
-    free = [True] * (n + 1)
-    img[1] = 1
-    free[1] = False
+    img = [0, 1] + [0] * (n - 1)  # the image of each element, 0 while unassigned
+    free = [False, False] + [True] * (n - 1)
 
     def consistent(k, x):
         w = img[x]
@@ -462,33 +489,57 @@ def _dfs(mul, col, order, image, hom, tally):
                 return False
         return True
 
-    def dfs(k):
+    def dfs(k, path):
         if k == n:
-            yield tuple(img[1:])
+            images = tuple(img[1:])
+            if not hom:
+                tally[2] += 1  # leaves
+                try:
+                    images = make_half_map(L, L, images)
+                except HalfMapError:
+                    tally[3] += 1  # rejected
+                    return
+            yield path, images
             return
         x, a, b = order[k]
+        level = not (a or hom)  # a generator level of the half-map search
         if a:
             u = mul[img[a]][img[b]]
             v = mul[img[b]][img[a]]
             candidates = (u,) if hom or u == v else (u, v)
-        elif k == 1:
-            candidates = (image,)
+        elif hom and x in fixed:
+            candidates = (fixed[x],)
         else:
-            candidates = range(2, n + 1)
+            candidates = [w for w in range(2, n + 1) if commuting[w - 1] == commuting[x - 1]]
+        direct = []  # per image of x searched directly with leaves below: its path, itself, the fixed images, its lookup order
         for w in candidates:
             if not free[w]:
                 continue
-            tally[0] += 1
+            child = path
+            if level:
+                hit = next(((p, alpha) for p, v, lead, o in direct
+                            for _, alpha in _dfs(L, o, tally, {**lead, v: w})
+                            if _preserves_products(product_bytes(L), zero_based(alpha))), None)
+                if hit:
+                    yield hit
+                    continue
+                tally[4] += 1  # representatives
+                child = (*path, [])
+            tally[tried] += 1
             img[x] = w
             free[w] = False
+            leaves = tally[2]
             if consistent(k, x):
-                yield from dfs(k + 1)
-            else:
-                tally[1] += 1
+                yield from dfs(k + 1, child)
+            elif not hom:
+                tally[1] += 1  # prunes
             free[w] = True
+            if level and tally[2] > leaves:
+                lead = {img[c]: img[c] for c in mapped[1:k]}  # the images assigned before x, each fixed
+                direct.append((child, w, lead, _generation_order(L, (*lead, w))))
         img[x] = 0
 
-    return dfs(1)
+    return dfs(1, ())
 
 
 def half_maps_form_group_check(L, enumeration) -> bool:
@@ -497,17 +548,17 @@ def half_maps_form_group_check(L, enumeration) -> bool:
 
     S, a finite set of permutations, lies in the group <S> it generates,
     so S is a group exactly when |<S>| = |S|; |S| is len(maps), whose
-    maps are distinct (the disjoint subtrees in
+    maps are distinct (the factored weights in
     enumerate_half_automorphisms).  <S> is generated by the maps of the
-    entries with their alphas, each passed once: each alpha o s is a
-    product of two of them, and each alpha, an automorphism, is a
-    half-map and so in S.
+    entries and the distinct automorphisms of their transversals, each
+    passed once: each map of S is a product of them, and each
+    automorphism is a half-map and so in S.
     """
     if not enumeration.complete:
         raise ValueError("group check needs a complete enumeration")
     entries = enumeration.maps.entries
     generators = [s.images for maps, _ in entries for s in maps]
-    generators += dict.fromkeys(alpha for _, alphas in entries for alpha in alphas)
+    generators += dict.fromkeys(alpha for _, ts in entries for t in ts for alpha in t)
     return _group_order(generators, L.order) == len(enumeration.maps)
 
 
@@ -706,7 +757,7 @@ class TheoremReport(namedtuple("TheoremReport", "name order moufang automorphic 
 
 class HalfCensus(namedtuple("HalfCensus", "counts proper")):
     """counts holds (HalfKind, count) pairs in HalfKind order, and proper
-    the pairs (s, alphas) of weighted_maps whose s is proper."""
+    the pairs (s, transversals) of weighted_maps whose s is proper."""
 
     __slots__ = ()
 
@@ -717,17 +768,17 @@ def half_census(L) -> HalfCensus:
     maps, classified once per table and held immutable.
 
     The kind is classified once per map found directly and counted
-    1 + len(alphas) times (weighted_maps): it reads only the masks, and
-    alpha o s carries the masks of s (the mask transport in
-    enumerate_half_automorphisms).  verify_main_theorem and the
-    main-theorem suite both read this census."""
+    weight(transversals) times (weighted_maps): it reads only the masks,
+    and each map that s stands for carries the masks of s (the mask
+    transport in enumerate_half_automorphisms).  verify_main_theorem and
+    the main-theorem suite both read this census."""
     counts = dict.fromkeys(HalfKind, 0)
     proper = []
-    for s, alphas in weighted_maps(enumerate_half_automorphisms(L)):
+    for s, ts in weighted_maps(enumerate_half_automorphisms(L)):
         kind = classify(s).kind
-        counts[kind] += 1 + len(alphas)
+        counts[kind] += weight(ts)
         if kind is HalfKind.PROPER_HALF:
-            proper.append((s, alphas))
+            proper.append((s, ts))
     return HalfCensus(tuple(counts.items()), tuple(proper))
 
 

@@ -25,6 +25,7 @@ from .halfmorph import (
     mask_pairs,
     orbit_maps,
     pull_mask,
+    weight,
     weighted_maps,
 )
 from .innermaps import bracketings, is_automorphic, is_left_automorphic, product_bytes, translate_rows
@@ -305,11 +306,11 @@ def suite_semi_isomorphism(inputs, max_order=None) -> SuiteResult:
             res.notes.append("skipped %s" % name)
             continue
         res.hypothesis_count += 1
-        for s, alphas in weighted_maps(enumerate_half_automorphisms(t)):
-            res.check_count += 1 + len(alphas)
+        for s, ts in weighted_maps(enumerate_half_automorphisms(t)):
+            res.check_count += weight(ts)
             if not is_semi_isomorphism(s):
                 res.violations += ["%s: map %s breaks the sandwich law" % (name, m.cycles())
-                                   for m in orbit_maps(s, alphas)]
+                                   for m in orbit_maps(s, ts)]
     return res
 
 
@@ -331,14 +332,14 @@ def suite_gg_witness(inputs, max_order=None) -> SuiteResult:
             res.notes.append("skipped %s" % name)
             continue
         full = (1 << t.order * t.order) - 1
-        for s, alphas in weighted_maps(enumerate_half_automorphisms(t)):
+        for s, ts in weighted_maps(enumerate_half_automorphisms(t)):
             if full in (s.hom, s.anti):
                 continue
-            res.hypothesis_count += 1 + len(alphas)
-            res.check_count += 1 + len(alphas)
+            res.hypothesis_count += weight(ts)
+            res.check_count += weight(ts)
             if not find_gg_triples(s, limit=1):
                 res.violations += ["%s: proper map %s has no witness triple" % (name, m.cycles())
-                                   for m in orbit_maps(s, alphas)]
+                                   for m in orbit_maps(s, ts)]
     return res
 
 
@@ -418,16 +419,16 @@ def suite_induced_quotient(inputs, max_order=None) -> SuiteResult:
             res.notes.append("skipped %s" % name)
             continue
         induced = _induced_kind(t)
-        for s, alphas in weighted_maps(enumerate_half_automorphisms(t)):
+        for s, ts in weighted_maps(enumerate_half_automorphisms(t)):
             kind = induced(s)
             if kind is None:
                 continue
-            res.hypothesis_count += 1 + len(alphas)
-            res.check_count += 1 + len(alphas)
+            res.hypothesis_count += weight(ts)
+            res.check_count += weight(ts)
             text = {False: "%s: %s has no well-defined quotient image",
                     HalfKind.PROPER_HALF: "%s: induced image of %s is proper"}.get(kind)
             if text:
-                res.violations += [text % (name, m.cycles()) for m in orbit_maps(s, alphas)]
+                res.violations += [text % (name, m.cycles()) for m in orbit_maps(s, ts)]
     return res
 
 
@@ -493,13 +494,13 @@ def suite_commutator_d_set(inputs, max_order=None) -> SuiteResult:
                 res.notes.append("skipped %s" % label)
                 continue
             verdict = _d_set_verdict(sub, "%s sub %r" % (name, elements))
-            for s, alphas in weighted_maps(enumerate_half_automorphisms(sub)):
+            for s, ts in weighted_maps(enumerate_half_automorphisms(sub)):
                 value = verdict(s)
                 if value is not None:
                     checks, violations = value
-                    res.hypothesis_count += 1 + len(alphas)
-                    res.check_count += checks * (1 + len(alphas))
-                    res.violations += violations * (1 + len(alphas))
+                    res.hypothesis_count += weight(ts)
+                    res.check_count += checks * (weight(ts))
+                    res.violations += violations * (weight(ts))
     return res
 
 

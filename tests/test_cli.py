@@ -351,7 +351,7 @@ def test_halfautos_limit_above_the_count_classifies_once_per_searched_map(monkey
     monkeypatch.setattr(halfmorph, "classify", counting)
     assert main(["halfautos", "--json", "--limit", "30000", "Q1"]) == 0
     limited = capsys.readouterr().out
-    assert calls == 1536
+    assert calls == 16
     assert main(["halfautos", "--json", "Q1"]) == 0
     assert capsys.readouterr().out == limited
     assert json.loads(limited)["complete"]

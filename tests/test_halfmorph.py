@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from functools import cache
 from itertools import permutations
 from math import factorial
 from operator import itemgetter
@@ -35,6 +36,7 @@ from loopsmith.halfmorph import (
     orbit_maps,
     pull_mask,
     verify_main_theorem,
+    weight,
     weighted_maps,
     _group_order,
 )
@@ -234,21 +236,26 @@ def test_enumeration_limit(get_enum):
     # the first maps found in generation order, sorted: not necessarily
     # the least maps in image-tuple order; reaching the limit, even on
     # the one map of Z1, leaves the result incomplete.  The counters stop
-    # at the last map taken: inside a subtree searched directly (Q2 at 5
-    # and 9, M(S3,2) at 40), on its last map (M(S3,2) at 108), or one map
-    # into a composed subtree (M(S3,2) at 109, Q1 at 1537)
-    for key, limit, stats in (("Q2", 5, (37, 14, 4, 0, 1, 1, 15)),
-                              ("Q2", 9, (60, 24, 5, 0, 2, 4, 38)),
-                              ("M(S3,2)", 40, (377, 39, 40, 0, 1, 0, 0)),
-                              ("M(S3,2)", 108, (1019, 108, 108, 0, 1, 0, 0)),
-                              ("M(S3,2)", 109, (1019, 108, 108, 0, 1, 1, 11)),
-                              ("Q1", 1537, (6039, 0, 1536, 0, 1, 1, 15)),
+    # at the last map taken: on a map found directly (Q2 at 5, Q1 at 1),
+    # on a composed subtree that fits (M(S3,2) at 108, Q1 at 16), or
+    # inside one, whose first maps are built (Q2 at 9, M(S3,2) at 40 and
+    # 109, Q1 at 17, 1600 and 21503)
+    for key, limit, stats in (("Q2", 5, (20, 8, 2, 0, 9, 3, 32)),
+                              ("Q2", 9, (33, 12, 3, 0, 14, 6, 47)),
+                              ("M(S3,2)", 40, (25, 2, 2, 0, 4, 38, 143)),
+                              ("M(S3,2)", 108, (25, 2, 2, 0, 4, 106, 198)),
+                              ("M(S3,2)", 109, (25, 2, 2, 0, 4, 107, 209)),
+                              ("Q1", 1, (15, 0, 1, 0, 3, 0, 0)),
+                              ("Q1", 16, (38, 0, 8, 0, 3, 8, 15)),
+                              ("Q1", 17, (38, 0, 8, 0, 3, 9, 30)),
+                              ("Q1", 1600, (72, 0, 16, 0, 4, 1584, 390)),
+                              ("Q1", 21503, (72, 0, 16, 0, 4, 21487, 570)),
                               ("Z1", 1, (0, 0, 1, 0, 0, 0, 0))):
         t = catalog.builtin(key).table
         enum = enumerate_half_automorphisms(t, limit=limit)
         images = [m.images for m in enum.maps]
         assert not enum.complete
-        assert enum.stats == SearchStats(*stats)
+        assert enum.stats == SearchStats(*stats), (key, limit)
         assert len(images) == limit
         assert images == sorted(images)
         assert set(images) <= {m.images for m in get_enum(key, t).maps}
@@ -348,25 +355,27 @@ def test_search_cost_does_not_depend_on_the_labels(chein):
 def test_search_counters(q2_enum, q1_enum, chein12, get_enum, brute_force_half_maps):
     """Counters are deterministic, so they pin down the pruning and the
     orbit search.  The first order-6 loop has a half-map besides the
-    identity, both with the same image of the first generator.  On the
-    second, a consistency check without the reversed pair (y, x) tries
-    more images, and so does an automorphism lookup that prunes by the
-    half law instead of the forward law.  On Q1 one subtree is searched,
-    at about four images tried per map, and the other thirteen images of
-    the first generator are composed from it."""
-    assert q2_enum.stats == SearchStats(nodes=75, prunes=29, leaves=8, rejected=0,
-                                        representatives=3, compositions=8, lookup_nodes=81)
+    identity, both with the same image of the first generator; it is
+    composed from the identity at the second generator.  On the second,
+    a consistency check without the reversed pair (y, x) tries more
+    images, and so does an automorphism lookup that prunes by the half
+    law instead of the forward law.  On Q1 one map per coset of its 1344
+    automorphisms is searched, 16 in all, at under five images tried per
+    map, and every other map is composed at one of three generator
+    levels."""
+    assert q2_enum.stats == SearchStats(nodes=42, prunes=18, leaves=4, rejected=0,
+                                        representatives=20, compositions=12, lookup_nodes=92)
     assert get_enum("M(S3,2)", chein12).stats == SearchStats(
-        nodes=1019, prunes=108, leaves=108, rejected=0, representatives=1, compositions=108, lookup_nodes=11)
+        nodes=25, prunes=2, leaves=2, rejected=0, representatives=4, compositions=214, lookup_nodes=209)
     for rows, maps, stats in (
             ([[1, 2, 3, 4, 5, 6], [2, 1, 4, 3, 6, 5], [3, 5, 6, 1, 2, 4],
               [4, 6, 1, 5, 3, 2], [5, 4, 2, 6, 1, 3], [6, 3, 5, 2, 4, 1]], 2,
-             SearchStats(nodes=13, prunes=4, leaves=2, rejected=0,
-                         representatives=1, compositions=0, lookup_nodes=0)),
+             SearchStats(nodes=6, prunes=1, leaves=1, rejected=0,
+                         representatives=2, compositions=1, lookup_nodes=5)),
             ([[1, 2, 3, 4, 5, 6], [2, 1, 4, 3, 6, 5], [3, 5, 6, 1, 2, 4],
               [4, 6, 2, 5, 1, 3], [5, 4, 1, 6, 3, 2], [6, 3, 5, 2, 4, 1]], 1,
              SearchStats(nodes=32, prunes=18, leaves=1, rejected=0,
-                         representatives=5, compositions=0, lookup_nodes=22))):
+                         representatives=13, compositions=0, lookup_nodes=21))):
         L = LoopTable(rows)
         assert not L.is_associative()
         enum = enumerate_half_automorphisms(L)
@@ -374,8 +383,8 @@ def test_search_counters(q2_enum, q1_enum, chein12, get_enum, brute_force_half_m
         assert len(enum.maps) == maps
         assert enum.stats == stats
     stats = q1_enum.stats
-    assert (stats.leaves, stats.rejected, stats.representatives, stats.compositions) == (1536, 0, 1, 19968)
-    assert stats.nodes < 10_000
+    assert (stats.leaves, stats.rejected, stats.representatives, stats.compositions) == (16, 0, 4, 21488)
+    assert stats.nodes < 5 * stats.leaves
 
 
 def test_catalog_search_counters(get_enum):
@@ -386,13 +395,13 @@ def test_catalog_search_counters(get_enum):
     for key in catalog.catalog_keys():
         stats = get_enum(key, catalog.builtin(key).table).stats
         total = [a + b for a, b in zip(total, stats)]
-    assert total == [7832, 181, 1724, 0, 48, 20392, 2068]
+    assert total == [578, 24, 54, 0, 110, 22062, 2285]
 
 
 def test_search_drops_and_counts_leaves_that_fail_revalidation(monkeypatch, q2, q2_enum):
-    """A representative's leaf that make_half_map refuses is counted, and
-    every map composed from it is missing too: the refused map's whole
-    orbit under the automorphisms that the search composes with."""
+    """A leaf that make_half_map refuses is counted, and every map that
+    it would have stood for is missing too: its whole coset under the
+    automorphisms, which the search composes from it level by level."""
     check = halfmorph.make_half_map
     refused = []
 
@@ -412,28 +421,24 @@ def test_search_drops_and_counts_leaves_that_fail_revalidation(monkeypatch, q2, 
     s0, = refused
     automorphisms = [m.images for m in q2_enum.maps
                      if classify(m).kind in (HalfKind.ISOMORPHISM, HalfKind.BOTH)]
-    g = halfmorph._generation_order(q2)[1][0]
-    orbit = {a[s0[g - 1] - 1] for a in automorphisms}
-    assert len(orbit) > 1
-    assert {d[g - 1] for d in dropped} == orbit and len(dropped) == len(orbit)
-    inverse = [0] * q2.order
-    for x, v in enumerate(s0, 1):
-        inverse[v - 1] = x
-    assert all(tuple(d[inverse[v - 1] - 1] for v in q2.elements) in automorphisms for d in dropped)
+    assert len(automorphisms) == 4
+    assert dropped == {tuple(a[v - 1] for v in s0) for a in automorphisms}
+    assert len(kept) == len(q2_enum.maps) - len(automorphisms)
 
 
 def test_lookup_goes_past_a_leaf_that_is_no_automorphism(monkeypatch, q2, q2_enum):
     """A complete assignment of the hom-law-only search counts only when
-    its hom mask is full; a proper half-map offered first is passed over."""
+    it preserves every product; a proper half-map offered first is passed
+    over."""
     proper = next(m.images for m in q2_enum.maps if classify(m).kind is HalfKind.PROPER_HALF)
     dfs = halfmorph._dfs
     passed_over = []
 
-    def offering_a_proper_map_first(mul, col, order, image, hom, tally):
-        if hom:
-            yield proper
-            passed_over.append(image)  # reached only when the lookup asks for the next assignment
-        yield from dfs(mul, col, order, image, hom, tally)
+    def offering_a_proper_map_first(L, order, tally, fixed=None):
+        if fixed is not None:
+            yield (), proper
+            passed_over.append(fixed)  # reached only when the lookup asks for the next assignment
+        yield from dfs(L, order, tally, fixed)
 
     monkeypatch.setattr(halfmorph, "_dfs", offering_a_proper_map_first)
     enum = enumerate_half_automorphisms(LoopTable(q2.rows))
@@ -441,11 +446,13 @@ def test_lookup_goes_past_a_leaf_that_is_no_automorphism(monkeypatch, q2, q2_enu
     assert [m.images for m in enum.maps] == [m.images for m in q2_enum.maps]
 
 
+@cache
 def _all_candidates_search(L):
     """Reference for the orbit search: the sorted images of every
     half-map, found by one depth-first search along the generation order
-    in which the first generator, like every other, may take any free
-    image, and each leaf is checked by make_half_map."""
+    in which every generator may take any free image, with no lookups,
+    and each leaf is checked by make_half_map.  Kept per table, since two
+    tests compare with it."""
     n = L.order
     mul = [[0] * (n + 1)]
     for r in L.rows:
@@ -526,6 +533,36 @@ def test_orbit_search_matches_the_all_candidates_search(key, chein, get_enum):
         assert (m.hom, m.anti) == (fresh.hom, fresh.anti), m.images
 
 
+ONE_PER_COSET = [*catalog.catalog_keys(), "M(Q8,2)", "M(D16,2)", "Q1 relabeled", "M(S3,2) relabeled"]
+
+
+@pytest.mark.parametrize("key", ONE_PER_COSET)
+def test_one_map_is_searched_per_automorphism_coset(key, chein, get_enum):
+    """The maps found directly are one per coset Aut(L) o s, so their
+    number times |Aut(L)| is the total.  Each stands for weight(ts)
+    distinct maps, no image comes from two of them, and together they are
+    the maps of the reference search."""
+    if key.endswith("relabeled"):
+        t, _ = _relabeled(catalog.builtin(key.split()[0]).table, "coset-" + key)
+        enum = enumerate_half_automorphisms(t)
+    elif key in catalog.catalog_keys():
+        t = catalog.builtin(key).table
+        enum = get_enum(key, t)
+    else:
+        t = chein(key[2:key.index(",")])
+        enum = get_enum(key, t)
+    counts = dict(half_census(t).counts)
+    pairs = list(weighted_maps(enum))
+    assert len(pairs) * (counts[HalfKind.ISOMORPHISM] + counts[HalfKind.BOTH]) == len(enum.maps)
+    expanded = []
+    for s, ts in pairs:
+        images = [m.images for m in orbit_maps(s, ts)]
+        assert len(set(images)) == len(images) == weight(ts)
+        expanded += images
+    assert len(set(expanded)) == len(expanded)
+    assert sorted(expanded) == _all_candidates_search(t)
+
+
 TRANSPORT_CHECK = [*catalog.catalog_keys(), "M(Q8,2)", "M(D16,2)", "M(D16,2) relabeled"]
 
 
@@ -564,20 +601,38 @@ def test_sources_name_a_searched_map_one_automorphism_away(key, chein, relabeled
         assert all(fn(m) == fn(s) for s, alphas in pairs for m in orbit_maps(s, alphas)), fn
 
 
-def test_limited_search_sources_point_inside_the_result(q1, q1_enum):
-    """A limited search holds its maps as a complete one does.  At 1600
-    the limit falls 64 maps into Q1's first composed subtree, so the
-    searched maps split into the 64 composed with its automorphism and
-    the rest, composed with none."""
-    (found, alphas), = q1_enum.maps.entries
-    for limit, entries in ((1, [(found[:1], ())]), (5, [(found[:5], ())]),
-                           (1600, [(found[64:], ()), (found[:64], alphas[:1])])):
+def test_limited_search_sources_point_inside_the_result(monkeypatch, q1, q1_enum):
+    """A limited search holds its maps as a complete one does, and builds
+    only maps of a composed subtree that the limit cuts: those it takes
+    and the inner compositions they pass through, fewer than the limit.
+    At 1600 the limit falls 64 maps into the first subtree composed at
+    Q1's first generator: the 16 maps found directly keep the
+    transversals of the two deeper levels, and 64 of the 1536 maps of the
+    cut subtree are built, through 63 inner compositions."""
+    built = []  # the maps built with the masks of another map during a search
+    init = HalfMap.__init__
+
+    def recording(self, domain, codomain, images, *masks):
+        init(self, domain, codomain, images, *masks)
+        if masks:
+            built.append(images)
+
+    monkeypatch.setattr(HalfMap, "__init__", recording)
+    deeper = [ts[1:] for _, ts in q1_enum.maps.entries]
+    for limit, shape, cut in ((1, [(1, [0, 0, 0])], 0),
+                              (16, [(8, [0, 0, 1])], 0),
+                              (17, [(8, [0, 0, 1]), (1, [])], 1),
+                              (1600, [(8, [0, 11, 7]), (8, [0, 11, 7]), (64, [])], 64 + 63),
+                              (21503, [(8, [12, 11, 7]), (8, [12, 11, 7]), (1535, [])], 3054)):
+        built.clear()
         enum = enumerate_half_automorphisms(q1, limit=limit)
+        entries = enum.maps.entries
+        assert [(len(maps), [len(t) for t in ts]) for maps, ts in entries] == shape
+        assert len(built) == cut <= limit
         assert len(enum.maps) == limit
-        assert [[m.images for m in maps] for maps, _ in enum.maps.entries] == \
-            [[m.images for m in maps] for maps, _ in entries]
-        assert [alphas for _, alphas in enum.maps.entries] == [alphas for _, alphas in entries]
-        assert sum(map(len, (maps for maps, _ in enum.maps.entries))) == enum.stats.leaves - enum.stats.rejected
+        assert sum(len(maps) for maps, ts in entries if ts) == enum.stats.leaves - enum.stats.rejected
+        if limit >= 1600:
+            assert [ts[1:] for _, ts in entries[:2]] == deeper
 
 
 def test_search_holds_no_index_lists_beside_the_maps(q1):
@@ -598,8 +653,9 @@ def test_search_holds_no_index_lists_beside_the_maps(q1):
 def test_theorem_and_suites_build_only_the_searched_maps_of_q1(monkeypatch, q1):
     """The census and every suite count a composed map through the map it
     was composed from, so on a fresh copy of Q1 the main-theorem driver
-    and all seventeen suites build only the 1536 maps found directly,
-    none composed, and trace a peak under 4 MiB."""
+    and all seventeen suites build only the 16 maps found directly, one
+    per coset of the automorphisms, none composed, and trace a peak under
+    4 MiB."""
     t = LoopTable(q1.rows, name="Q1")  # a fresh memo, whatever other tests read from the fixture
     tracemalloc.start()
     try:
@@ -624,17 +680,25 @@ def test_theorem_and_suites_build_only_the_searched_maps_of_q1(monkeypatch, q1):
     monkeypatch.setattr(HalfMap, "__init__", recording)
     verify_main_theorem(t)
     run_theorem_suites([("Q1", t)])
-    assert len(built) == 1536 and not any(built)
+    assert len(built) == 16 and not any(built)
 
 
 def test_complete_enumeration_holds_searched_maps_and_one_automorphism_per_composed_subtree(q1, q1_enum):
+    """Each subtree composed at a generator level adds one automorphism
+    to the transversal of the image it was composed from.  An entry holds
+    one transversal per level, and the entries below one image share its
+    list."""
     maps = q1_enum.maps
     assert isinstance(maps, HalfMaps)
-    (found, alphas), = maps.entries
+    (found, ts), (other, other_ts) = maps.entries
     stats = q1_enum.stats
-    assert len(found) == stats.leaves - stats.rejected == 1536
+    assert len(found) + len(other) == stats.leaves - stats.rejected == 16
     assert {m.images: m for m in maps}[found[0].images] is found[0]
-    assert len(alphas) == 13 and all(is_automorphism(q1, alpha) for alpha in alphas)
+    assert [len(t) for t in ts] == [len(t) for t in other_ts] == [13, 11, 7]
+    assert ts[0] is other_ts[0] and ts[1] is other_ts[1] and ts[2] is not other_ts[2]
+    alphas = {alpha for t in (*ts, other_ts[2]) for alpha in t}
+    assert len(alphas) == 31 and all(is_automorphism(q1, alpha) for alpha in alphas)
+    assert weight(ts) == weight(other_ts) == 1344
     assert len(maps) == stats.leaves + stats.compositions == 21504
     # a listing builds each composed map once and hands the same objects to every read
     assert maps[0] is next(iter(maps)) and list(maps)[-1] is maps[-1]
@@ -649,12 +713,23 @@ def test_group_order_of_the_symmetric_groups():
     assert _group_order([], 5) == 1
 
 
-def test_group_order_of_the_half_maps(q1, q1_enum, q2, q2_enum):
+def test_group_order_of_the_half_maps(monkeypatch, q1, q1_enum, q2, q2_enum):
     assert _group_order([m.images for m in q2_enum.maps], 8) == 16
     assert _group_order([m.images for m in q1_enum.maps], 16) == 21504
-    found, alphas = q1_enum.maps.entries[0]
-    assert _group_order([m.images for m in found] + list(alphas), 16) == 21504
+    entries = q1_enum.maps.entries
+    found = [s.images for maps, _ in entries for s in maps]
+    alphas = list(dict.fromkeys(alpha for _, ts in entries for t in ts for alpha in t))
+    assert (len(found), len(alphas)) == (16, 31)
+    assert _group_order(found + alphas, 16) == 21504
+    sifted = []
+
+    def recording(generators, n):
+        sifted.append(len(generators))
+        return _group_order(generators, n)
+
+    monkeypatch.setattr(halfmorph, "_group_order", recording)
     assert half_maps_form_group_check(q1, q1_enum)
+    assert sifted == [47]
 
 
 def test_group_order_matches_the_breadth_first_closure(chein12, get_enum):
@@ -1021,7 +1096,9 @@ def test_theorem_report_is_a_copy_and_violations_raise_on_every_call(monkeypatch
     first.census[HalfKind.PROPER_HALF] = 0
     again = verify_main_theorem(copy)
     assert again.census[HalfKind.PROPER_HALF] == 8
-    assert len(again.proper_maps) == PROPER_SHOWN
+    # at most PROPER_SHOWN proper maps found directly: Q2 has two, one per coset of its automorphisms
+    assert again.proper_maps == tuple(s for s, _ in half_census(copy).proper) and len(again.proper_maps) == 2
+    assert PROPER_SHOWN == 3
 
     # Q2 is automorphic but not Moufang; declaring it Moufang makes its
     # proper maps contradict the theorem, on the first and later calls

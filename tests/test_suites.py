@@ -134,7 +134,7 @@ def _searched(L):
     return sum(len(maps) for maps, _ in enumerate_half_automorphisms(L).maps.entries)
 
 
-@pytest.mark.parametrize("key, semi, cosets", [("Q2", 0, 13), ("M(S3,2)", 108, 120)], ids=["Q2", "M(S3,2)"])
+@pytest.mark.parametrize("key, semi, cosets", [("Q2", 0, 7), ("M(S3,2)", 2, 9)], ids=["Q2", "M(S3,2)"])
 def test_per_map_work_runs_once_per_searched_map(monkeypatch, key, semi, cosets):
     """Counters repeat exactly, so per-map work that comes back shows here.
     The sandwich law is checked once per searched map of a Moufang loop.

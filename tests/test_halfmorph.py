@@ -583,12 +583,12 @@ def test_sources_name_a_searched_map_one_automorphism_away(key, chein, relabeled
     listed = {m.images: m for m in enum.maps}
     pairs = list(weighted_maps(enum))
     assert len(pairs) == enum.stats.leaves - enum.stats.rejected
-    for s, alphas in pairs:
+    for s, ts in pairs:
         assert listed[s.images] is s
         inverse = [0] * n
         for x, v in enumerate(s.images, 1):
             inverse[v - 1] = x
-        for m in orbit_maps(s, alphas):
+        for m in orbit_maps(s, ts):
             assert is_automorphism(t, tuple(m.images[x - 1] for x in inverse)), m.images
             assert (listed[m.images].hom, listed[m.images].anti) == (s.hom, s.anti)
     functions = [classify, is_semi_isomorphism, d_set, lambda m: find_gg_triples(m, limit=1)]
@@ -598,7 +598,7 @@ def test_sources_name_a_searched_map_one_automorphism_away(key, chein, relabeled
             functions.append(suites._d_set_verdict(t, key))
     assert sorted(m.images for pair in pairs for m in orbit_maps(*pair)) == [m.images for m in enum.maps]
     for fn in functions:
-        assert all(fn(m) == fn(s) for s, alphas in pairs for m in orbit_maps(s, alphas)), fn
+        assert all(fn(m) == fn(s) for s, ts in pairs for m in orbit_maps(s, ts)), fn
 
 
 def test_limited_search_sources_point_inside_the_result(monkeypatch, q1, q1_enum):

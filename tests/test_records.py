@@ -304,4 +304,4 @@ def test_enumeration_without_sources_makes_every_map_its_own(q2, q2_enum):
     again = HalfEnumeration(q2_enum.maps, True, q2_enum.stats)
     assert again == q2_enum
     assert again.maps.entries is q2_enum.maps.entries
-    assert any(alphas for _, alphas in again.maps.entries)
+    assert any(t for _, ts in again.maps.entries for t in ts)

@@ -12,7 +12,7 @@ _EXPORTS = {
         "HalfMapError", "InternalCheckError", "LoopError", "LoopFileError", "QuotientError",
         "TableValidationError", "TheoremViolation",
     ),
-    "table": ("LoopTable", "MoufangFlags", "ValidationReport", "relabel", "validate"),
+    "table": ("CatalogEntry", "LoopTable", "MoufangFlags", "ValidationReport", "relabel", "validate"),
     "closure": (
         "Subloop", "associator_subloop", "center", "commutant", "commutative_nilpotency_class",
         "commutator_subloop", "generate_subloop", "nucleus", "nucleus_left", "nucleus_middle",
@@ -29,7 +29,6 @@ _EXPORTS = {
         "half_maps_form_group_check", "induced_on_quotient", "is_semi_isomorphism", "make_half_map",
         "verify_main_theorem",
     ),
-    "loopfile": ("CatalogEntry",),
     "loopformat": ("parse_loop_file", "write_loop_file"),
     "catalog": (
         "builtin", "catalog_keys", "check_expected", "entries", "make_chein", "make_cyclic",

@@ -15,7 +15,7 @@ import sys
 import time
 
 from .errors import EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, LoopFileError
-from .loopfile import load_loop
+from .table import load_loop
 
 
 def _consistent(flags) -> bool:

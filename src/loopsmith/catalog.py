@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .loopfile import CatalogEntry
-from .table import LoopTable
+from .table import CatalogEntry, LoopTable
 # validate is unused here; it stays bound because the benchmark's test of
 # its tracer (loopbench/test_loopbench.py) checks that this binding is wrapped
 from .table import validate  # noqa: F401
@@ -241,12 +240,12 @@ def builtin(key) -> CatalogEntry:
     return CatalogEntry(key, make_dihedral(int(key[1:])), _group_expected(False))
 
 
-@lru_cache(maxsize=None)
+_KEYS = (*("Z%d" % n for n in range(1, 17)), *("D%d" % n for n in range(6, 17, 2)),
+         "S3", "Q8", "M(S3,2)", "Q1", "Q2")
+
+
 def catalog_keys() -> tuple:
-    keys = ["Z%d" % n for n in range(1, 17)]
-    keys += ["D%d" % n for n in range(6, 17, 2)]
-    keys += ["S3", "Q8", "M(S3,2)", "Q1", "Q2"]
-    return tuple(keys)
+    return _KEYS
 
 
 def entries():

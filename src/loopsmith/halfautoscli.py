@@ -13,7 +13,7 @@ import json
 import sys
 
 from .errors import EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, LoopFileError
-from .loopfile import load_loop
+from .table import load_loop
 
 
 def cmd_halfautos(args) -> int:

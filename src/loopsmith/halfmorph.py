@@ -84,9 +84,6 @@ class HalfMap:
             self._image_bytes = zero_based(self.images)
         return self._image_bytes
 
-    def apply(self, x):
-        return self.images[x - 1]
-
     def cycles(self) -> str:
         return cycles_str(self.images)
 

@@ -1,6 +1,6 @@
 """.loop text: the reader and the writer.
 
-loopfile.load_loop imports this module only when it reads a file, so a
+table.load_loop imports this module only when it reads a file, so a
 run on catalog keys does not compile it (README, "Start-up").  The
 numbers of a file, its order and its table entries, are ASCII decimal
 digits and nothing else.
@@ -9,8 +9,7 @@ digits and nothing else.
 from __future__ import annotations
 
 from .errors import LoopFileError, TableValidationError
-from .loopfile import CatalogEntry
-from .table import MAX_ORDER, LoopTable, too_large_message
+from .table import MAX_ORDER, CatalogEntry, LoopTable, too_large_message
 
 
 def _number(token):

@@ -9,15 +9,21 @@ The one word table is commutators().  Commutation and association are
 each read in one pass per table, innermaps.noncommuting (one pair mask,
 which _commuting counts row by row) and closure._association, and the
 flags, nuclei, commutant and witness triples are views of those passes.
+
+Every command loads this module, so the input loader lives here too:
+load_loop reads a .loop file or a catalog key into a CatalogEntry, and
+imports the .loop reader (loopformat) only when it reads a file and the
+catalog only for a name that could be a key (README, "Start-up").
 """
 
 from __future__ import annotations
 
 import functools
+import os
 from collections import namedtuple
 from itertools import product
 
-from .errors import TableValidationError
+from .errors import LoopFileError, TableValidationError
 
 # per-map comparisons hold elements as bytes (see innermaps.ByteTable)
 MAX_ORDER = 256
@@ -76,30 +82,19 @@ def validate(raw) -> ValidationReport:
                 entries_ok = False
     if not entries_ok:
         return ValidationReport(False, False, None, violations)
-    is_quasigroup = True
-    for x, row in enumerate(raw, start=1):
-        seen = {}
-        for y, v in enumerate(row, start=1):
-            if v in seen:
-                violations.append(("row-not-latin", (x, seen[v], y)))
-                is_quasigroup = False
-            else:
-                seen[v] = y
-    for y in range(1, n + 1):
-        seen = {}
-        for x in range(1, n + 1):
-            v = raw[x - 1][y - 1]
-            if v in seen:
-                violations.append(("column-not-latin", (y, seen[v], x)))
-                is_quasigroup = False
-            else:
-                seen[v] = x
-    identity = None
-    target = list(range(1, n + 1))
-    for e in range(1, n + 1):
-        if list(raw[e - 1]) == target and [raw[x - 1][e - 1] for x in range(1, n + 1)] == target:
-            identity = e
-            break
+    columns = list(zip(*raw))
+    # a line is row x of raw or column x, its cells at positions y
+    for kind, lines in (("row-not-latin", raw), ("column-not-latin", columns)):
+        for x, line in enumerate(lines, start=1):
+            seen = {}
+            for y, v in enumerate(line, start=1):
+                if v in seen:
+                    violations.append((kind, (x, seen[v], y)))
+                else:
+                    seen[v] = y
+    is_quasigroup = not violations
+    target = tuple(range(1, n + 1))
+    identity = next((e for e in target if tuple(raw[e - 1]) == target == columns[e - 1]), None)
     if identity is None:
         violations.append(("no-identity", ()))
     return ValidationReport(is_quasigroup, identity is not None, identity, violations)
@@ -222,11 +217,6 @@ class LoopTable:
         self._check(x, y)
         return self.rows[x - 1][y - 1]
 
-    def ldiv(self, x, y):
-        """x \\ y, the unique z with x*z = y."""
-        self._check(x, y)
-        return self._ld[x - 1][y - 1]
-
     def right_inverse(self, x):
         """The unique b with x*b = 1."""
         self._check(x)
@@ -266,11 +256,6 @@ class LoopTable:
             tuple(rows[rows[rows[inv[x] - 1][inv[y] - 1] - 1][x] - 1][y] for y in range(self.order))
             for x in range(self.order)
         )
-
-    def commutator(self, x, y):
-        """[x, y], read from commutators()."""
-        self._check(x, y)
-        return self.commutators()[x - 1][y - 1]
 
     def associator(self, x, y, z):
         """(x, y, z) = (x*(y*z)) \\ ((x*y)*z); 1 iff the triple associates."""
@@ -360,3 +345,37 @@ class LoopTable:
                 for h in H.elements:
                     covered[h] |= mask
         return True
+
+
+class CatalogEntry:
+    """A loop with its key, its expected properties, each mapped to
+    (value, provenance), and its featured half-map images, if any."""
+
+    __slots__ = ("key", "table", "expected", "featured_half_map")
+
+    def __init__(self, key: str, table: LoopTable, expected: dict | None = None,
+                 featured_half_map: tuple | None = None):
+        self.key = key
+        self.table = table
+        self.expected = {} if expected is None else expected
+        self.featured_half_map = featured_half_map
+
+
+def load_loop(path, normalize=False) -> CatalogEntry:
+    """Read a .loop file, or fall back to a catalog key; the catalog is
+    imported only for a name that is not a file and could be a key."""
+    # no catalog key holds a path separator or ends in .loop
+    could_be_key = not (path.endswith(".loop") or os.sep in path or (os.altsep or os.sep) in path)
+    if could_be_key and not os.path.exists(path):
+        from . import catalog as cat
+
+        if path in cat.catalog_keys():
+            return cat.builtin(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LoopFileError("cannot read %s: %s" % (path, exc)) from exc
+    from .loopformat import parse_loop_file
+
+    return parse_loop_file(text, normalize=normalize)

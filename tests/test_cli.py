@@ -387,6 +387,56 @@ def test_checktheorem_corrupt_table_fails_but_continues(loopfiles, capsys):
     assert "S3 (order 6)" in captured.out
 
 
+def test_checktheorem_text_names_the_inner_map_witness(capsys):
+    assert main(["checktheorem", "Q1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "Q1 (order 16): moufang=True automorphic=False witness=t[2] = (3,7)(5,8)(9,12)(10,14)(11,15)(13,16)"
+        " is not an automorphism maps=21504"
+        " census=anti-isomorphism:1344,both:0,isomorphism:1344,proper-half:18816")
+
+
+def test_a_theorem_violation_exits_1_with_an_error_line(monkeypatch, capsys):
+    """A LoopError raised inside a command is a property failure (exit 1),
+    told apart from the internal-error exit 3."""
+    z4 = builtin("Z4").table
+    proper = halfmorph.make_half_map(z4, z4, (1, 4, 3, 2))
+
+    def census(L):
+        return halfmorph.HalfCensus(((halfmorph.HalfKind.PROPER_HALF, 1),), ((proper, ()),))
+
+    monkeypatch.setattr(halfmorph, "half_census", census)
+    assert main(["checktheorem", "--json", "Z4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: Z4 is automorphic Moufang yet carries proper half-morphisms: (2,4)\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_checktheorem_exits_1_when_a_suite_reports_a_violation(json_flag, monkeypatch, capsys):
+    def run_theorem_suites(named, max_order):
+        return [suites.SuiteResult("main-theorem", 1, 1, ["Z4: planted violation"])]
+
+    monkeypatch.setattr(suites, "run_theorem_suites", run_theorem_suites)
+    assert main(["checktheorem", "Z4"] + json_flag) == 1
+    out = capsys.readouterr().out
+    if json_flag:
+        payload = json.loads(out)
+        assert payload["ok"] is False
+        assert payload["suites"][0]["violations"] == ["Z4: planted violation"]
+    else:
+        assert out.splitlines()[-2:] == [
+            "suite main-theorem                 hypotheses=1     checks=1        violations=1 FAIL",
+            "theorem check: FAIL"]
+
+
+def test_halfautos_exits_1_when_the_maps_do_not_form_a_group(monkeypatch, capsys):
+    monkeypatch.setattr(halfmorph, "half_maps_form_group_check", lambda L, enum: False)
+    assert main(["halfautos", "Q2"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "closed under composition and inverse: NO"
+    assert main(["halfautos", "--json", "Q2"]) == 1
+    assert json.loads(capsys.readouterr().out)["group_closed"] is False
+
+
 def test_checktheorem_unreadable_is_usage_error(loopfiles):
     assert main(["checktheorem", loopfiles["truncated.loop"]]) == 2
 

@@ -55,12 +55,12 @@ def _modules_loaded_by(argv, code):
 # the loopsmith modules each command loads.  Every run loads cli, errors and
 # table, and then the module of its command: analyzecli for validate and
 # analyze, halfautoscli for halfautos, halfcli for checktheorem.  An input
-# loads loopfile, and the .loop reader (loopformat) only when a file is
-# read, the catalog only for a catalog key.  analyze without the census
-# needs closure and innermaps, and the census subloops and halfmorph.
+# loads the .loop reader (loopformat) only when a file is read, the catalog
+# only for a catalog key.  analyze without the census needs closure and
+# innermaps, and the census subloops and halfmorph.
 BASE = {"cli", "errors", "table"}
-FILE = {"loopfile", "loopformat"}
-KEY = {"loopfile", "catalog"}
+FILE = {"loopformat"}
+KEY = {"catalog"}
 ANALYZE = {"analyzecli", "closure", "innermaps"}
 CENSUS = {"closure", "innermaps", "subloops", "halfmorph"}
 
@@ -75,7 +75,7 @@ CENSUS = {"closure", "innermaps", "subloops", "halfmorph"}
     (["halfautos", "--json", "Q2FILE"], 0, BASE | FILE | CENSUS | {"halfautoscli"}),
     # a name that cannot be a catalog key does not load the catalog, and a
     # file that cannot be read does not load the reader
-    (["analyze", "nosuch.loop"], 2, BASE | {"analyzecli", "loopfile"}),
+    (["analyze", "nosuch.loop"], 2, BASE | {"analyzecli"}),
     (["--help"], 0, BASE),
     (["analyze", "--bogus", "Q2"], 2, BASE),
 ], ids=["validate-file", "analyze-file", "analyze-key", "checktheorem-key", "halfautos-key",
@@ -174,7 +174,7 @@ def test_only_console_main_ends_the_process():
 PACKAGE_NAMES = {
     "errors": ("HalfMapError", "InternalCheckError", "LoopError", "LoopFileError", "QuotientError",
                "TableValidationError", "TheoremViolation"),
-    "table": ("LoopTable", "MoufangFlags", "ValidationReport", "relabel", "validate"),
+    "table": ("CatalogEntry", "LoopTable", "MoufangFlags", "ValidationReport", "relabel", "validate"),
     "closure": ("Subloop", "associator_subloop", "center", "commutant", "commutative_nilpotency_class",
                 "commutator_subloop", "generate_subloop", "nucleus", "nucleus_left", "nucleus_middle",
                 "nucleus_right"),
@@ -185,7 +185,6 @@ PACKAGE_NAMES = {
                   "TheoremReport", "classify", "d_set", "enumerate_half_automorphisms", "find_gg_triples",
                   "half_maps_form_group_check", "induced_on_quotient", "is_semi_isomorphism",
                   "make_half_map", "verify_main_theorem"),
-    "loopfile": ("CatalogEntry",),
     "loopformat": ("parse_loop_file", "write_loop_file"),
     "catalog": ("builtin", "catalog_keys", "check_expected", "entries", "make_chein", "make_cyclic",
                 "make_dihedral", "make_quaternion8", "make_symmetric3"),

@@ -14,6 +14,7 @@ from loopsmith.cli import analyze_table
 from loopsmith.errors import InternalCheckError, QuotientError
 from loopsmith.subloops import (
     Subloop,
+    SubloopSearch,
     _close,
     associator_subloop,
     center,
@@ -374,6 +375,14 @@ def test_sylow_subloop_closes_once_when_the_closure_of_p_elements_misses(chein, 
     r = sylow_subloop(L, 2)
     assert len(calls) == 1
     assert r.target == 8 and len(r.subloop) == 8 and is_closed(L, r.subloop.elements)
+
+
+def test_sylow_subloop_reports_a_missing_subloop():
+    """A loop of order 5 with elements of orders 2 and 3 (2*2 = 1; not
+    Moufang) has no subloop of order 5 made of 5-elements: only 1 is one."""
+    L = LoopTable([[1, 2, 3, 4, 5], [2, 1, 4, 5, 3], [3, 4, 5, 2, 1], [4, 5, 1, 3, 2], [5, 3, 2, 1, 4]])
+    assert not L.is_moufang() and L.mul(2, 2) == 1
+    assert sylow_subloop(L, 5) == SubloopSearch(None, 5)
 
 
 def test_hall_3prime_on_z12():

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .table import CatalogEntry, LoopTable
+from .table import CatalogEntry, LoopTable, cayley
 # validate is unused here; it stays bound because the benchmark's test of
 # its tracer (loopbench/test_loopbench.py) checks that this binding is wrapped
 from .table import validate  # noqa: F401
@@ -74,8 +74,7 @@ def make_cyclic(n) -> LoopTable:
     """Cyclic group: k*m = ((k-1 + m-1) mod n) + 1."""
     if n < 1:
         raise ValueError("order must be positive")
-    rows = [[(i + j) % n + 1 for j in range(n)] for i in range(n)]
-    t = LoopTable(rows, name="Z%d" % n)
+    t = LoopTable(cayley(range(n), lambda i, j: (i + j) % n)[0], name="Z%d" % n)
     assert t.is_associative()
     return t
 
@@ -84,22 +83,15 @@ def make_dihedral(n) -> LoopTable:
     """Dihedral group of order n (n even, at least 4).
 
     Elements 1..n/2 are the rotations r^0..r^(n/2-1); the rest are the
-    reflections s*r^0..s*r^(n/2-1), in that order.
+    reflections s*r^0..s*r^(n/2-1), in that order.  With (f, k) standing
+    for s^f*r^k, (f, i)*(g, j) is (f xor g, j-i) when g = 1 and
+    (f xor g, i+j) otherwise, exponents mod n/2.
     """
     if n < 4 or n % 2:
         raise ValueError("dihedral order must be even and at least 4")
     m = n // 2
-
-    def label(flip, k):
-        return (m if flip else 0) + k % m + 1
-
-    rows = [[0] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(m):
-            rows[label(0, i) - 1][label(0, j) - 1] = label(0, i + j)
-            rows[label(0, i) - 1][label(1, j) - 1] = label(1, j - i)
-            rows[label(1, i) - 1][label(0, j) - 1] = label(1, i + j)
-            rows[label(1, i) - 1][label(1, j) - 1] = label(0, j - i)
+    elements = [(f, k) for f in (0, 1) for k in range(m)]
+    rows = cayley(elements, lambda a, b: (a[0] ^ b[0], (b[1] - a[1] if b[0] else a[1] + b[1]) % m))[0]
     t = LoopTable(rows, name="D%d" % n)
     assert t.is_associative()
     return t
@@ -108,39 +100,24 @@ def make_dihedral(n) -> LoopTable:
 def make_symmetric3() -> LoopTable:
     """Symmetric group on three letters via composition of one-line maps."""
     perms = [(1, 2, 3), (2, 3, 1), (3, 1, 2), (2, 1, 3), (3, 2, 1), (1, 3, 2)]
-    index = {p: i + 1 for i, p in enumerate(perms)}
-    rows = [
-        [index[tuple(p[q[i] - 1] for i in range(3))] for q in perms]
-        for p in perms
-    ]
-    t = LoopTable(rows, name="S3")
+    t = LoopTable(cayley(perms, lambda p, q: tuple(p[q[i] - 1] for i in range(3)))[0], name="S3")
     assert t.is_associative()
     return t
 
 
 def make_quaternion8() -> LoopTable:
-    """Quaternion group: 1, -1, i, -i, j, -j, k, -k in that order."""
-    units = ["1", "i", "j", "k"]
-    mult = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
-        ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-        ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-        ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-        ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
-    }
+    """Quaternion group: 1, -1, i, -i, j, -j, k, -k in that order, each
+    held as its coordinates (a, b, c, d) of a + bi + cj + dk and
+    multiplied by the Hamilton product."""
+    elements = [tuple(s * (i == u) for i in range(4)) for u in range(4) for s in (1, -1)]
 
-    def label(sign, unit):
-        return units.index(unit) * 2 + (1 if sign > 0 else 2)
+    def hamilton(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+                a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
 
-    elems = [(s, u) for u in units for s in (1, -1)]
-    elems.sort(key=lambda e: label(*e))
-    rows = [[0] * 8 for _ in range(8)]
-    for s1, u1 in elems:
-        for s2, u2 in elems:
-            s, u = mult[(u1, u2)]
-            rows[label(s1, u1) - 1][label(s2, u2) - 1] = label(s1 * s2 * s, u)
-    t = LoopTable(rows, name="Q8")
+    t = LoopTable(cayley(elements, hamilton)[0], name="Q8")
     assert t.is_associative()
     return t
 
@@ -153,19 +130,16 @@ def make_chein(G) -> LoopTable:
     (gu)*(hu) = h^-1 g.  The result is a group exactly when G is
     commutative; both facts are asserted before returning.
     """
-    m = G.order
-    n = 2 * m
-    rows = [[0] * n for _ in range(n)]
     grows = G.rows
-    inv = [G.right_inverse(x) for x in range(1, m + 1)]
-    for g in range(1, m + 1):
-        for h in range(1, m + 1):
-            rows[g - 1][h - 1] = grows[g - 1][h - 1]
-            rows[g - 1][m + h - 1] = m + grows[h - 1][g - 1]
-            rows[m + g - 1][h - 1] = m + grows[g - 1][inv[h - 1] - 1]
-            rows[m + g - 1][m + h - 1] = grows[inv[h - 1] - 1][g - 1]
-    name = "M(%s,2)" % (G.name or "G")
-    t = LoopTable(rows, name=name)
+
+    def product(a, b):
+        (g, u), (h, v) = a, b
+        if u:
+            h = G.right_inverse(h)
+        return (grows[h - 1][g - 1] if v else grows[g - 1][h - 1]), u ^ v
+
+    rows = cayley([(g, u) for u in (0, 1) for g in G.elements], product)[0]
+    t = LoopTable(rows, name="M(%s,2)" % (G.name or "G"))
     assert t.is_moufang()
     assert t.is_associative() == G.is_commutative()
     return t

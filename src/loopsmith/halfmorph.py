@@ -543,6 +543,11 @@ def half_maps_form_group_check(L, enumeration) -> bool:
     """The set S of half-morphisms of L in a complete enumeration is a
     group under composition.
 
+    This holds for every finite loop: t1(t2(x*y)) is t1 of t2(x)*t2(y)
+    or of t2(y)*t2(x), so composites are half-morphisms, and a finite set
+    of permutations closed under composition is a group.  So the check
+    tests the enumeration, not the loop.
+
     S, a finite set of permutations, lies in the group <S> it generates,
     so S is a group exactly when |<S>| = |S|; |S| is len(maps), whose
     maps are distinct (the factored weights in

@@ -29,8 +29,8 @@ from .closure import (  # noqa: F401
     commutator_subloop, generate_subloop, is_closed, nucleus, nucleus_left, nucleus_middle, nucleus_right,
 )
 from .errors import InternalCheckError, QuotientError
-from .innermaps import byte_table, column_bytes, gather, inner_maps, product_bytes, push, zero_based
-from .table import LoopTable, memoized
+from .innermaps import byte_table, column_bytes, gather, product_bytes, push, zero_based
+from .table import LoopTable, cayley, memoized
 
 
 def _grow(L, family):
@@ -98,17 +98,6 @@ def three_generated_tables(L) -> tuple:
 # -- normality and quotients ------------------------------------------
 
 
-def is_normal(L, H) -> bool:
-    """No inner-mapping generator (innermaps.inner_maps) sends an element
-    of H outside H: deleting H's bytes from each image of H leaves nothing.
-
-    Every family is needed.  An order-8 loop, a central extension of Z4 by
-    Z2, has two subloops of order 2 that its r and t maps keep and some l
-    map moves; in the opposite loop, some r map moves them instead."""
-    over = bytes(h - 1 for h in H.elements)
-    return not any(p.translate(None, over) for _, _, _, p in inner_maps(L, over))
-
-
 class Quotient(namedtuple("Quotient", "table projection")):
     """The factor table, and projection[x-1], the coset index of x."""
 
@@ -153,12 +142,7 @@ def quotient(L, H) -> Quotient:
         for y in block:
             coset_of[y] = block[0]
     reps.sort()
-    index = {r: i + 1 for i, r in enumerate(reps)}
-    m = len(reps)
-    qrows = [[0] * m for _ in range(m)]
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            qrows[i][j] = index[coset_of[rows[a - 1][b - 1]]]
+    qrows, index = cayley(reps, lambda a, b: coset_of[rows[a - 1][b - 1]])
     projection = tuple(index[coset_of[x]] for x in range(1, n + 1))
     p = zero_based(projection)
     if push(product_bytes(L).flat, p) != gather(byte_table(qrows).rows, p):
@@ -176,20 +160,36 @@ def quotient(L, H) -> Quotient:
     return Quotient(LoopTable(qrows, name=name), projection)
 
 
+def is_normal(L, H) -> bool:
+    """Whether quotient(L, H) succeeds.
+
+    This is exact.  When H is normal its left cosets partition L and the
+    coset product is well defined, so quotient succeeds.  When quotient
+    succeeds, the projection is a homomorphism onto a loop whose kernel,
+    the coset of 1, is H; a kernel is normal."""
+    try:
+        quotient(L, H)
+    except QuotientError:
+        return False
+    return True
+
+
 @memoized
 def associator_quotient(L) -> Quotient | None:
     """The quotient by the associator subloop, or None when that subloop
-    is not normal; computed once per table, so callers must not mutate it."""
-    A = associator_subloop(L)
-    return quotient(L, A) if is_normal(L, A) else None
+    is not normal (quotient refuses it, see is_normal); computed once per
+    table, so callers must not mutate it."""
+    try:
+        return quotient(L, associator_subloop(L))
+    except QuotientError:
+        return None
 
 
 def _restricted_rows(L, elems):
     """The rows of L on a closed, sorted element tuple, relabeled 1..k
     in that order, as a tuple of tuples, and the relabeling old_to_new."""
-    old_to_new = {e: i + 1 for i, e in enumerate(elems)}
-    rows = tuple(tuple(old_to_new[L.rows[a - 1][b - 1]] for b in elems) for a in elems)
-    return rows, old_to_new
+    rows = L.rows
+    return cayley(elems, lambda a, b: rows[a - 1][b - 1])
 
 
 def restriction(L, elements, name=None):

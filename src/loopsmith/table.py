@@ -115,6 +115,14 @@ def relabel(raw, perm):
     return out
 
 
+def cayley(elements, product):
+    """The table of product on a list of elements, which the product must
+    keep: rows labeled 1, 2, ... in list order, and the label of each
+    element.  Every constructed table is built here."""
+    label = {e: i for i, e in enumerate(elements, start=1)}
+    return tuple(tuple(label[product(a, b)] for b in elements) for a in elements), label
+
+
 def memoized(fn):
     """Store fn(table) in that table's own memo, computing it once.
 

@@ -125,6 +125,14 @@ def test_make_dihedral():
     assert not t.is_commutative()
 
 
+def test_constructors_refuse_orders_outside_their_family():
+    with pytest.raises(ValueError, match="order must be positive"):
+        make_cyclic(0)
+    for n in (5, 2):
+        with pytest.raises(ValueError, match="even and at least 4"):
+            make_dihedral(n)
+
+
 def test_make_quaternion8():
     t = make_quaternion8()
     assert t.order == 8

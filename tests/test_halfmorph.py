@@ -24,6 +24,7 @@ from loopsmith.halfmorph import (
     PROPER_SHOWN,
     SearchStats,
     classify,
+    coset_images,
     d_set,
     enumerate_half_automorphisms,
     find_gg_triples,
@@ -260,6 +261,11 @@ def test_enumeration_limit(get_enum):
         assert images == sorted(images)
         assert set(images) <= {m.images for m in get_enum(key, t).maps}
         assert sorted(m.images for pair in weighted_maps(enum) for m in orbit_maps(*pair)) == images
+
+
+def test_enumeration_refuses_a_limit_below_one(q2):
+    with pytest.raises(ValueError, match="limit must be at least 1"):
+        enumerate_half_automorphisms(q2, limit=0)
 
 
 def test_limited_enumeration_is_never_memoized():
@@ -849,6 +855,13 @@ def test_half_maps_form_group(q2, q2_enum, s3, get_enum):
     assert half_maps_form_group_check(s3, get_enum("S3", s3))
 
 
+def test_group_check_refuses_a_limited_enumeration(q2):
+    limited = enumerate_half_automorphisms(q2, limit=3)
+    assert not limited.complete
+    with pytest.raises(ValueError, match="needs a complete enumeration"):
+        half_maps_form_group_check(q2, limited)
+
+
 def _hand_built(maps):
     """A complete enumeration of the given maps, each standing for itself."""
     return HalfEnumeration(HalfMaps(((tuple(maps), ()),)), True)
@@ -1061,6 +1074,26 @@ def test_induced_on_quotient(phi1, phi2):
     assert down.domain.order == 4
     assert down.images == (1, 3, 2, 4)
     assert classify(down).kind is HalfKind.BOTH
+
+
+def _swap(L, a, b):
+    return tuple(b if x == a else a if x == b else x for x in L.elements)
+
+
+def test_induced_on_quotient_refuses_a_map_that_moves_the_associator_subloop(q1):
+    """HalfMap builds any bijection: (2 4) moves A(Q1) = {1, 4}."""
+    assert sl.associator_subloop(q1).elements == (1, 4)
+    with pytest.raises(ValueError, match="does not carry the associator subloop"):
+        induced_on_quotient(HalfMap(q1, q1, _swap(q1, 2, 4)))
+
+
+def test_coset_images_refuses_a_map_that_splits_a_coset(q1):
+    """(2 3) keeps A(Q1) = {1, 4} but sends the coset {2, 6} to {3, 6},
+    which meets two cosets."""
+    proj = sl.associator_quotient(q1).projection
+    assert (proj[1], proj[2], proj[5]) == (2, 3, 2)
+    with pytest.raises(ValueError, match=r"coset 2 depends on the representative \(element 6\)"):
+        coset_images(HalfMap(q1, q1, _swap(q1, 2, 3)), proj, proj)
 
 
 def test_verify_main_theorem_on_group(s3):

@@ -377,6 +377,16 @@ def test_sylow_subloop_closes_once_when_the_closure_of_p_elements_misses(chein, 
     assert r.target == 8 and len(r.subloop) == 8 and is_closed(L, r.subloop.elements)
 
 
+def test_is_closed_needs_the_identity(q1):
+    assert is_closed(q1, (1, 4))
+    assert not is_closed(q1, (4,))
+
+
+def test_sylow_subloop_refuses_a_non_prime(q1):
+    with pytest.raises(ValueError, match="p must be prime, got 4"):
+        sylow_subloop(q1, 4)
+
+
 def test_sylow_subloop_reports_a_missing_subloop():
     """A loop of order 5 with elements of orders 2 and 3 (2*2 = 1; not
     Moufang) has no subloop of order 5 made of 5-elements: only 1 is one."""

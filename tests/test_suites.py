@@ -9,7 +9,7 @@ import pytest
 
 from loopsmith import catalog, suites
 from loopsmith import subloops as sl
-from loopsmith.errors import TheoremViolation
+from loopsmith.errors import QuotientError, TheoremViolation
 from loopsmith.halfmorph import (
     HalfEnumeration,
     HalfKind,
@@ -166,19 +166,46 @@ def test_per_map_work_runs_once_per_searched_map(monkeypatch, key, semi, cosets)
 @pytest.mark.parametrize("key, verdict, suite, text", [
     ("M(S3,2)", "is_semi_isomorphism", "suite_semi_isomorphism", "%s: map %s breaks the sandwich law"),
     ("Q1", "find_gg_triples", "suite_gg_witness", "%s: proper map %s has no witness triple"),
+    ("Q1", "coset_images", "suite_induced_quotient", "%s: %s has no well-defined quotient image"),
 ])
 def test_a_failing_verdict_names_every_map_it_stands_for(monkeypatch, key, verdict, suite, text):
     """A verdict computed once on a searched map counts for the maps
     composed from it, so a failing one gives one violation line per map,
-    each naming its own map, as a map-by-map walk does."""
-    t = catalog.builtin(key).table
-    monkeypatch.setattr(suites, verdict, lambda *args, **kwargs: False)
+    each naming its own map, as a map-by-map walk does.  coset_images
+    fails by raising, and a fresh table keeps _induced_kind's memo out."""
+    t = LoopTable(catalog.builtin(key).table.rows, name=key)
+
+    def failing(*args, **kwargs):
+        if verdict == "coset_images":
+            raise ValueError("split coset")
+        return False
+
+    monkeypatch.setattr(suites, verdict, failing)
     res = getattr(suites, suite)([(key, t)])
     maps = enumerate_half_automorphisms(t).maps
     want = [text % (key, m.cycles()) for m in maps
-            if verdict == "is_semi_isomorphism" or classify(m).kind is HalfKind.PROPER_HALF]
+            if verdict != "find_gg_triples" or classify(m).kind is HalfKind.PROPER_HALF]
     assert len(want) == res.check_count > _searched(t)
     assert sorted(res.violations) == sorted(want)
+
+
+def test_induced_kind_refuses_a_map_that_moves_or_splits(monkeypatch, q1):
+    """HalfMap builds any bijection.  (2 4) moves A(Q1) = {1, 4}, so it is
+    outside the hypothesis (None); (2 3) keeps A but sends the coset
+    {2, 6} to {3, 6}, so it has no quotient image (False).  Maps outside
+    the hypothesis are skipped, not counted."""
+    fresh = LoopTable(q1.rows, name="Q1")
+    assert sl.associator_subloop(fresh).elements == (1, 4)
+
+    def swap(a, b):
+        return tuple(b if x == a else a if x == b else x for x in fresh.elements)
+
+    kind = suites._induced_kind(fresh)
+    assert kind(HalfMap(fresh, fresh, swap(2, 4))) is None
+    assert kind(HalfMap(fresh, fresh, swap(2, 3))) is False
+    monkeypatch.setattr(suites, "_induced_kind", lambda L: lambda m: None)
+    res = suites.suite_induced_quotient([("Q1", fresh)])
+    assert (res.hypothesis_count, res.check_count, res.violations) == (0, 0, [])
 
 
 def _counts(results):
@@ -349,11 +376,15 @@ def test_main_theorem_suite_records_a_violation_instead_of_raising(monkeypatch, 
 
 def test_a_non_normal_associator_subloop_is_skipped(monkeypatch, q1, phi1):
     """No catalog or random loop has a non-normal associator subloop, so
-    normality is refused here on a fresh copy of Q1, whose memo is empty.
-    The quotient suites skip it, the Bruck expansion falls back to exact
-    comparison, and induced_on_quotient refuses the map."""
+    every quotient is refused here on a fresh copy of Q1, whose memo is
+    empty.  The quotient suites skip it, the Bruck expansion falls back to
+    exact comparison, and induced_on_quotient refuses the map."""
     fresh = LoopTable(q1.rows, name="Q1")
-    monkeypatch.setattr(sl, "is_normal", lambda L, H: False)
+
+    def refused(L, H):
+        raise QuotientError("refused")
+
+    monkeypatch.setattr(sl, "quotient", refused)
     assert sl.associator_quotient(fresh) is None
     inputs = [("Q1", fresh)]
     for suite in (suites.suite_quotient_homomorphism, suites.suite_induced_quotient,

@@ -6,7 +6,8 @@ strings (ByteTable, gather, push), which is why table.validate refuses
 orders above 256; so does bracketings, the one associativity comparison.
 
 Inner maps are bytes inside this module, written once as chains of
-translate tables (inner_maps), which the scans here read; they become tuples only at inner_l, inner_r, inner_t and a witness.
+translate tables (inner_maps), which the scans here read; they become
+tuples only at inner_l, inner_r, inner_t and a witness.
 """
 
 from __future__ import annotations

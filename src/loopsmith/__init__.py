@@ -8,11 +8,11 @@ and ``from loopsmith import X`` return the submodule's own object.
 import importlib
 
 _EXPORTS = {
-    "errors": (
-        "HalfMapError", "InternalCheckError", "LoopError", "LoopFileError", "QuotientError",
-        "TableValidationError", "TheoremViolation",
+    "table": (
+        "CatalogEntry", "HalfMapError", "InternalCheckError", "LoopError", "LoopFileError", "LoopTable",
+        "MoufangFlags", "QuotientError", "TableValidationError", "TheoremViolation", "ValidationReport",
+        "relabel", "validate",
     ),
-    "table": ("CatalogEntry", "LoopTable", "MoufangFlags", "ValidationReport", "relabel", "validate"),
     "closure": (
         "Subloop", "associator_subloop", "center", "commutant", "commutative_nilpotency_class",
         "commutator_subloop", "generate_subloop", "nucleus", "nucleus_left", "nucleus_middle",

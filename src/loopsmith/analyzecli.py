@@ -1,8 +1,9 @@
 """The validate and analyze commands.
 
 validate checks that files hold loop tables, and analyze prints the
-structural report of analyze_table.  Their code sits apart from cli.py so
-that halfautos and checktheorem do not compile it (README, "Start-up"):
+structural report of analyze_table.  Their code sits apart from cli.py,
+and from halfautoscli.py and suites.py, which hold halfautos and
+checktheorem, so that those two do not compile it (README, "Start-up"):
 cli.main imports this module for these two commands only.  It must not
 import loopsmith.cli: under ``python -m loopsmith.cli`` that module runs
 as __main__, and importing it by name would compile cli.py a second time.
@@ -14,8 +15,7 @@ import json
 import sys
 import time
 
-from .errors import EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, LoopFileError
-from .table import load_loop
+from .table import EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, LoopFileError, load_loop
 
 
 def _consistent(flags) -> bool:

@@ -11,8 +11,6 @@ of a construction, "derived" for values first computed here and frozen.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .table import CatalogEntry, LoopTable, cayley
 # validate is unused here; it stays bound because the benchmark's test of
 # its tracer (loopbench/test_loopbench.py) checks that this binding is wrapped
@@ -159,7 +157,6 @@ def _group_expected(commutative):
     }
 
 
-@lru_cache(maxsize=None)
 def builtin(key) -> CatalogEntry:
     """Fetch one catalog entry by key; raises KeyError for unknown keys."""
     if key not in catalog_keys():

@@ -23,12 +23,12 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_PIPE, EXIT_PROPERTY, InternalCheckError, LoopError
+from .table import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_PIPE, EXIT_PROPERTY, InternalCheckError, LoopError
 
 # Module boundaries follow the commands, because every run compiles the
 # modules it imports (README, "Start-up").  This module reads the command
 # line and dispatches; main imports the module of the command it runs:
-# analyzecli for validate and analyze, halfautoscli for halfautos, halfcli
+# analyzecli for validate and analyze, halfautoscli for halfautos, suites
 # for checktheorem.  None of them imports this module.  Each command
 # imports the other modules it runs where it runs them: validate needs no
 # computation module, analyze without the census loads closure and
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
     elif args.command == "halfautos":
         from . import halfautoscli as commands
     else:
-        from . import halfcli as commands
+        from . import suites as commands
     run = getattr(commands, "cmd_" + args.command)
     try:
         return run(args)

@@ -21,9 +21,8 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import eq
 
-from .errors import InternalCheckError
 from .innermaps import bracketings, column_bytes, product_bytes
-from .table import LoopTable, _commuting, memoized
+from .table import InternalCheckError, LoopTable, _commuting, memoized
 
 
 class Subloop:

@@ -1,6 +1,6 @@
 """The halfautos command: every half-map of one loop, with its kind.
 
-Its code sits apart from cli.py and halfcli.py so that no other command
+Its code sits apart from cli.py and suites.py so that no other command
 compiles it (README, "Start-up"): cli.main imports this module for
 halfautos only.  It must not import loopsmith.cli: under ``python -m
 loopsmith.cli`` that module runs as __main__, and importing it by name
@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .errors import EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, LoopFileError
-from .table import load_loop
+from .table import EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, LoopFileError, load_loop
 
 
 def cmd_halfautos(args) -> int:

@@ -27,12 +27,11 @@ from itertools import islice
 from math import inf, prod
 from operator import attrgetter
 
-from .errors import HalfMapError, InternalCheckError, TheoremViolation
 from .innermaps import (_agreement, _preserves_products, _sandwiches, check_bijection, column_bytes,
                         cycles_str, gather, inner_map_witness, noncommuting,
                         product_bytes, push, zero_based)
 from .subloops import associator_quotient, associator_subloop
-from .table import LoopTable, _commuting, memoized
+from .table import HalfMapError, InternalCheckError, LoopTable, TheoremViolation, _commuting, memoized
 
 
 class HalfMap:
@@ -444,6 +443,15 @@ def _search(L, limit):
     return HalfEnumeration(held, limit is None or len(held) < limit, SearchStats(*counts))
 
 
+@memoized
+def _padded(L):
+    """The product table of L and its transpose, 1-based with a zero row
+    and column in front: mul[x][y] = x*y = col[y][x].  Built once per
+    table, since every automorphism lookup is a call of _dfs."""
+    mul = ((0,) * (L.order + 1), *((0, *r) for r in L.rows))
+    return mul, tuple(zip(*mul))
+
+
 def _dfs(L, order, tally, fixed=None):
     """The depth-first search of L along a generation order (see
     enumerate_half_automorphisms).
@@ -462,8 +470,7 @@ def _dfs(L, order, tally, fixed=None):
     for every complete assignment and adds the images tried to tally[6].
     """
     n = L.order
-    mul = [(0,) * (n + 1), *((0, *r) for r in L.rows)]  # mul[x][y] = x*y = col[y][x], 1-based
-    col = list(zip(*mul))
+    mul, col = _padded(L)
     commuting = _commuting(L)
     hom = fixed is not None
     tried = 6 if hom else 0

@@ -8,8 +8,7 @@ digits and nothing else.
 
 from __future__ import annotations
 
-from .errors import LoopFileError, TableValidationError
-from .table import MAX_ORDER, CatalogEntry, LoopTable, too_large_message
+from .table import MAX_ORDER, CatalogEntry, LoopFileError, LoopTable, TableValidationError, too_large_message
 
 
 def _number(token):

@@ -28,9 +28,8 @@ from .closure import (  # noqa: F401
     Subloop, _close, _make_subloop, associator_subloop, center, commutant, commutative_nilpotency_class,
     commutator_subloop, generate_subloop, is_closed, nucleus, nucleus_left, nucleus_middle, nucleus_right,
 )
-from .errors import InternalCheckError, QuotientError
 from .innermaps import byte_table, column_bytes, gather, product_bytes, push, zero_based
-from .table import LoopTable, cayley, memoized
+from .table import InternalCheckError, LoopTable, QuotientError, cayley, memoized
 
 
 def _grow(L, family):

@@ -1,17 +1,26 @@
-"""Executable property suites over collections of loops.
+"""Executable property suites over collections of loops, and the
+checktheorem command that runs them.
 
 Each suite quantifies one proved statement over every input satisfying
 its hypothesis and reports: how many hypothesis instances it saw, how
 many individual checks ran, and any violations.  Suites never assert;
 callers decide what a violation or an empty hypothesis class means.
+
+cmd_checktheorem, the theorem driver and every suite over the inputs,
+sits here because no other command runs the suites (README,
+"Start-up"): cli.main imports this module for checktheorem only.  It
+must not import loopsmith.cli: under ``python -m loopsmith.cli`` that
+module runs as __main__, and importing it by name would compile cli.py
+a second time.
 """
 
 from __future__ import annotations
 
+import json
+import sys
 from itertools import product
 
 from . import subloops as sl
-from .errors import QuotientError
 from .halfmorph import (
     HalfKind,
     classify,
@@ -26,11 +35,12 @@ from .halfmorph import (
     mask_pairs,
     orbit_maps,
     pull_mask,
+    verify_main_theorem,
     weight,
     weighted_maps,
 )
 from .innermaps import bracketings, is_automorphic, is_left_automorphic, product_bytes, translate_rows
-from .table import memoized
+from .table import EXIT_INPUT, EXIT_OK, EXIT_PROPERTY, LoopFileError, QuotientError, load_loop, memoized
 
 
 class SuiteResult:
@@ -531,3 +541,72 @@ def run_theorem_suites(inputs, max_order=None):
         suite_commutator_d_set(inputs, max_order),
     ])
     return results
+
+
+# -- the checktheorem command ---------------------------------------
+
+
+def cmd_checktheorem(args) -> int:
+    status = EXIT_OK
+    if args.catalog == bool(args.paths):
+        print("checktheorem needs paths or --catalog, not both", file=sys.stderr)
+        return EXIT_INPUT
+    if args.catalog:
+        from . import catalog as cat
+
+        named = [(e.key, e.table) for e in cat.entries()]
+    else:
+        named = []
+        for path in args.paths:
+            try:
+                entry = load_loop(path, normalize=args.normalize)
+            except LoopFileError as exc:
+                print("%s: %s" % (path, exc), file=sys.stderr)
+                if exc.stage == "table":
+                    # a corrupt table is a failed property, not a bad invocation
+                    status = max(status, EXIT_PROPERTY)
+                    continue
+                return EXIT_INPUT
+            named.append((entry.key, entry.table))
+    reports = [verify_main_theorem(t, name=name) if t.order <= args.max_half_order else None
+               for name, t in named]
+    results = run_theorem_suites(named, max_order=args.max_half_order)
+    failed = any(r.violations for r in results)
+    if failed:
+        status = max(status, EXIT_PROPERTY)
+    if args.json:
+        print(json.dumps({
+            "loops": [
+                {
+                    "name": name,
+                    "order": t.order,
+                    "moufang": t.is_moufang(),
+                    "automorphic": is_automorphic(t),
+                    "hypotheses_hold": r.hypotheses_hold if r else None,
+                    "proper_half_maps": r.census[HalfKind.PROPER_HALF] if r else None,
+                    "enumerated": r is not None,
+                }
+                for (name, t), r in zip(named, reports)
+            ],
+            "suites": [
+                {
+                    "name": s.name,
+                    "hypotheses": s.hypothesis_count,
+                    "checks": s.check_count,
+                    "violations": s.violations,
+                    "notes": s.notes,
+                }
+                for s in results
+            ],
+            "ok": not failed,
+        }, sort_keys=True, indent=2))
+    else:
+        for (name, t), r in zip(named, reports):
+            if r is None:
+                print("%s (order %d): enumeration skipped (above threshold)" % (name, t.order))
+            else:
+                print(r.summary())
+        for s in results:
+            print(s.line())
+        print("theorem check: %s" % ("FAIL" if failed else "ok"))
+    return status

@@ -25,8 +25,7 @@ from loopsmith.catalog import (
     parse_loop_file,
     write_loop_file,
 )
-from loopsmith.errors import LoopFileError
-from loopsmith.table import validate
+from loopsmith.table import LoopFileError, validate
 
 # retyped by hand, used as a transcription checksum for the stored tables
 Q1_CHECK = (
@@ -109,6 +108,11 @@ def test_check_expected_flags_bad_provenance(q2):
     entry = CatalogEntry("tagged", q2, {"moufang": (False, "folklore")})
     problems = check_expected(entry)
     assert any("provenance" in p for p in problems)
+
+
+def test_check_expected_flags_a_property_it_cannot_recompute(q2):
+    entry = CatalogEntry("flexible", q2, {"flexible": (True, "derived")})
+    assert check_expected(entry) == ["flexible: no recomputation rule"]
 
 
 def test_make_cyclic():

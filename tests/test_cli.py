@@ -14,8 +14,7 @@ import pytest
 from loopsmith import analyzecli, cli, halfmorph, suites
 from loopsmith.catalog import builtin, write_loop_file
 from loopsmith.cli import main
-from loopsmith.errors import InternalCheckError
-from loopsmith.table import LoopTable
+from loopsmith.table import InternalCheckError, LoopTable
 
 Z5_FILE = """name: Z5-file
 5

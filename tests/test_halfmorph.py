@@ -14,7 +14,6 @@ import pytest
 
 from loopsmith import catalog, halfmorph, suites
 from loopsmith import subloops as sl
-from loopsmith.errors import HalfMapError, InternalCheckError, TheoremViolation
 from loopsmith.halfmorph import (
     GGTriple,
     HalfEnumeration,
@@ -44,7 +43,7 @@ from loopsmith.halfmorph import (
 from loopsmith.innermaps import (is_automorphic, is_automorphism, is_left_automorphic, perm_from_cycles,
                                  translate_rows)
 from loopsmith.suites import run_theorem_suites
-from loopsmith.table import LoopTable, relabel
+from loopsmith.table import HalfMapError, InternalCheckError, LoopTable, TheoremViolation, relabel
 
 
 def test_make_half_map_rejects_degree_and_bijection_defects(q2):

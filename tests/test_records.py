@@ -52,13 +52,13 @@ def _modules_loaded_by(argv, code):
     return set(json.loads(out.splitlines()[-1]))
 
 
-# the loopsmith modules each command loads.  Every run loads cli, errors and
-# table, and then the module of its command: analyzecli for validate and
-# analyze, halfautoscli for halfautos, halfcli for checktheorem.  An input
+# the loopsmith modules each command loads.  Every run loads cli and table,
+# and then the module of its command: analyzecli for validate and analyze,
+# halfautoscli for halfautos, suites for checktheorem.  An input
 # loads the .loop reader (loopformat) only when a file is read, the catalog
 # only for a catalog key.  analyze without the census needs closure and
 # innermaps, and the census subloops and halfmorph.
-BASE = {"cli", "errors", "table"}
+BASE = {"cli", "table"}
 FILE = {"loopformat"}
 KEY = {"catalog"}
 ANALYZE = {"analyzecli", "closure", "innermaps"}
@@ -69,9 +69,9 @@ CENSUS = {"closure", "innermaps", "subloops", "halfmorph"}
     (["validate", "--json", "FILE"], 0, BASE | FILE | {"analyzecli"}),
     (["analyze", "--json", "FILE"], 0, BASE | FILE | ANALYZE),
     (["analyze", "--json", "Q2"], 0, BASE | KEY | ANALYZE | CENSUS),
-    (["checktheorem", "--json", "Q2"], 0, BASE | KEY | CENSUS | {"halfcli", "suites"}),
+    (["checktheorem", "--json", "Q2"], 0, BASE | KEY | CENSUS | {"suites"}),
     (["halfautos", "--json", "Q2"], 0, BASE | KEY | CENSUS | {"halfautoscli"}),
-    (["checktheorem", "--json", "Q2FILE"], 0, BASE | FILE | CENSUS | {"halfcli", "suites"}),
+    (["checktheorem", "--json", "Q2FILE"], 0, BASE | FILE | CENSUS | {"suites"}),
     (["halfautos", "--json", "Q2FILE"], 0, BASE | FILE | CENSUS | {"halfautoscli"}),
     # a name that cannot be a catalog key does not load the catalog, and a
     # file that cannot be read does not load the reader
@@ -97,7 +97,7 @@ def test_a_catalog_child_loads_no_other_commands_code_and_no_reader():
     compiles neither validate, analyze nor halfautos, nor the .loop reader
     and writer."""
     loaded = _modules_loaded_by(["checktheorem", "--json", "M(S3,2)"], 0)
-    assert "loopsmith.halfcli" in loaded
+    assert "loopsmith.suites" in loaded
     assert not loaded & {"loopsmith.analyzecli", "loopsmith.halfautoscli", "loopsmith.loopformat"}
 
 
@@ -172,9 +172,9 @@ def test_only_console_main_ends_the_process():
 
 # the package's names, by the submodule that defines them
 PACKAGE_NAMES = {
-    "errors": ("HalfMapError", "InternalCheckError", "LoopError", "LoopFileError", "QuotientError",
-               "TableValidationError", "TheoremViolation"),
-    "table": ("CatalogEntry", "LoopTable", "MoufangFlags", "ValidationReport", "relabel", "validate"),
+    "table": ("CatalogEntry", "HalfMapError", "InternalCheckError", "LoopError", "LoopFileError", "LoopTable",
+              "MoufangFlags", "QuotientError", "TableValidationError", "TheoremViolation", "ValidationReport",
+              "relabel", "validate"),
     "closure": ("Subloop", "associator_subloop", "center", "commutant", "commutative_nilpotency_class",
                 "commutator_subloop", "generate_subloop", "nucleus", "nucleus_left", "nucleus_middle",
                 "nucleus_right"),

@@ -11,7 +11,6 @@ import pytest
 from loopsmith import catalog, closure
 from loopsmith import subloops as sl
 from loopsmith.cli import analyze_table
-from loopsmith.errors import InternalCheckError, QuotientError
 from loopsmith.subloops import (
     Subloop,
     SubloopSearch,
@@ -37,7 +36,7 @@ from loopsmith.subloops import (
     two_generated,
 )
 from loopsmith.innermaps import inner_maps, noncommuting
-from loopsmith.table import LoopTable, _commuting, relabel
+from loopsmith.table import InternalCheckError, LoopTable, QuotientError, _commuting, relabel
 
 
 def test_generate_subloop_chain_on_q1(q1):

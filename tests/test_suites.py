@@ -9,7 +9,6 @@ import pytest
 
 from loopsmith import catalog, suites
 from loopsmith import subloops as sl
-from loopsmith.errors import QuotientError, TheoremViolation
 from loopsmith.halfmorph import (
     HalfEnumeration,
     HalfKind,
@@ -27,7 +26,7 @@ from loopsmith.halfmorph import (
     weighted_maps,
 )
 from loopsmith.innermaps import is_left_automorphic
-from loopsmith.table import LoopTable, relabel
+from loopsmith.table import LoopTable, MoufangFlags, QuotientError, TheoremViolation, relabel
 from loopsmith.suites import SuiteResult, run_theorem_suites, suite_bruck, suite_commutator_d_set
 
 SUITE_NAMES = [
@@ -372,6 +371,66 @@ def test_main_theorem_suite_records_a_violation_instead_of_raising(monkeypatch, 
     assert res.violations == ["Q2-copy: 8 proper maps despite both hypotheses"]
     with pytest.raises(TheoremViolation, match="Q2-copy"):
         verify_main_theorem(copy)
+
+
+def _flags_disagree(mp, L):
+    mp.setattr(LoopTable, "moufang_report", lambda self: MoufangFlags(True, False, True))
+
+
+def _kernel_is_everything(mp, L):
+    real = sl.quotient
+    mp.setattr(sl, "quotient", lambda M, H: real(M, H)._replace(projection=(1,) * M.order))
+
+
+def _sylow_and_trivial_nucleus(mp, L):
+    mp.setattr(sl, "sylow_subloop", lambda M, p: sl.SubloopSearch(sl.Subloop(M, (1, 3, 5)), 3))
+    mp.setattr(sl, "nucleus", lambda M: sl.Subloop(M, (1,)))
+
+
+def _s3_lines():
+    """The Bruck lines of S3 with the nucleus read as {1}, from its
+    products: a commutator is 1 exactly when the pair commutes in a group."""
+    t = catalog.make_symmetric3()
+    pairs = [(u, v) for u in t.elements for v in t.elements if t.mul(u, v) != t.mul(v, u)]
+    cubes = [u for u in t.elements if t.mul(u, t.mul(u, u)) != 1]
+    return (["S3: [%d,%d] outside the nucleus" % uv for uv in pairs]
+            + ["S3: %d cubed lands outside the nucleus" % u for u in cubes])
+
+
+@pytest.mark.parametrize("run, key, patch, lines", [
+    (suites.suite_moufang_flag_agreement, "Z4", _flags_disagree,
+     ["Z4: flags disagree MoufangFlags(left=True, right=False, middle=True)"]),
+    (suites.suite_nuclei_coincide, "Z4",
+     lambda mp, L: mp.setattr(sl, "nucleus_middle", lambda M: sl.Subloop(M, (1, 3))),
+     ["Z4: nuclei differ (1, 2, 3, 4) (1, 3) (1, 2, 3, 4)"]),
+    (suites.suite_lagrange, "Z4", lambda mp, L: mp.setattr(sl, "center", lambda M: sl.Subloop(M, (1, 2, 3))),
+     ["Z4: center has order 3, not a divisor of 4"]),
+    (suites.suite_quotient_homomorphism, "Z4", _kernel_is_everything,
+     ["Z4: commutator quotient kernel {1, 2, 3, 4} != {1}",
+      "Z4: associator quotient kernel {1, 2, 3, 4} != {1}"]),
+    (suites.suite_sylow_factorization, "Z6",
+     lambda mp, L: mp.setattr(sl, "sylow_subloop", lambda M, p: sl.SubloopSearch(None, 3)),
+     ["Z6: no exact 3-power subloop (target 3)"]),
+    (suites.suite_sylow_factorization, "Z6", _sylow_and_trivial_nucleus,
+     ["Z6: S*N covers 3 of 6 elements"]),
+    (suite_bruck, "S3", lambda mp, L: mp.setattr(sl, "nucleus", lambda M: sl.Subloop(M, (1,))), _s3_lines()),
+    (suites.suite_half_group, "Z4",
+     lambda mp, L: mp.setattr(suites, "half_maps_form_group_check", lambda M, enum: False),
+     ["Z4: enumerated maps are not closed"]),
+    (lambda inputs: suites.suite_odd_order_trivial(inputs, max_order=4), "Z5", lambda mp, L: None,
+     ["skipped Z5"]),
+], ids=["flag-agreement", "nuclei", "lagrange", "quotient-kernel", "sylow-missing", "sylow-cover", "bruck",
+        "half-group", "odd-order-skip"])
+def test_each_suite_reports_its_violation_lines(monkeypatch, run, key, patch, lines):
+    """Every violation line a suite can write, and odd-order-trivial's
+    skip note, on a fresh table of one input with one fact patched to
+    fail; the patch is the only way to reach them, since the catalog runs
+    clean."""
+    t = LoopTable(catalog.builtin(key).table.rows, name=key)
+    patch(monkeypatch, t)
+    results = run([(key, t)])
+    results = results if isinstance(results, list) else [results]
+    assert [line for r in results for line in r.violations + r.notes] == lines
 
 
 def test_a_non_normal_associator_subloop_is_skipped(monkeypatch, q1, phi1):

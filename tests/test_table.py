@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopsmith import catalog
-from loopsmith.errors import TableValidationError
-from loopsmith.table import MAX_ORDER, LoopTable, relabel, validate
+from loopsmith.table import MAX_ORDER, LoopTable, TableValidationError, relabel, validate
 
 Z3_ROWS = [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
 
